@@ -40,16 +40,6 @@ class ClusterAssignment:
         hi = min(c + 1, self.n_clusters - 1)
         return np.concatenate(self.clusters[lo : hi + 1])
 
-    def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(query rows, key/value rows) per cluster."""
-        out = []
-        for c, own in enumerate(self.clusters):
-            nb = self.neighborhood(c)
-            if nb.size == 0:
-                raise ContractError("empty attention neighborhood")
-            out.append((own, nb))
-        return out
-
 
 def cluster(token_set: MixedResolutionTokenSet, cluster_size: int) -> ClusterAssignment:
     if cluster_size < 1:
@@ -59,11 +49,7 @@ def cluster(token_set: MixedResolutionTokenSet, cluster_size: int) -> ClusterAss
     return ClusterAssignment(n_tokens=n, cluster_size=cluster_size, clusters=runs)
 
 
-def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, groups, key_levels):
-    n, d = x.data.shape
-    if d % heads:
-        raise ValueError(f"dim {d} not divisible by {heads} heads")
-    hd = d // heads
+def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, n_valid: int, size: int, key_levels):
     h = tensor.layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
     q = tensor.add(tensor.matmul(h, store[f"{prefix}.q.w"]), store[f"{prefix}.q.b"])
     k = tensor.add(tensor.matmul(h, store[f"{prefix}.k.w"]), store[f"{prefix}.k.b"])
@@ -72,31 +58,7 @@ def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, groups, ke
         # scale-aware keys: coarse and fine tokens in one neighborhood stay
         # distinguishable to the attention logits
         k = tensor.add(k, tensor.gather_rows(store[f"{prefix}.key_scale"], key_levels))
-    parts = []
-    src = np.full(n, -1, dtype=np.intp)
-    at = 0
-    for q_rows, kv_rows in groups:
-        qg = tensor.gather_rows(q, q_rows)
-        kg = tensor.gather_rows(k, kv_rows)
-        vg = tensor.gather_rows(v, kv_rows)
-        mask = np.ones((len(q_rows), len(kv_rows)), dtype=bool)
-        if heads == 1:
-            parts.append(tensor.softmax_attention(qg, kg, vg, mask))
-        else:
-            outs = [
-                tensor.softmax_attention(
-                    tensor.slice_cols(qg, i * hd, (i + 1) * hd),
-                    tensor.slice_cols(kg, i * hd, (i + 1) * hd),
-                    tensor.slice_cols(vg, i * hd, (i + 1) * hd),
-                    mask,
-                )
-                for i in range(heads)
-            ]
-            parts.append(tensor.concat(outs, axis=1))
-        src[q_rows] = np.arange(at, at + len(q_rows))
-        at += len(q_rows)
-    stacked = tensor.concat(parts + [tensor.constant(np.zeros((1, d)))], axis=0)
-    attn = tensor.gather_rows(stacked, np.where(src >= 0, src, at))
+    attn = tensor.window_attention(q, k, v, n_valid, size, heads)
     return tensor.add(tensor.matmul(attn, store[f"{prefix}.o.w"]), store[f"{prefix}.o.b"])
 
 
@@ -106,8 +68,8 @@ def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return tensor.add(tensor.matmul(h, store[f"{prefix}.mlp2.w"]), store[f"{prefix}.mlp2.b"])
 
 
-def _block(x, store, prefix, heads, groups, key_levels) -> Tensor:
-    x = tensor.add(x, _attention(x, store, prefix, heads, groups, key_levels))
+def _block(x, store, prefix, heads, n_valid, size, key_levels) -> Tensor:
+    x = tensor.add(x, _attention(x, store, prefix, heads, n_valid, size, key_levels))
     h = tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
     return tensor.add(x, _mlp(h, store, prefix))
 
@@ -123,10 +85,15 @@ def cluster_attention_block(
     """Pre-norm block with attention restricted to cluster neighborhoods."""
     if assignment.n_tokens != token_set.n_valid:
         raise ContractError("cluster assignment is stale for this token set")
-    return _block(x, store, prefix, heads, assignment.groups(), token_set.row_levels())
+    return _block(
+        x, store, prefix, heads, assignment.n_tokens, assignment.cluster_size, token_set.row_levels()
+    )
 
 
 def vit_block(x: Tensor, valid_rows: np.ndarray, store: ParamStore, prefix: str, heads: int) -> Tensor:
-    """Plain pre-norm ViT block: full self-attention over the valid rows."""
-    valid_rows = np.asarray(valid_rows, dtype=np.intp)
-    return _block(x, store, prefix, heads, [(valid_rows, valid_rows)], None)
+    """Plain pre-norm ViT block: full self-attention over the valid rows,
+    which must be the leading rows 0..n-1 (later rows are batch padding)."""
+    n = len(valid_rows)
+    if not np.array_equal(valid_rows, np.arange(n)):
+        raise ContractError("vit_block valid rows must be a leading prefix")
+    return _block(x, store, prefix, heads, n, max(n, 1), None)

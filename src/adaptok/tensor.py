@@ -83,14 +83,18 @@ _TAPES: list[GradTape] = []
 
 
 def _record(out: Tensor, parents, vjp):
-    if _TAPES:
+    """Tape `out` only when some parent has a path to a `requires_grad` leaf;
+    everything else (pixel patches, zero padding) is a constant."""
+    if _TAPES and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
         _TAPES[-1].nodes.append(out)
 
 
 def backward(loss: Tensor, tape: GradTape, params=None):
-    """Accumulate d(loss)/d(t) into `t.grad` for every tensor on the tape.
+    """Accumulate d(loss)/d(t) into `t.grad` for every tensor on the tape
+    and every `requires_grad` leaf under it; constants keep `grad` None.
 
     `loss` must be a scalar produced under `tape`. When `params` is given
     (iterable of (name, Tensor)), returns a name -> gradient dict with zeros
@@ -104,11 +108,11 @@ def backward(loss: Tensor, tape: GradTape, params=None):
             p.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        if node.grad is None or node._vjp is None:
+        if node.grad is None:
             continue
         gs = node._vjp(node.grad)
         for p, g in zip(node._parents, gs):
-            if g is None:
+            if g is None or not p.requires_grad:
                 continue
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
@@ -188,7 +192,11 @@ def matmul(a, b) -> Tensor:
     flops.add_cost(macs=m * k * n)
     out = Tensor(a.data @ b.data)
     ad, bd = a.data, b.data
-    _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    _record(
+        out,
+        (a, b),
+        lambda g: (g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None),
+    )
     return out
 
 
@@ -217,20 +225,6 @@ def concat(parts, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     _record(out, tuple(parts), vjp)
-    return out
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data[:, start:stop])
-    n_cols = a.data.shape[1]
-
-    def vjp(g):
-        full = np.zeros((g.shape[0], n_cols))
-        full[:, start:stop] = g
-        return (full,)
-
-    _record(out, (a,), vjp)
     return out
 
 
@@ -291,13 +285,13 @@ def gelu(x) -> Tensor:
     x = _as_tensor(x)
     flops.add_cost(scalar_ops=flops.GELU_OPS_PER_ELEM * x.data.size)
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * xd**3)
+    u = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
     t = np.tanh(u)
     out = Tensor(0.5 * xd * (1.0 + t))
 
     def vjp(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * du),)
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
+        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
 
     _record(out, (x,), vjp)
     return out
@@ -356,6 +350,99 @@ def softmax_attention(q, k, v, mask) -> Tensor:
     logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
     attn = masked_softmax(logits, mask)
     return matmul(attn, v)
+
+
+def window_attention(q, k, v, n_valid: int, size: int, heads: int) -> Tensor:
+    """Multi-head local attention over runs of `size` consecutive rows.
+
+    Rows [0, n_valid) are chopped into runs of `size` (the last may be
+    short); each run's queries attend to the keys of its own run and the
+    runs on either side. With a single run the window is just the n_valid
+    rows. Rows from n_valid on (batch padding) get a zero update and no
+    gradient. q, k, v: (rows, d) with d divisible by `heads`.
+
+    All runs are stacked into one (runs, heads, size, 3*size) problem: the
+    key/value rows are zero-padded by one run at each end, and the padding,
+    the short tail and the missing neighbours are masked out. FLOPs are
+    charged on live (query, key) pairs only, as the per-run loop of
+    `softmax_attention` would be.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    rows, d = q.data.shape
+    if k.data.shape != (rows, d) or v.data.shape != (rows, d):
+        raise ValueError(f"q/k/v shapes {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    if d % heads:
+        raise ValueError(f"dim {d} not divisible by {heads} heads")
+    n, hd = n_valid, d // heads
+    runs = -(-n // size)
+    if runs == 1:
+        size = n
+    span = 3 if runs > 1 else 1  # runs per key window
+    lead = size if runs > 1 else 0  # zero rows ahead of row 0 in the key frame
+    width = span * size
+
+    qpos = np.arange(runs)[:, None] * size + np.arange(size)
+    kpos = np.arange(runs)[:, None] * size - lead + np.arange(width)
+    qlive = qpos < n
+    klive = (kpos >= 0) & (kpos < n)
+    live = qlive[:, :, None] & klive[:, None, :]
+    per_row = live.sum(axis=-1)
+    pairs = int(per_row.sum())
+    flops.add_cost(
+        macs=heads * 2 * pairs * hd,
+        scalar_ops=heads * (pairs + int(np.maximum(4 * per_row - 1, 0).sum())),
+        comparisons=heads * pairs,
+    )
+
+    def frame(a, lead, n_runs):  # rows [0, n) of a, `lead` rows into a zero frame of n_runs runs
+        out = np.zeros((n_runs * size, d))
+        out[lead : lead + n] = a[:n]
+        return out
+
+    def unframe(framed, lead):  # adjoint of frame
+        out = np.zeros((rows, d))
+        out[:n] = framed[lead : lead + n]
+        return out
+
+    def split_heads(a, n_rows):  # (runs * n_rows, d) -> (runs, heads, n_rows, hd)
+        return a.reshape(runs, n_rows, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge_heads(a):  # inverse of split_heads
+        return a.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    def windows(a):  # (rows, d) -> (runs, heads, width, hd)
+        framed = frame(a, lead, runs + span - 1).reshape(runs + span - 1, size, d)
+        stacked = np.concatenate([framed[i : i + runs] for i in range(span)], axis=1)
+        return split_heads(stacked.reshape(-1, d), width)
+
+    def unwindow(w):  # adjoint of windows: shifted adds, one per run offset
+        w = merge_heads(w).reshape(runs, span, size, d)
+        framed = np.zeros((runs + span - 1, size, d))
+        for i in range(span):
+            framed[i : i + runs] += w[:, i]
+        return unframe(framed.reshape(-1, d), lead)
+
+    qs, ks, vs = split_heads(frame(q.data, 0, runs), size), windows(k.data), windows(v.data)
+    c = 1.0 / math.sqrt(hd)
+    # every query slot, padded ones included, keeps at least one live key,
+    # so no softmax row is empty; padded slots are dropped from the output
+    z = np.where(klive[:, None, None, :], np.matmul(qs, ks.transpose(0, 1, 3, 2)) * c, -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(unframe(merge_heads(np.matmul(p, vs)), 0))
+
+    def vjp(g):
+        gs = split_heads(frame(g, 0, runs), size)
+        dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
+        dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        dq = unframe(merge_heads(np.matmul(dz, ks)), 0)
+        dk = unwindow(np.matmul(dz.transpose(0, 1, 3, 2), qs))
+        dv = unwindow(np.matmul(p.transpose(0, 1, 3, 2), gs))
+        return dq, dk, dv
+
+    _record(out, (q, k, v), vjp)
+    return out
 
 
 def sum_all(x) -> Tensor:

@@ -19,7 +19,7 @@ class TestClusterAssignment:
         s = coarse_grid(64, 64)  # 4 tokens
         a = cluster(s, cluster_size=8)
         assert a.n_clusters == 1
-        assert np.array_equal(a.groups()[0][1], np.arange(4))
+        assert np.array_equal(a.neighborhood(0), np.arange(4))
 
     def test_short_tail(self, rng):
         s, _ = grow_random_set(64, 64, 0.9, rng)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from adaptok import config, flops, params, scenes, stage1, tensor, train
+from adaptok import clusterattn, config, flops, params, scenes, stage1, tensor, train
 from adaptok.flops import Counts, FlopsReport, cluster_group_sizes, corpus_stats, count_forward
 from adaptok.tensor import Tensor
+
+from conftest import grow_random_set
 
 
 class TestConventions:
@@ -85,6 +87,28 @@ class TestCounterExecutorAgreement:
             fr = train.forward_full(sc.image, store, cfg, sc.labels)
         analytic = count_forward(cfg, fr.s1out.trace).total()
         assert (analytic.macs, analytic.scalar_ops) == (m.total().macs, m.total().scalar_ops)
+
+    def test_one_block_with_short_tail(self, rng):
+        # the attention primitive charges from its own mask; the analytic
+        # block charge derives its groups from cluster_group_sizes
+        s, _ = grow_random_set(64, 64, 0.6, rng)
+        n, size, d, heads = s.n_valid, 8, 16, 2
+        if n % size == 0:
+            size = 7 if n % 7 else 9
+        assert n % size and n > 2 * size
+        store = params.ParamStore()
+        params._block(store, 0, "blk", d, key_scale=True)
+        x = Tensor(rng.standard_normal((n, d)))
+        with flops.meter() as m:
+            clusterattn.cluster_attention_block(x, s, clusterattn.cluster(s, size), store, "blk", heads)
+        rep = FlopsReport()
+        flops._charge_block(rep, "blk", n, d, heads, cluster_group_sizes(n, size), True)
+        metered, analytic = m.total(), rep.total()
+        assert (analytic.macs, analytic.scalar_ops, analytic.comparisons) == (
+            metered.macs,
+            metered.scalar_ops,
+            metered.comparisons,
+        )
 
     def test_ablation_switch_agreement(self, scene_spec):
         for switch in ({"no_aux_image": True}, {"no_residual": True}):

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from adaptok import tensor
+from adaptok import flops, tensor
 from adaptok.errors import ContractError
 from adaptok.tensor import GradTape, Tensor, backward
 
@@ -123,6 +125,54 @@ class TestSoftmaxAttention:
             tensor.softmax_attention(Tensor(q), Tensor(q), Tensor(q[:2]), mask)
 
 
+def window_attention_loop(q, k, v, n_valid, size, heads):
+    """The per-run, per-head `softmax_attention` loop `window_attention`
+    replaces; rows from n_valid on stay zero."""
+    rows, d = q.shape
+    hd = d // heads
+    runs = [np.arange(s, min(s + size, n_valid)) for s in range(0, n_valid, size)]
+    out = np.zeros((rows, d))
+    for c, own in enumerate(runs):
+        nb = np.concatenate(runs[max(c - 1, 0) : c + 2])
+        mask = np.ones((len(own), len(nb)), bool)
+        for h in range(heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            qh, kh, vh = Tensor(q[own][:, cols]), Tensor(k[nb][:, cols]), Tensor(v[nb][:, cols])
+            out[own, cols] = tensor.softmax_attention(qh, kh, vh, mask).data
+    return out
+
+
+class TestWindowAttention:
+    SIZE = 8
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("n", [1, SIZE - 1, SIZE, SIZE + 1, 5 * SIZE + 3])
+    def test_matches_per_run_loop(self, n, heads, rng):
+        d, pad = 4 * heads, 3
+        q, k, v = (rng.standard_normal((n + pad, d)) for _ in range(3))
+        with flops.meter() as m_new:
+            out = tensor.window_attention(Tensor(q), Tensor(k), Tensor(v), n, self.SIZE, heads)
+        with flops.meter() as m_old:
+            expect = window_attention_loop(q, k, v, n, self.SIZE, heads)
+        assert np.max(np.abs(out.data - expect)) <= 1e-12
+        if n <= self.SIZE:
+            # one run: the same arithmetic in the same order
+            assert np.array_equal(out.data, expect)
+        assert np.array_equal(out.data[n:], np.zeros((pad, d)))
+        assert m_new.total() == m_old.total()
+
+    def test_gradients_finite_with_padding_and_short_tail(self, rng):
+        n, d = 2 * self.SIZE + 3, 4
+        q, k, v = (Tensor(rng.standard_normal((n + 5, d)), requires_grad=True) for _ in range(3))
+        with GradTape() as tape:
+            out = tensor.window_attention(q, k, v, n, self.SIZE, 2)
+            loss = tensor.sum_all(tensor.mul(out, out))
+        backward(loss, tape)
+        for t in (q, k, v):
+            assert np.all(np.isfinite(t.grad))
+            assert np.array_equal(t.grad[n:], np.zeros((5, d)))
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -181,11 +231,22 @@ class TestBackward:
         lambda rng: ("matmul", (rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))),
         lambda rng: ("mul", (rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))),
         lambda rng: ("add", (rng.standard_normal((3, 4)), rng.standard_normal(4))),
+        # three runs of 3 over 8 valid rows (short tail) plus 2 padding rows
+        lambda rng: (
+            "window_attention",
+            tuple(rng.standard_normal((10, 4)) for _ in range(3)),
+            {"n_valid": 8, "size": 3, "heads": 2},
+        ),
+        lambda rng: (
+            "window_attention",
+            tuple(rng.standard_normal((5, 4)) for _ in range(3)),
+            {"n_valid": 5, "size": 5, "heads": 1},
+        ),
     ],
 )
 def test_primitive_gradients_match_finite_differences(build, rng):
-    name, arrays = build(rng)
-    op = getattr(tensor, name)
+    name, arrays, *kwargs = build(rng)
+    op = functools.partial(getattr(tensor, name), **(kwargs[0] if kwargs else {}))
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
 
     def forward():
@@ -236,17 +297,16 @@ def test_cross_entropy_gradient(rng):
         assert rel_err(logits.grad[idx], fd) < 1e-4
 
 
-def test_gather_concat_slice_gradients(rng):
+def test_gather_concat_gradients(rng):
     x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     idx = np.array([0, 2, 2, 4])
-    coef = rng.standard_normal((4, 2))
+    coef = rng.standard_normal((8, 8))
 
     def forward():
         g = tensor.gather_rows(x, idx)
-        left = tensor.slice_cols(g, 0, 2)
-        right = tensor.slice_cols(g, 2, 4)
-        cat = tensor.concat([left, right], axis=0)
-        return tensor.sum_all(tensor.mul(cat, Tensor(np.vstack([coef, coef]))))
+        wide = tensor.concat([g, g], axis=1)
+        cat = tensor.concat([wide, wide], axis=0)
+        return tensor.sum_all(tensor.mul(cat, Tensor(coef)))
 
     with GradTape() as tape:
         loss = forward()
