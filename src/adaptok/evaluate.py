@@ -32,8 +32,8 @@ def overlay_masks(trace: AllocationTrace, height: int, width: int) -> list[np.nd
 
 def _confusion_update(conf: np.ndarray, pred: np.ndarray, gt: np.ndarray):
     valid = gt != IGNORE
-    for g, p in zip(gt[valid].ravel(), pred[valid].ravel()):
-        conf[g, p] += 1
+    c = conf.shape[0]
+    conf += np.bincount(gt[valid] * c + pred[valid], minlength=c * c).reshape(c, c)
 
 
 def segmentation_metrics(conf: np.ndarray) -> dict:

@@ -22,7 +22,7 @@ def save_emitted_maps(path, s2out: Stage2Output):
         f.write(struct.pack("<I", len(s2out.emitted)))
         for level in sorted(s2out.emitted):
             em = s2out.emitted[level]
-            feats = em.valid_feats().data
+            feats = em.feats.data
             dim = feats.shape[1] if feats.ndim == 2 else 0
             f.write(struct.pack("<BII", level, len(em.keys), dim))
             for k in em.keys:

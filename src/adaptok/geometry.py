@@ -21,17 +21,6 @@ PATCH_SIDES = (32, 16, 8, 4)
 COARSE_SIDE = 32
 
 
-class ScaleLevel(NamedTuple):
-    level: int
-    patch_side: int
-
-    @classmethod
-    def of(cls, level: int) -> "ScaleLevel":
-        if not 0 <= level <= MAX_LEVEL:
-            raise ValueError(f"scale level {level} outside 0..{MAX_LEVEL}")
-        return cls(level, COARSE_SIDE >> level)
-
-
 class TokenKey(NamedTuple):
     level: int
     row: int
@@ -137,9 +126,6 @@ class MixedResolutionTokenSet:
         for k in self.keys:
             counts[k.level] += 1
         return counts
-
-    def level_rows(self, level: int) -> list[int]:
-        return [i for i, k in enumerate(self.keys) if k.level == level]
 
     def frontier_rows(self) -> list[int]:
         pos = {k: i for i, k in enumerate(self.keys)}

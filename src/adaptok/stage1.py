@@ -8,9 +8,9 @@ threshold, splits each selected patch into four children, and mixes the
 grown token set with cluster attention. Lateral snapshots are kept for the
 top-down refinement stage.
 
-Batch mode pads every sample's per-round children to the batch maximum;
-padded rows are invalid everywhere: no clustering, no scoring, no loss, no
-compute accounting.
+Every sample runs all its rounds on its own rows, without padding. Only the
+finished batch is padded: each final token set gets zero feature rows up to
+the batch maximum per level, which Stage 2 drops again on entry.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class Lateral:
 @dataclass
 class Stage1Output:
     token_set: MixedResolutionTokenSet
-    feats: Tensor
+    feats: Tensor  # rows from token_set.n_valid on: zero batch padding
     trace: AllocationTrace
     laterals: dict[str, Lateral]
     score_tensors: list[Tensor | None]  # per round, rows follow the frontier
@@ -96,8 +96,8 @@ def allocator_mse(out: Stage1Output) -> Tensor | None:
 
 
 class Stage1Run:
-    """Round-stepped state for one sample; lockstep batching uses the round
-    hooks directly, `run_stage1` drives them for a solo sample."""
+    """Round-stepped state for one sample, on that sample's rows alone;
+    `run_stage1_batch` drives the hooks."""
 
     def __init__(self, image, store: ParamStore, cfg: EncoderConfig, labels=None):
         image = np.asarray(image, dtype=np.float64)
@@ -192,10 +192,9 @@ class Stage1Run:
             old_set = self.token_set
             new_set, children = old_set.with_children(selected)
             src = {k: i for i, k in enumerate(old_set.keys)}
-            base = old_set.n_rows
+            base = old_set.n_valid
             src.update({k: base + j for j, k in enumerate(children)})
             perm = [src[k] for k in new_set.keys]
-            perm.extend(range(old_set.n_valid, base))  # padded rows ride along
             merged = tensor.concat([self.feats, child_feats], axis=0)
             self.feats = tensor.gather_rows(merged, perm)
             self.token_set = new_set
@@ -220,13 +219,6 @@ class Stage1Run:
             feat = tensor.constant(np.zeros((4 * len(selected), d)))
         feat = tensor.add(feat, store[f"s1.r{r}.scale_emb"])
         return tensor.add(feat, tensor.gather_rows(store[f"s1.r{r}.slot_emb"], slot_idx))
-
-    def pad_round(self, r: int, extra: int):
-        if extra <= 0:
-            return
-        zeros = tensor.constant(np.zeros((extra, self.cfg.stage1_dims[r])))
-        self.feats = tensor.concat([self.feats, zeros], axis=0)
-        self.token_set = self.token_set.with_padding([r] * extra)
 
     def attend_round(self, r: int):
         cfg = self.cfg
@@ -279,30 +271,19 @@ def choose_selection(
     return [frontier[i] for i in idx], "predicted"
 
 
-def _drive_rounds(runs: list[Stage1Run], cfg: EncoderConfig, use_oracle: bool, batch_index: int):
-    if use_oracle and any(r.labels is None for r in runs):
-        raise ValueError("policy=oracle_mix selected the oracle for this batch but labels are missing")
+def _drive_rounds(run: Stage1Run, use_oracle: bool, batch_index: int, i: int):
+    cfg = run.cfg
     for r in range(1, ROUNDS + 1):
-        for run in runs:
-            run.enter_round(r)
-        decisions = []
-        for i, run in enumerate(runs):
-            scores = run.score_round(r)
-            targets = run.targets_round()
-            ratio_rng = rng_for(cfg.policy_seed, "ratio", batch_index, i, r)
-            with flops.section(f"stage1.r{r}"):
-                selected, source = choose_selection(
-                    cfg, r, run.token_set.frontier, scores, targets, use_oracle, ratio_rng
-                )
-            decisions.append((scores, targets, selected, source))
-        pad_to = max(4 * len(sel) for _, _, sel, _ in decisions)
-        for run, (scores, targets, selected, source) in zip(runs, decisions):
-            run.allocate_round(r, selected, scores, targets, source)
-            run.pad_round(r, pad_to - 4 * len(selected))
-        for run in runs:
-            run.attend_round(r)
-            if r < ROUNDS:
-                run.snapshot(f"alloc{r}")
+        run.enter_round(r)
+        scores = run.score_round(r)
+        targets = run.targets_round()
+        ratio_rng = rng_for(cfg.policy_seed, "ratio", batch_index, i, r)
+        with flops.section(f"stage1.r{r}"):
+            selected, source = choose_selection(cfg, r, run.token_set.frontier, scores, targets, use_oracle, ratio_rng)
+        run.allocate_round(r, selected, scores, targets, source)
+        run.attend_round(r)
+        if r < ROUNDS:
+            run.snapshot(f"alloc{r}")
 
 
 def run_stage1(
@@ -313,7 +294,7 @@ def run_stage1(
     *,
     batch_index: int = 0,
 ) -> Stage1Output:
-    """Full Stage-1 pass for a single sample (no batch padding)."""
+    """Full Stage-1 pass for a single sample (a batch of one, so unpadded)."""
     return run_stage1_batch([image], store, cfg, None if labels is None else [labels], batch_index=batch_index)[0]
 
 
@@ -325,16 +306,29 @@ def run_stage1_batch(
     *,
     batch_index: int = 0,
 ) -> list[Stage1Output]:
-    """Lockstep batch forward: after each round every sample is padded (per
-    level) to the batch maximum with invalid token rows."""
+    """Batch forward: each sample runs alone, then every final token set is
+    padded per level to the batch maximum with zero, invalid feature rows, so
+    `n_rows` is equal across the batch. Sample i draws its random_ratio
+    selections from stream i; its first `n_valid` rows equal a solo run's
+    whenever the selection does not depend on i."""
     if labels_list is None:
         labels_list = [None] * len(images)
     runs = [Stage1Run(im, store, cfg, lab) for im, lab in zip(images, labels_list)]
     use_oracle = cfg.policy == "oracle_mix" and oracle_mix_gate(cfg.oracle_rate, cfg.policy_seed, batch_index)
-    for run in runs:
+    if use_oracle and any(run.labels is None for run in runs):
+        raise ValueError("policy=oracle_mix selected the oracle for this batch but labels are missing")
+    for i, run in enumerate(runs):
         run.begin()
-    _drive_rounds(runs, cfg, use_oracle, batch_index)
-    return [run.output() for run in runs]
+        _drive_rounds(run, use_oracle, batch_index, i)
+    outs = [run.output() for run in runs]
+    padded, _ = pad_and_mask([o.token_set for o in outs])
+    for o, token_set in zip(outs, padded):
+        extra = token_set.n_rows - token_set.n_valid
+        if extra:
+            zeros = tensor.constant(np.zeros((extra, o.feats.data.shape[1])))
+            o.feats = tensor.concat([o.feats, zeros], axis=0)
+        o.token_set = token_set
+    return outs
 
 
 def pad_and_mask(token_sets) -> tuple[list[MixedResolutionTokenSet], list[np.ndarray]]:

@@ -6,12 +6,13 @@ attention (full ViT attention in the last, coarse-only round), then emits
 the round's scale: emitted tokens leave the live set and are never touched
 again. `densify_finest` expands the emitted maps into a dense quarter-
 resolution feature grid by replicating, per cell, the finest token that
-covers it.
+covers it. Batch-padding rows of the Stage-1 output are dropped on entry,
+so nothing here sees them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,58 +31,44 @@ _LATERAL_FOR_ROUND = {2: "alloc2", 3: "alloc1", 4: "pre"}
 class EmittedMap:
     level: int
     keys: tuple[TokenKey, ...]
-    feats: Tensor  # rows: valid keys first, then padded rows
-    pad_count: int
-
-    def valid_feats(self) -> Tensor:
-        if self.pad_count == 0:
-            return self.feats
-        return tensor.gather_rows(self.feats, np.arange(len(self.keys)))
+    feats: Tensor  # row j belongs to keys[j]
 
 
 @dataclass
 class Stage2Output:
     emitted: dict[int, EmittedMap]
     blocks_applied: list[int]
-    align_prefix: str = "dens"
+
+
+def _unpadded(s1out: Stage1Output) -> tuple[MixedResolutionTokenSet, Tensor]:
+    """The final Stage-1 token set and features without batch-padding rows."""
+    token_set, feats = s1out.token_set, s1out.feats
+    if not token_set.pad_levels:
+        return token_set, feats
+    return replace(token_set, pad_levels=()), tensor.gather_rows(feats, np.arange(token_set.n_valid))
 
 
 def lateral_fuse(current: Tensor, current_set: MixedResolutionTokenSet, lateral: Lateral, store: ParamStore, prefix: str) -> Tensor:
     """Concat the same-scale Stage-1 snapshot and project back to the round
-    width. Token correspondence must be exact, padding included."""
+    width. Token correspondence must be exact."""
     if lateral.token_set.keys != current_set.keys:
         raise ContractError("lateral snapshot does not match the live token set")
-    if lateral.token_set.pad_levels != current_set.pad_levels:
-        raise ContractError("lateral snapshot padding does not match the live set")
     cat = tensor.concat([current, lateral.feats], axis=1)
     return tensor.add(tensor.matmul(cat, store[f"{prefix}.w"]), store[f"{prefix}.b"])
 
 
 def _emit(token_set: MixedResolutionTokenSet, feats: Tensor, level: int):
-    keep_keys, keep_rows, emit_rows = [], [], []
-    for i, k in enumerate(token_set.keys):
-        (emit_rows if k.level == level else keep_rows).append(i)
-        if k.level != level:
-            keep_keys.append(k)
-    emitted_keys = tuple(k for k in token_set.keys if k.level == level)
-    keep_pads, emit_pads = [], []
-    for j, lvl in enumerate(token_set.pad_levels):
-        (emit_pads if lvl == level else keep_pads).append(token_set.n_valid + j)
-    em_feats = tensor.gather_rows(feats, np.array(emit_rows + emit_pads, dtype=np.intp))
-    keep_feats = tensor.gather_rows(feats, np.array(keep_rows + keep_pads, dtype=np.intp))
-    carried = MixedResolutionTokenSet(
-        height=token_set.height,
-        width=token_set.width,
-        keys=tuple(keep_keys),
-        frontier=(),
-        pad_levels=tuple(lvl for lvl in token_set.pad_levels if lvl != level),
-    )
-    emitted = EmittedMap(level=level, keys=emitted_keys, feats=em_feats, pad_count=len(emit_pads))
-    return carried, keep_feats, emitted
+    keys = token_set.keys
+    levels = np.array([k.level for k in keys], dtype=np.int64)
+    emit_rows = np.flatnonzero(levels == level)
+    keep_rows = np.flatnonzero(levels != level)
+    carried = replace(token_set, keys=tuple(keys[i] for i in keep_rows), frontier=())
+    emitted = EmittedMap(level, tuple(keys[i] for i in emit_rows), tensor.gather_rows(feats, emit_rows))
+    return carried, tensor.gather_rows(feats, keep_rows), emitted
 
 
 def run_stage2(s1out: Stage1Output, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
-    token_set, feats = s1out.token_set, s1out.feats
+    token_set, feats = _unpadded(s1out)
     emitted: dict[int, EmittedMap] = {}
     blocks_applied = []
     for k in (1, 2, 3, 4):
@@ -108,13 +95,13 @@ def run_stage2(s1out: Stage1Output, store: ParamStore, cfg: EncoderConfig) -> St
                     feats = clusterattn.vit_block(feats, rows, store, f"s2.r{k}.blk{i}", heads)
             blocks_applied.append(n_blocks)
             token_set, feats, emitted[4 - k] = _emit(token_set, feats, 4 - k)
-    return Stage2Output(emitted=emitted, blocks_applied=blocks_applied, align_prefix="dens")
+    return Stage2Output(emitted=emitted, blocks_applied=blocks_applied)
 
 
 def run_stage1_only_refine(s1out: Stage1Output, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
     """Ablation path: no Stage 2; one extra cluster-attention block over the
     final mixed set, then per-level maps are emitted as-is."""
-    token_set, feats = s1out.token_set, s1out.feats
+    token_set, feats = _unpadded(s1out)
     with flops.section("stage1x"):
         assignment = clusterattn.cluster(token_set, cfg.cluster_size)
         heads = cfg.heads_for(cfg.stage1_dims[3])
@@ -122,7 +109,7 @@ def run_stage1_only_refine(s1out: Stage1Output, store: ParamStore, cfg: EncoderC
         emitted: dict[int, EmittedMap] = {}
         for level in (3, 2, 1, 0):
             token_set, feats, emitted[level] = _emit(token_set, feats, level)
-    return Stage2Output(emitted=emitted, blocks_applied=[1], align_prefix="s1x")
+    return Stage2Output(emitted=emitted, blocks_applied=[1])
 
 
 def densify_finest(
@@ -142,12 +129,13 @@ def densify_finest(
         # token rectangles are unions of 4x4 cells, so the cover is constant
         # within each cell; sampling the corner pixel is exact
         cell_token = cover[::4, ::4].reshape(-1)
+        prefix = "s1x" if cfg.stage1_only else "dens"
         parts, row_of_key, offset = [], {}, 0
         for level in (3, 2, 1, 0):
             em = s2out.emitted[level]
-            feats = em.valid_feats()
+            feats = em.feats
             if level != 3:
-                pfx = f"{s2out.align_prefix}.align{level}"
+                pfx = f"{prefix}.align{level}"
                 feats = tensor.add(tensor.matmul(feats, store[f"{pfx}.w"]), store[f"{pfx}.b"])
             parts.append(feats)
             for j, key in enumerate(em.keys):

@@ -173,3 +173,18 @@ class TestStructuralProperties:
         a = count_forward(nano_cfg, outs[0].trace).total()
         b = count_forward(nano_cfg, solo.trace).total()
         assert (a.macs, a.scalar_ops, a.comparisons) == (b.macs, b.scalar_ops, b.comparisons)
+
+    def test_padded_batch_meters_the_solo_forwards(self, scene_spec):
+        # oracle allocation on these scenes pads the batch by 80/12/0 rows;
+        # no op runs on a padding row, so the batch meters the solo counts
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
+        with flops.meter() as m:
+            results = train.forward_batch([s.image for s in sc], [s.labels for s in sc], store, cfg)
+        assert sum(len(fr.s1out.token_set.pad_levels) for fr in results) == 92
+        solo = [count_forward(cfg, fr.s1out.trace).total() for fr in results]
+        t = m.total()
+        assert (t.macs, t.scalar_ops, t.comparisons) == tuple(
+            sum(getattr(c, f) for c in solo) for f in ("macs", "scalar_ops", "comparisons")
+        )

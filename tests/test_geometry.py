@@ -176,13 +176,6 @@ class TestFinestCover:
         assert np.array_equal(c1, c2)
 
 
-def test_scale_levels():
-    for lvl, side in enumerate((32, 16, 8, 4)):
-        assert geometry.ScaleLevel.of(lvl).patch_side == side
-    with pytest.raises(ValueError):
-        geometry.ScaleLevel.of(4)
-
-
 def test_pad_and_mask_counts():
     from adaptok.stage1 import pad_and_mask
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adaptok import cli, config, evaluate, params, pnm, scenes, train
-from adaptok.boundary import boundary_map
+from adaptok.boundary import IGNORE, boundary_map
 from adaptok.config import load_config
 from adaptok.scenes import SceneSpec, generate_scene
 
@@ -179,6 +179,20 @@ class TestEvaluate:
         assert abs(m["per_class_iou"][0] - 3 / 4) < 1e-12
         assert abs(m["per_class_iou"][1] - 4 / 5) < 1e-12
         assert abs(m["miou"] - (3 / 4 + 4 / 5) / 2) < 1e-6
+
+    def test_confusion_update_matches_pixel_loop(self, rng):
+        c = 5
+        gt = rng.integers(0, c, 300)
+        gt[::7] = IGNORE
+        pred = rng.integers(0, c, 300)
+        conf = np.ones((c, c), dtype=np.int64)
+        evaluate._confusion_update(conf, pred, gt)
+        expect = np.ones((c, c), dtype=np.int64)
+        for g, p in zip(gt, pred):
+            if g != IGNORE:
+                expect[g, p] += 1
+        assert conf.dtype == np.int64
+        assert np.array_equal(conf, expect)
 
 
 class TestCli:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from adaptok import config, geometry, params, scenes, stage2
+from adaptok import config, geometry, params, scenes, stage2, train
 from adaptok.errors import ContractError
 from adaptok.stage1 import Lateral, run_stage1, run_stage1_batch
 from adaptok.stage2 import densify_finest, head_logits, lateral_fuse, run_stage2
@@ -111,6 +113,31 @@ class TestRunStage2:
             assert s2_batch.emitted[lvl].keys == s2_solo.emitted[lvl].keys
             assert np.array_equal(s2_batch.emitted[lvl].feats.data[:n], s2_solo.emitted[lvl].feats.data)
 
+    @pytest.mark.parametrize("stage1_only", [False, True])
+    def test_real_padding_is_inert(self, stage1_only, scene_spec):
+        # oracle allocation on these scenes splits unequal counts per level,
+        # so the batch really pads (80/12/0 rows)
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0, stage1_only=stage1_only)
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
+        batch = train.forward_batch([s.image for s in sc], [s.labels for s in sc], store, cfg)
+        assert len({fr.s1out.token_set.n_rows for fr in batch}) == 1
+        assert [len(fr.s1out.token_set.pad_levels) for fr in batch] == [80, 12, 0]
+        refine = stage2.run_stage1_only_refine if stage1_only else run_stage2
+        for fr, s in zip(batch, sc):
+            solo = train.forward_full(s.image, store, cfg, s.labels)
+            n = solo.s1out.token_set.n_valid
+            assert fr.s1out.token_set.keys == solo.s1out.token_set.keys
+            assert np.array_equal(fr.s1out.feats.data[:n], solo.s1out.feats.data)
+            assert np.array_equal(fr.logits.data, solo.logits.data)
+            perturbed = fr.s1out.feats.data.copy()
+            perturbed[n:] += 13.0
+            a = refine(fr.s1out, store, cfg)
+            b = refine(dataclasses.replace(fr.s1out, feats=Tensor(perturbed)), store, cfg)
+            for lvl in range(4):
+                nv = len(a.emitted[lvl].keys)
+                assert np.array_equal(a.emitted[lvl].feats.data[:nv], b.emitted[lvl].feats.data[:nv])
+
 
 class TestDensify:
     def test_dense_policy_grid_is_level3_map_plus_positions(self, rng):
@@ -201,4 +228,4 @@ def test_feature_export_roundtrip(tmp_path, forward_parts):
     for lvl in range(4):
         keys, feats = back[lvl]
         assert keys == list(s2out.emitted[lvl].keys)
-        assert np.array_equal(feats, s2out.emitted[lvl].valid_feats().data)
+        assert np.array_equal(feats, s2out.emitted[lvl].feats.data)
