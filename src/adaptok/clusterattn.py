@@ -5,8 +5,8 @@ contiguous runs yields spatially compact clusters. Each token attends to
 its own cluster plus the neighboring run on either side, which lets fine
 tokens see nearby coarse context and vice versa. The assignment is a pure
 function of (canonical order, cluster_size) and is recomputed whenever the
-allocation changes. Rows not assigned to any cluster (batch padding) pass
-through on the residual path with a zero attention update.
+allocation changes. Every row is a real token: batch padding never
+reaches this module.
 """
 
 from __future__ import annotations
@@ -22,34 +22,33 @@ from .params import ParamStore
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterAssignment:
+    """Canonical rows 0..n_tokens-1 chopped into runs of cluster_size; the
+    last run may be short."""
+
     n_tokens: int
     cluster_size: int
-    clusters: list[np.ndarray]
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return -(-self.n_tokens // self.cluster_size)
 
     def cluster_of(self, row: int) -> int:
         return row // self.cluster_size
 
     def neighborhood(self, c: int) -> np.ndarray:
-        lo = max(c - 1, 0)
-        hi = min(c + 1, self.n_clusters - 1)
-        return np.concatenate(self.clusters[lo : hi + 1])
+        """Rows of cluster c and of the clusters on either side."""
+        return np.arange(max(c - 1, 0) * self.cluster_size, min((c + 2) * self.cluster_size, self.n_tokens))
 
 
 def cluster(token_set: MixedResolutionTokenSet, cluster_size: int) -> ClusterAssignment:
     if cluster_size < 1:
         raise ValueError("cluster_size must be >= 1")
-    n = token_set.n_valid
-    runs = [np.arange(s, min(s + cluster_size, n)) for s in range(0, n, cluster_size)]
-    return ClusterAssignment(n_tokens=n, cluster_size=cluster_size, clusters=runs)
+    return ClusterAssignment(n_tokens=token_set.n_valid, cluster_size=cluster_size)
 
 
-def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, n_valid: int, size: int, key_levels):
+def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, size: int, key_levels):
     h = tensor.layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
     q = tensor.add(tensor.matmul(h, store[f"{prefix}.q.w"]), store[f"{prefix}.q.b"])
     k = tensor.add(tensor.matmul(h, store[f"{prefix}.k.w"]), store[f"{prefix}.k.b"])
@@ -58,7 +57,7 @@ def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, n_valid: i
         # scale-aware keys: coarse and fine tokens in one neighborhood stay
         # distinguishable to the attention logits
         k = tensor.add(k, tensor.gather_rows(store[f"{prefix}.key_scale"], key_levels))
-    attn = tensor.window_attention(q, k, v, n_valid, size, heads)
+    attn = tensor.window_attention(q, k, v, size, heads)
     return tensor.add(tensor.matmul(attn, store[f"{prefix}.o.w"]), store[f"{prefix}.o.b"])
 
 
@@ -68,8 +67,8 @@ def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return tensor.add(tensor.matmul(h, store[f"{prefix}.mlp2.w"]), store[f"{prefix}.mlp2.b"])
 
 
-def _block(x, store, prefix, heads, n_valid, size, key_levels) -> Tensor:
-    x = tensor.add(x, _attention(x, store, prefix, heads, n_valid, size, key_levels))
+def _block(x, store, prefix, heads, size, key_levels) -> Tensor:
+    x = tensor.add(x, _attention(x, store, prefix, heads, size, key_levels))
     h = tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
     return tensor.add(x, _mlp(h, store, prefix))
 
@@ -83,17 +82,18 @@ def cluster_attention_block(
     heads: int,
 ) -> Tensor:
     """Pre-norm block with attention restricted to cluster neighborhoods."""
-    if assignment.n_tokens != token_set.n_valid:
-        raise ContractError("cluster assignment is stale for this token set")
-    return _block(
-        x, store, prefix, heads, assignment.n_tokens, assignment.cluster_size, token_set.row_levels()
-    )
+    if not x.data.shape[0] == token_set.n_valid == assignment.n_tokens:
+        raise ContractError(
+            f"{x.data.shape[0]} feature rows, {token_set.n_valid} tokens and a cluster "
+            f"assignment over {assignment.n_tokens} rows do not agree"
+        )
+    return _block(x, store, prefix, heads, assignment.cluster_size, token_set.row_levels())
 
 
 def vit_block(x: Tensor, valid_rows: np.ndarray, store: ParamStore, prefix: str, heads: int) -> Tensor:
-    """Plain pre-norm ViT block: full self-attention over the valid rows,
-    which must be the leading rows 0..n-1 (later rows are batch padding)."""
-    n = len(valid_rows)
+    """Plain pre-norm ViT block: full self-attention over all rows of x,
+    which `valid_rows` must list as 0..n-1."""
+    n = x.data.shape[0]
     if not np.array_equal(valid_rows, np.arange(n)):
-        raise ContractError("vit_block valid rows must be a leading prefix")
-    return _block(x, store, prefix, heads, n, max(n, 1), None)
+        raise ContractError("vit_block valid rows must be every row of x, in order")
+    return _block(x, store, prefix, heads, max(n, 1), None)

@@ -68,12 +68,13 @@ class Counts:
         }
 
 
-class FlopsMeter:
-    """Accumulates op costs, attributed to the section active at call time."""
+@dataclass
+class FlopsReport:
+    """Per-section op costs. Filled at run time by a meter, which attributes
+    each op to the innermost open section, or analytically by `count_forward`."""
 
-    def __init__(self):
-        self.sections: dict[str, Counts] = {}
-        self._stack: list[str] = ["unattributed"]
+    sections: dict[str, Counts] = field(default_factory=dict)
+    _stack: list[str] = field(default_factory=lambda: ["unattributed"], repr=False, compare=False)
 
     @contextmanager
     def section(self, name: str):
@@ -83,60 +84,9 @@ class FlopsMeter:
         finally:
             self._stack.pop()
 
-    def add(self, macs: int = 0, scalar_ops: int = 0, comparisons: int = 0):
-        name = self._stack[-1]
-        c = self.sections.get(name)
-        if c is None:
-            c = self.sections[name] = Counts()
-        c.macs += macs
-        c.scalar_ops += scalar_ops
-        c.comparisons += comparisons
-
-    def total(self) -> Counts:
-        t = Counts()
-        for c in self.sections.values():
-            t += c
-        return t
-
-
-_METERS: list[FlopsMeter] = []
-
-
-def active_meter() -> FlopsMeter | None:
-    return _METERS[-1] if _METERS else None
-
-
-@contextmanager
-def meter():
-    m = FlopsMeter()
-    _METERS.append(m)
-    try:
-        yield m
-    finally:
-        _METERS.pop()
-
-
-def add_cost(macs: int = 0, scalar_ops: int = 0, comparisons: int = 0):
-    m = active_meter()
-    if m is not None:
-        m.add(macs, scalar_ops, comparisons)
-
-
-def section(name: str):
-    """Attribution context for the active meter; a no-op when none is."""
-    m = active_meter()
-    if m is None:
-        return nullcontext()
-    return m.section(name)
-
-
-@dataclass
-class FlopsReport:
-    """Per-section cost breakdown for one sample's inference forward."""
-
-    sections: dict[str, Counts] = field(default_factory=dict)
-
-    def add(self, name: str, counts: Counts):
+    def add(self, counts: Counts, name: str | None = None):
+        """Charge `counts` to section `name`, by default the innermost open one."""
+        name = self._stack[-1] if name is None else name
         c = self.sections.get(name)
         if c is None:
             c = self.sections[name] = Counts()
@@ -158,12 +108,36 @@ class FlopsReport:
             "total": self.total().as_dict(),
         }
 
-    @classmethod
-    def from_meter(cls, m: FlopsMeter) -> "FlopsReport":
-        r = cls()
-        for name, c in m.sections.items():
-            r.add(name, Counts(c.macs, c.scalar_ops, c.comparisons))
-        return r
+
+_METERS: list[FlopsReport] = []
+
+
+def active_meter() -> FlopsReport | None:
+    return _METERS[-1] if _METERS else None
+
+
+@contextmanager
+def meter():
+    m = FlopsReport()
+    _METERS.append(m)
+    try:
+        yield m
+    finally:
+        _METERS.pop()
+
+
+def add_cost(macs: int = 0, scalar_ops: int = 0, comparisons: int = 0):
+    m = active_meter()
+    if m is not None:
+        m.add(Counts(macs, scalar_ops, comparisons))
+
+
+def section(name: str):
+    """Attribution context for the active meter; a no-op when none is."""
+    m = active_meter()
+    if m is None:
+        return nullcontext()
+    return m.section(name)
 
 
 def corpus_stats(totals) -> tuple[float, float]:
@@ -221,7 +195,7 @@ def _charge_block(rep: FlopsReport, sec: str, n: int, d: int, heads: int, groups
     c.macs += n * 4 * d * d
     c.scalar_ops += n * d
     c.scalar_ops += n * d  # mlp residual
-    rep.add(sec, c)
+    rep.add(c, sec)
 
 
 def count_forward(cfg, trace) -> FlopsReport:
@@ -232,8 +206,8 @@ def count_forward(cfg, trace) -> FlopsReport:
     d0 = cfg.stage1_dims[0]
     patch = 32 * 32 * cfg.channels
     rep.add(
-        "stage1.embed",
         Counts(macs=n0 * patch * d0, scalar_ops=2 * n0 * d0, comparisons=sort_comparisons(n0)),
+        "stage1.embed",
     )
     for _ in range(cfg.stage1_blocks[0]):
         _charge_block(rep, "stage1.pre", n0, d0, cfg.heads_for(d0), [(n0, n0)], False)
@@ -264,7 +238,7 @@ def count_forward(cfg, trace) -> FlopsReport:
             c.scalar_ops += 2 * ch * d  # scale + slot embeddings
             live += ch
             c.comparisons += sort_comparisons(live) + sort_comparisons(ch)
-        rep.add(sec, c)
+        rep.add(c, sec)
         if cfg.stage1_blocks[r]:
             groups = cluster_group_sizes(live, cfg.cluster_size)
             for _ in range(cfg.stage1_blocks[r]):
@@ -288,7 +262,7 @@ def count_forward(cfg, trace) -> FlopsReport:
                 c.scalar_ops += carried * d
                 c.macs += carried * 2 * d * d  # lateral fusion
                 c.scalar_ops += carried * d
-            rep.add(sec, c)
+            rep.add(c, sec)
             groups = (
                 cluster_group_sizes(carried, cfg.cluster_size) if k <= 3 else [(carried, carried)]
             )
@@ -303,6 +277,6 @@ def count_forward(cfg, trace) -> FlopsReport:
         c.macs += per_level[lvl] * align_src[lvl] * head_dim
         c.scalar_ops += per_level[lvl] * head_dim
     c.scalar_ops += cells * head_dim  # per-cell position embedding
-    rep.add("densify", c)
-    rep.add("head", Counts(macs=cells * head_dim * cfg.n_classes, scalar_ops=cells * cfg.n_classes))
+    rep.add(c, "densify")
+    rep.add(Counts(macs=cells * head_dim * cfg.n_classes, scalar_ops=cells * cfg.n_classes), "head")
     return rep

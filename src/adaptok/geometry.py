@@ -3,7 +3,8 @@
 Levels 0..3 cover patch sides 32, 16, 8, 4. Tokens at different levels may
 overlap spatially; tokens at one level never do. Canonical token order is
 the Morton (Z-order) code of the patch-center pixel coordinates, with
-(level, row, col) as the tie-break.
+(level, row, col) as the tie-break. This module alone decides row order:
+growing a set returns the permutation that carries feature rows along.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ class TokenKey(NamedTuple):
         s = self.patch_side
         return self.row * s, self.col * s, (self.row + 1) * s, (self.col + 1) * s
 
-    def center2(self) -> tuple[int, int]:
-        """Patch center in doubled pixel coordinates (stays integral)."""
-        s = self.patch_side
-        return (2 * self.row + 1) * s, (2 * self.col + 1) * s
-
 
 def split(parent: TokenKey) -> tuple[TokenKey, TokenKey, TokenKey, TokenKey]:
     """The four level+1 children tiling the parent's rectangle."""
@@ -59,31 +55,31 @@ def split(parent: TokenKey) -> tuple[TokenKey, TokenKey, TokenKey, TokenKey]:
     )
 
 
-def _part1by1(v: int) -> int:
+def _part1by1(v: np.ndarray) -> np.ndarray:
     # spread 16 bits so they occupy the even bit positions
-    v &= 0xFFFF
+    v = v & 0xFFFF
     v = (v | (v << 8)) & 0x00FF00FF
     v = (v | (v << 4)) & 0x0F0F0F0F
     v = (v | (v << 2)) & 0x33333333
-    v = (v | (v << 1)) & 0x55555555
-    return v
+    return (v | (v << 1)) & 0x55555555
 
 
-def morton_code(y: int, x: int) -> int:
-    if y >= 1 << 16 or x >= 1 << 16:
+def _canonical_rank(keys) -> np.ndarray:
+    """Indices that put `keys` in canonical order: Morton code of the doubled
+    patch center, then (level, row, col)."""
+    lvl, row, col = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    side = COARSE_SIDE >> lvl
+    cy, cx = (2 * row + 1) * side, (2 * col + 1) * side
+    if np.any(cy >= 1 << 16) or np.any(cx >= 1 << 16):
         raise ValueError("coordinates exceed 16-bit Morton range")
-    return (_part1by1(y) << 1) | _part1by1(x)
-
-
-def _sort_key(k: TokenKey):
-    cy, cx = k.center2()
-    return (morton_code(cy, cx), k.level, k.row, k.col)
+    code = (_part1by1(cy) << 1) | _part1by1(cx)
+    return np.lexsort((col, row, lvl, code))
 
 
 def canonical_order(tokens) -> list[TokenKey]:
     toks = list(tokens)
     flops.add_cost(comparisons=flops.sort_comparisons(len(toks)))
-    return sorted(toks, key=_sort_key)
+    return [toks[i] for i in _canonical_rank(toks)]
 
 
 def padded_extent(h: int, w: int) -> tuple[int, int]:
@@ -96,10 +92,10 @@ def padded_extent(h: int, w: int) -> tuple[int, int]:
 class MixedResolutionTokenSet:
     """All live tokens for one sample, plus padding bookkeeping.
 
-    `keys` holds the real tokens in canonical order; `pad_levels` describes
-    extra invalid feature rows appended after them when the sample sits in a
-    padded batch. Row i of any aligned feature matrix corresponds to keys[i]
-    for i < len(keys) and to a padded slot otherwise.
+    `keys` holds the real tokens in canonical order; row i of any aligned
+    feature matrix is keys[i]. `pad_levels` describes invalid feature rows
+    appended after them only when a finished Stage-1 sample sits in a padded
+    batch.
     """
 
     height: int
@@ -127,28 +123,24 @@ class MixedResolutionTokenSet:
             counts[k.level] += 1
         return counts
 
-    def frontier_rows(self) -> list[int]:
+    def rows_of(self, keys) -> list[int]:
         pos = {k: i for i, k in enumerate(self.keys)}
-        return [pos[k] for k in self.frontier]
+        return [pos[k] for k in keys]
 
     def row_levels(self) -> np.ndarray:
-        """Level per feature row, padded slots included."""
-        return np.array([k.level for k in self.keys] + list(self.pad_levels), dtype=np.int64)
+        """Level of each key, in row order."""
+        return np.array([k.level for k in self.keys], dtype=np.int64)
 
-    def with_children(self, parents) -> tuple["MixedResolutionTokenSet", list[TokenKey]]:
-        """Grow the set by splitting `parents`; children become the frontier."""
-        children: list[TokenKey] = []
-        for p in parents:
-            children.extend(split(p))
-        new_keys = canonical_order(list(self.keys) + children)
-        return (
-            replace(
-                self,
-                keys=tuple(new_keys),
-                frontier=tuple(canonical_order(children)),
-            ),
-            children,
-        )
+    def with_children(self, parents) -> tuple["MixedResolutionTokenSet", np.ndarray]:
+        """Grow the set by splitting `parents`; children become the frontier.
+        Also returns `perm`: new row i is row perm[i] of the old rows followed
+        by the children in `parents` x `split` order."""
+        merged = list(self.keys) + [c for p in parents for c in split(p)]
+        n_old, n = len(self.keys), len(merged)
+        flops.add_cost(comparisons=flops.sort_comparisons(n) + flops.sort_comparisons(n - n_old))
+        perm = _canonical_rank(merged)
+        keys = tuple(merged[i] for i in perm)
+        return replace(self, keys=keys, frontier=tuple(k for k, i in zip(keys, perm) if i >= n_old)), perm
 
     def with_padding(self, pad_levels) -> "MixedResolutionTokenSet":
         return replace(self, pad_levels=self.pad_levels + tuple(pad_levels))
@@ -198,12 +190,10 @@ def coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
 def finest_cover(token_set: MixedResolutionTokenSet) -> np.ndarray:
     """Per-pixel index (into token_set.keys) of the deepest covering token."""
     cover = np.full((token_set.height, token_set.width), -1, dtype=np.int64)
-    for level in range(MAX_LEVEL + 1):
-        for i, k in enumerate(token_set.keys):
-            if k.level != level:
-                continue
-            y0, x0, y1, x1 = k.rect()
-            cover[y0:y1, x0:x1] = i
+    keys = token_set.keys
+    for i in np.argsort(token_set.row_levels(), kind="stable"):
+        y0, x0, y1, x1 = keys[i].rect()
+        cover[y0:y1, x0:x1] = i
     if np.any(cover < 0):
         raise ContractError("finest_cover: uncovered pixels (bad level-0 tiling)")
     return cover

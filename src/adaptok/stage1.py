@@ -150,7 +150,7 @@ class Stage1Run:
             self.feats = tensor.add(tensor.matmul(self.feats, p), self.store[f"s1.r{r}.proj.b"])
 
     def score_round(self, r: int) -> np.ndarray:
-        rows = self.token_set.frontier_rows()
+        rows = self.token_set.rows_of(self.token_set.frontier)
         if not rows:
             return np.zeros(0)
         with flops.section(f"stage1.r{r}"):
@@ -188,22 +188,14 @@ class Stage1Run:
         if not_frontier:
             raise ContractError(f"selection outside the round-{r} frontier: {not_frontier}")
         with flops.section(f"stage1.r{r}"):
-            child_feats = self._child_features(r, selected)
-            old_set = self.token_set
-            new_set, children = old_set.with_children(selected)
-            src = {k: i for i, k in enumerate(old_set.keys)}
-            base = old_set.n_valid
-            src.update({k: base + j for j, k in enumerate(children)})
-            perm = [src[k] for k in new_set.keys]
-            merged = tensor.concat([self.feats, child_feats], axis=0)
+            merged = tensor.concat([self.feats, self._child_features(r, selected)], axis=0)
+            self.token_set, perm = self.token_set.with_children(selected)
             self.feats = tensor.gather_rows(merged, perm)
-            self.token_set = new_set
 
     def _child_features(self, r: int, selected) -> Tensor:
         cfg, store = self.cfg, self.store
         d = cfg.stage1_dims[r]
-        row_of = {k: i for i, k in enumerate(self.token_set.keys)}
-        parent_rows = np.repeat([row_of[p] for p in selected], 4)
+        parent_rows = np.repeat(self.token_set.rows_of(selected), 4)
         slot_idx = np.tile(np.arange(4), len(selected))
         feat = None
         if not cfg.no_aux_image:

@@ -58,8 +58,7 @@ def lateral_fuse(current: Tensor, current_set: MixedResolutionTokenSet, lateral:
 
 
 def _emit(token_set: MixedResolutionTokenSet, feats: Tensor, level: int):
-    keys = token_set.keys
-    levels = np.array([k.level for k in keys], dtype=np.int64)
+    keys, levels = token_set.keys, token_set.row_levels()
     emit_rows = np.flatnonzero(levels == level)
     keep_rows = np.flatnonzero(levels != level)
     carried = replace(token_set, keys=tuple(keys[i] for i in keep_rows), frontier=())
@@ -122,7 +121,11 @@ def densify_finest(
     feature (aligned to the finest emission width) plus a learned per-cell
     position embedding. Also returns the per-cell token index into
     union_set.keys."""
-    if sum(len(m.keys) for m in s2out.emitted.values()) != union_set.n_valid:
+    # the maps hold the union rows level by level, finest first, each in
+    # canonical order: emitted row j is union row order[j]
+    order = np.argsort(-union_set.row_levels(), kind="stable")
+    emitted = [s2out.emitted[level] for level in (3, 2, 1, 0)]
+    if tuple(k for em in emitted for k in em.keys) != tuple(union_set.keys[i] for i in order):
         raise ContractError("emitted maps do not partition the token set")
     with flops.section("densify"):
         cover = geometry.finest_cover(union_set)
@@ -130,20 +133,16 @@ def densify_finest(
         # within each cell; sampling the corner pixel is exact
         cell_token = cover[::4, ::4].reshape(-1)
         prefix = "s1x" if cfg.stage1_only else "dens"
-        parts, row_of_key, offset = [], {}, 0
-        for level in (3, 2, 1, 0):
-            em = s2out.emitted[level]
+        parts = []
+        for em in emitted:
             feats = em.feats
-            if level != 3:
-                pfx = f"{prefix}.align{level}"
+            if em.level != 3:
+                pfx = f"{prefix}.align{em.level}"
                 feats = tensor.add(tensor.matmul(feats, store[f"{pfx}.w"]), store[f"{pfx}.b"])
             parts.append(feats)
-            for j, key in enumerate(em.keys):
-                row_of_key[key] = offset + j
-            offset += len(em.keys)
-        big = tensor.concat(parts, axis=0)
-        cell_src = np.array([row_of_key[union_set.keys[i]] for i in cell_token], dtype=np.intp)
-        dense = tensor.gather_rows(big, cell_src)
+        emitted_row = np.empty(len(order), dtype=np.intp)
+        emitted_row[order] = np.arange(len(order))
+        dense = tensor.gather_rows(tensor.concat(parts, axis=0), emitted_row[cell_token])
         dense = tensor.add(dense, store["dens.pos"])
     return dense, cell_token
 

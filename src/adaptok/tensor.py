@@ -352,14 +352,13 @@ def softmax_attention(q, k, v, mask) -> Tensor:
     return matmul(attn, v)
 
 
-def window_attention(q, k, v, n_valid: int, size: int, heads: int) -> Tensor:
+def window_attention(q, k, v, size: int, heads: int) -> Tensor:
     """Multi-head local attention over runs of `size` consecutive rows.
 
-    Rows [0, n_valid) are chopped into runs of `size` (the last may be
-    short); each run's queries attend to the keys of its own run and the
-    runs on either side. With a single run the window is just the n_valid
-    rows. Rows from n_valid on (batch padding) get a zero update and no
-    gradient. q, k, v: (rows, d) with d divisible by `heads`.
+    The rows are chopped into runs of `size` (the last may be short); each
+    run's queries attend to the keys of its own run and the runs on either
+    side. With a single run the window is all rows. q, k, v: (n, d) with d
+    divisible by `heads`.
 
     All runs are stacked into one (runs, heads, size, 3*size) problem: the
     key/value rows are zero-padded by one run at each end, and the padding,
@@ -368,12 +367,12 @@ def window_attention(q, k, v, n_valid: int, size: int, heads: int) -> Tensor:
     `softmax_attention` would be.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    rows, d = q.data.shape
-    if k.data.shape != (rows, d) or v.data.shape != (rows, d):
+    n, d = q.data.shape
+    if k.data.shape != (n, d) or v.data.shape != (n, d):
         raise ValueError(f"q/k/v shapes {q.data.shape}, {k.data.shape}, {v.data.shape}")
     if d % heads:
         raise ValueError(f"dim {d} not divisible by {heads} heads")
-    n, hd = n_valid, d // heads
+    hd = d // heads
     runs = -(-n // size)
     if runs == 1:
         size = n
@@ -394,15 +393,13 @@ def window_attention(q, k, v, n_valid: int, size: int, heads: int) -> Tensor:
         comparisons=heads * pairs,
     )
 
-    def frame(a, lead, n_runs):  # rows [0, n) of a, `lead` rows into a zero frame of n_runs runs
+    def frame(a, lead, n_runs):  # a's n rows, `lead` rows into a zero frame of n_runs runs
         out = np.zeros((n_runs * size, d))
-        out[lead : lead + n] = a[:n]
+        out[lead : lead + n] = a
         return out
 
     def unframe(framed, lead):  # adjoint of frame
-        out = np.zeros((rows, d))
-        out[:n] = framed[lead : lead + n]
-        return out
+        return framed[lead : lead + n]
 
     def split_heads(a, n_rows):  # (runs * n_rows, d) -> (runs, heads, n_rows, hd)
         return a.reshape(runs, n_rows, heads, hd).transpose(0, 2, 1, 3)
@@ -410,7 +407,7 @@ def window_attention(q, k, v, n_valid: int, size: int, heads: int) -> Tensor:
     def merge_heads(a):  # inverse of split_heads
         return a.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    def windows(a):  # (rows, d) -> (runs, heads, width, hd)
+    def windows(a):  # (n, d) -> (runs, heads, width, hd)
         framed = frame(a, lead, runs + span - 1).reshape(runs + span - 1, size, d)
         stacked = np.concatenate([framed[i : i + runs] for i in range(span)], axis=1)
         return split_heads(stacked.reshape(-1, d), width)
@@ -424,8 +421,8 @@ def window_attention(q, k, v, n_valid: int, size: int, heads: int) -> Tensor:
 
     qs, ks, vs = split_heads(frame(q.data, 0, runs), size), windows(k.data), windows(v.data)
     c = 1.0 / math.sqrt(hd)
-    # every query slot, padded ones included, keeps at least one live key,
-    # so no softmax row is empty; padded slots are dropped from the output
+    # every query slot, the tail's empty ones included, keeps at least one
+    # live key, so no softmax row is empty; empty slots are dropped from the output
     z = np.where(klive[:, None, None, :], np.matmul(qs, ks.transpose(0, 1, 3, 2)) * c, -np.inf)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

@@ -177,16 +177,11 @@ def ranking_auc(scores, positives) -> float:
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative tokens")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tied scores share the average of their 1-based ranks
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1  # 0-based sorted position of each group's last score
+    first = last - counts + 1
+    ranks = (0.5 * (first + last) + 1.0)[group]
     rank_sum = ranks[positives].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from adaptok import clusterattn, geometry, params
 from adaptok.clusterattn import cluster, cluster_attention_block, vit_block
+from adaptok.errors import ContractError
 from adaptok.geometry import coarse_grid
 from adaptok.tensor import Tensor
 
@@ -25,29 +27,36 @@ class TestClusterAssignment:
         s, _ = grow_random_set(64, 64, 0.9, rng)
         n = s.n_valid
         a = cluster(s, cluster_size=4)
-        sizes = [len(c) for c in a.clusters]
+        sizes = np.bincount([a.cluster_of(r) for r in range(n)]).tolist()
+        assert len(sizes) == a.n_clusters
         assert sizes[:-1] == [4] * (len(sizes) - 1)
         assert 1 <= sizes[-1] <= 4
         assert sum(sizes) == n
 
     def test_ten_over_four(self):
-        s, _ = grow_random_set(64, 64, 1.0, np.random.default_rng(0))
-        # take an exact 10-token prefix scenario via direct sizes check
-        a = clusterattn.ClusterAssignment(10, 4, [np.arange(0, 4), np.arange(4, 8), np.arange(8, 10)])
-        assert [len(c) for c in a.clusters] == [4, 4, 2]
+        a = clusterattn.ClusterAssignment(10, 4)
+        assert a.n_clusters == 3
+        assert [a.cluster_of(r) for r in range(10)] == [0] * 4 + [1] * 4 + [2] * 2
+        assert np.array_equal(a.neighborhood(0), np.arange(0, 8))
         assert np.array_equal(a.neighborhood(1), np.arange(0, 10))
+        assert np.array_equal(a.neighborhood(2), np.arange(4, 10))
 
     def test_every_token_in_exactly_one_cluster(self, rng):
         s, _ = grow_random_set(64, 64, 0.5, rng)
         a = cluster(s, cluster_size=8)
-        all_rows = np.concatenate(a.clusters)
-        assert sorted(all_rows.tolist()) == list(range(s.n_valid))
+        owners = [a.cluster_of(r) for r in range(s.n_valid)]
+        assert owners == sorted(owners) and set(owners) == set(range(a.n_clusters))
+        for r, c in enumerate(owners):
+            assert r in a.neighborhood(c)
 
     def test_pure_function_of_order_and_size(self, rng):
         s, _ = grow_random_set(64, 64, 0.5, rng)
         a1 = cluster(s, 8)
         a2 = cluster(s, 8)
-        assert [c.tolist() for c in a1.clusters] == [c.tolist() for c in a2.clusters]
+        assert a1 == a2
+        assert [a1.neighborhood(c).tolist() for c in range(a1.n_clusters)] == [
+            a2.neighborhood(c).tolist() for c in range(a2.n_clusters)
+        ]
 
     def test_leaf_sibling_quartets_share_a_neighborhood(self, rng):
         # exact property: a quartet with no allocated descendants spans at
@@ -134,32 +143,31 @@ class TestClusterAttentionBlock:
         out2 = cluster_attention_block(x2, s, cluster(s, 8), store, "blk", heads=1)
         assert np.array_equal(out1.data, out2.data)
 
-    def test_padded_rows_excluded_and_passthrough(self, rng):
+    def test_padded_rows_rejected(self, rng):
+        # every row is a real token: padding rows, a stale assignment or a
+        # vit_block row list that skips rows all fail the contract
         s, _ = grow_random_set(64, 64, 0.4, rng)
-        s_padded = s.with_padding([1, 2, 3])
         d = 8
         store = make_block_store(d)
-        x_valid = rng.standard_normal((s.n_valid, d))
-        x_pad = np.vstack([x_valid, rng.standard_normal((3, d))])
-        a = cluster(s_padded, 8)
-        out_solo = cluster_attention_block(Tensor(x_valid), s, cluster(s, 8), store, "blk", heads=1)
-        out_pad = cluster_attention_block(Tensor(x_pad), s_padded, a, store, "blk", heads=1)
-        assert np.array_equal(out_pad.data[: s.n_valid], out_solo.data)
-        # perturbing padded features never changes valid outputs
-        x_pad2 = x_pad.copy()
-        x_pad2[s.n_valid :] += 100.0
-        out_pad2 = cluster_attention_block(Tensor(x_pad2), s_padded, a, store, "blk", heads=1)
-        assert np.array_equal(out_pad2.data[: s.n_valid], out_pad.data[: s.n_valid])
+        x_pad = Tensor(rng.standard_normal((s.n_valid + 3, d)))
+        with pytest.raises(ContractError):
+            cluster_attention_block(x_pad, s.with_padding([1, 2, 3]), cluster(s, 8), store, "blk", heads=1)
+        x = Tensor(rng.standard_normal((s.n_valid, d)))
+        with pytest.raises(ContractError):
+            cluster_attention_block(x, s, clusterattn.ClusterAssignment(s.n_valid - 1, 8), store, "blk", heads=1)
+        with pytest.raises(ContractError):
+            vit_block(x_pad, np.arange(s.n_valid), store, "blk", heads=1)
 
     def test_cross_resolution_sensitivity(self, rng):
         # a fine token's output must react to a coarse neighbor's feature
         s = coarse_grid(64, 64)
-        s, kids = s.with_children([s.frontier[0]])
+        parent = s.frontier[0]
+        s, _ = s.with_children([parent])
         d = 8
         store = make_block_store(d, seed=3)
         x = rng.standard_normal((s.n_valid, d))
         a = cluster(s, 8)
-        fine_row = s.keys.index(kids[0])
+        fine_row = s.keys.index(geometry.split(parent)[0])
         coarse_row = next(i for i, k in enumerate(s.keys) if k.level == 0)
         assert coarse_row in set(a.neighborhood(a.cluster_of(fine_row)).tolist())
         out = cluster_attention_block(Tensor(x), s, a, store, "blk", heads=1)
@@ -173,7 +181,7 @@ class TestClusterAttentionBlock:
 def test_key_scale_embedding_distinguishes_levels(rng):
     # same feature content at different levels yields different attention
     s = coarse_grid(64, 64)
-    s, kids = s.with_children([s.frontier[0]])
+    s, _ = s.with_children([s.frontier[0]])
     d = 8
     store = make_block_store(d, seed=5)
     x = Tensor(rng.standard_normal((s.n_valid, d)))

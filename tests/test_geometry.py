@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adaptok import geometry
+from adaptok import flops, geometry
 from adaptok.errors import ContractError
 from adaptok.geometry import TokenKey, canonical_order, coarse_grid, finest_cover, split
 
@@ -82,19 +82,45 @@ class TestCanonicalOrder:
             return code
 
         def oracle_key(k):
-            cy, cx = k.center2()
+            # patch center in doubled pixel coordinates
+            cy, cx = (2 * k.row + 1) * k.patch_side, (2 * k.col + 1) * k.patch_side
             return (slow_morton(cy, cx), k.level, k.row, k.col)
 
         assert canonical_order(keys) == sorted(keys, key=oracle_key)
 
+    def test_morton_range_rejected(self):
+        canonical_order([TokenKey(3, 8191, 0)])
+        with pytest.raises(ValueError):
+            canonical_order([TokenKey(3, 8192, 0)])
+
 
 class TestMixedSet:
     def test_with_children_structure(self, rng):
-        s = coarse_grid(64, 64)
-        s, kids = s.with_children([s.frontier[0], s.frontier[2]])
+        old = coarse_grid(64, 64)
+        parents = [old.frontier[2], old.frontier[0]]
+        s, perm = old.with_children(parents)
+        kids = [c for p in parents for c in split(p)]
         assert len(kids) == 8
-        assert set(s.frontier) == set(kids)
+        assert s.frontier == tuple(canonical_order(kids))
+        # perm indexes the old rows followed by the children in parents x split order
+        assert s.keys == tuple((list(old.keys) + kids)[i] for i in perm)
         s.validate()
+
+    def test_with_children_perm_and_cost(self, rng):
+        for _ in range(20):
+            old, _ = grow_random_set(64, 64, float(rng.uniform(0.2, 0.8)), rng)
+            split_already = {k.parent() for k in old.keys if k.level}
+            cand = [k for k in old.keys if k.level < 3 and k not in split_already]
+            parents = [cand[i] for i in rng.permutation(len(cand))[: int(rng.integers(1, len(cand) + 1))]]
+            with flops.meter() as m:
+                s, perm = old.with_children(parents)
+            merged = list(old.keys) + [c for p in parents for c in split(p)]
+            assert s.keys == tuple(canonical_order(merged))
+            assert sorted(perm.tolist()) == list(range(len(merged)))
+            assert [merged[i] for i in perm] == list(s.keys)
+            s.validate()
+            n = len(merged)
+            assert m.total().comparisons == flops.sort_comparisons(n) + flops.sort_comparisons(n - old.n_valid)
 
     def test_sibling_completeness_and_counts(self, rng):
         for _ in range(25):
@@ -155,7 +181,7 @@ class TestFinestCover:
     def test_one_split_parent(self):
         s = coarse_grid(64, 64)
         parent = s.frontier[1]
-        s, kids = s.with_children([parent])
+        s, _ = s.with_children([parent])
         cover = finest_cover(s)
         y0, x0, y1, x1 = parent.rect()
         inside = cover[y0:y1, x0:x1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -133,6 +134,30 @@ class TestRankingAuc:
     def test_ties_give_half_credit(self):
         assert train.ranking_auc([0.5, 0.5], [True, False]) == 0.5
 
+    def test_matches_tie_loop(self, rng):
+        def loop_auc(scores, positives):
+            # the per-group while loop the vectorised ranks replace
+            scores, positives = np.asarray(scores, dtype=np.float64), np.asarray(positives, dtype=bool)
+            order = np.argsort(scores, kind="mergesort")
+            ranks = np.empty(scores.size)
+            sorted_scores = scores[order]
+            i = 0
+            while i < scores.size:
+                j = i
+                while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+                    j += 1
+                ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+                i = j + 1
+            n_pos = int(positives.sum())
+            u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
+            return float(u / (n_pos * (positives.size - n_pos)))
+
+        for n, levels in ((2, 1), (7, 2), (500, 5), (3000, 40), (3000, 3000)):
+            scores = rng.integers(0, levels, n) / levels
+            labels = rng.random(n) < 0.4
+            labels[:2] = [True, False]
+            assert train.ranking_auc(scores, labels) == loop_auc(scores, labels)
+
 
 class TestOverlays:
     def test_overlay_fidelity(self, nano_cfg, nano_store, scene_spec, tmp_path):
@@ -172,6 +197,45 @@ class TestEvaluate:
         assert b1 == b2
         for name in sorted(os.listdir(out1)):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_golden_manifest(self, scene_spec, tmp_path):
+        # pinned outputs of a fixed oracle-allocation run: a refactor that
+        # keeps the engine's behaviour keeps every one of these values
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        store = params.init_params(cfg, seed=0)
+        man = evaluate.evaluate(
+            cfg, store, scenes.generate_corpus(7, 16, scene_spec), seed=7, out_dir=str(tmp_path), n_overlays=2
+        )
+        m = man["metrics"]
+        assert (m["flops_mean"], m["flops_std"], m["comparisons_mean"]) == (5385474.75, 1486843.811, 5575.75)
+        assert m["tokens_per_level_mean"] == [4.0, 8.75, 22.5, 55.5]
+        assert m["tokens_per_level_hist"] == {
+            "0": {"4": 16},
+            "1": {"0": 3, "4": 2, "8": 3, "12": 5, "16": 3},
+            "2": {"0": 3, "8": 2, "16": 1, "24": 1, "28": 2, "32": 4, "36": 1, "40": 1, "44": 1},
+            "3": {"0": 3, "16": 1, "24": 1, "40": 1, "44": 1, "64": 1, "72": 3, "76": 1, "80": 1, "104": 1, "112": 2},
+        }
+        floats = {
+            "allocator_mse": 0.0171911079,
+            "boundary_token_auc": 0.472104,
+            "miou": 0.006529579287023888,
+            "pixel_acc": 0.0205078125,
+            "per_class_iou": [0.010854, 0.0, 0.013037, 0.0, 0.015287, 0.0],
+            "per_class_pixel_acc": [0.010913, 0.0, 0.708333, 0.0, 0.162162, 0.0],
+        }
+        for name, want in floats.items():
+            assert np.allclose(m[name], want, rtol=0, atol=1e-9), name
+        digests = {
+            "overlay_0000_round1.ppm": "ec84457e8d02885a383fb564de1f48090d1472d7aecfd3a07c50341cddc1d68e",
+            "overlay_0000_round2.ppm": "f71dcc2b6df3fbf507b2f3eeb6b8c4669164d536c4b567bd896195c3deefb185",
+            "overlay_0000_round3.ppm": "fda19762eee8be0f5138c775a605f926332f0fc9f21ac87cfbccdd9cd7fefa43",
+            "overlay_0001_round1.ppm": "a62eca617c35d85e929492c13bee05774e97d86e0c9130db4386bd57de302260",
+            "overlay_0001_round2.ppm": "a62eca617c35d85e929492c13bee05774e97d86e0c9130db4386bd57de302260",
+            "overlay_0001_round3.ppm": "c222c12520c84359cd48a62b4005ad52ae8a8578235983ba174c48c4c5140206",
+        }
+        assert man["overlays"] == sorted(digests)
+        for name, want in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
     def test_segmentation_metrics_hand_case(self):
         conf = np.array([[3, 1], [0, 4]])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from adaptok.stage1 import (
     run_stage1_batch,
     select,
 )
+from adaptok.stage2 import run_stage2
+from adaptok.tensor import Tensor
 
 
 @pytest.fixture
@@ -187,7 +191,7 @@ class TestAllocate:
         run.enter_round(1)
         scores = run.score_round(1)
         parent = run.token_set.frontier[0]
-        parent_row = run.token_set.frontier_rows()[0]
+        parent_row = run.token_set.rows_of([parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
         run.allocate_round(1, [parent], scores, None, "predicted")
         scale = store["s1.r1.scale_emb"].data
@@ -206,7 +210,7 @@ class TestAllocate:
         run.enter_round(1)
         scores = run.score_round(1)
         parent = run.token_set.frontier[0]
-        parent_row = run.token_set.frontier_rows()[0]
+        parent_row = run.token_set.rows_of([parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
         run.allocate_round(1, [parent], scores, None, "predicted")
         slots = store["s1.r1.slot_emb"].data
@@ -337,31 +341,40 @@ class TestOracleMixGate:
 
 
 class TestBatchPadding:
-    def test_solo_equals_batch(self, rng, scene_spec):
-        cfg = config.nano().with_overrides(policy="random_ratio", ratio_schedule=(0.6, 0.4, 0.5))
+    # oracle allocation on scenes 51/52/53 splits unequal counts per level,
+    # so the batch pads them by 80/12/0 rows
+    def oracle_batch(self, scene_spec):
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
         store = init_params(cfg, seed=0)
-        sc = [scenes.generate_scene(s, scene_spec) for s in (11, 12, 13)]
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
         batch = run_stage1_batch([s.image for s in sc], store, cfg, [s.labels for s in sc])
-        # per-level counts padded to the batch max
-        rows = {o.token_set.n_rows for o in batch}
-        assert len(rows) == 1
-        for i, s in enumerate(sc):
-            solo = run_stage1(s.image, store, cfg, s.labels, batch_index=0)
-            n = solo.token_set.n_valid
-            # identical sample index inside the batch: selection rngs match
-            if i == 0:
-                assert batch[i].token_set.keys == solo.token_set.keys
-                assert np.max(np.abs(batch[i].feats.data[:n] - solo.feats.data)) == 0.0
+        assert [len(o.token_set.pad_levels) for o in batch] == [80, 12, 0]
+        return cfg, store, sc, batch
 
-    def test_padding_neutrality_with_perturbation(self, rng, scene_spec):
-        cfg = config.nano()
-        store = init_params(cfg, seed=0)
-        sc = [scenes.generate_scene(s, scene_spec) for s in (21, 22)]
-        batch = run_stage1_batch([s.image for s in sc], store, cfg, [s.labels for s in sc])
+    def test_solo_equals_batch(self, scene_spec):
+        cfg, store, sc, batch = self.oracle_batch(scene_spec)
+        # per-level counts padded to the batch max
+        assert len({o.token_set.n_rows for o in batch}) == 1
+        for out, s in zip(batch, sc):
+            solo = run_stage1(s.image, store, cfg, s.labels)
+            n = solo.token_set.n_valid
+            assert out.token_set.keys == solo.token_set.keys
+            assert np.array_equal(out.feats.data[:n], solo.feats.data)
+            assert not out.feats.data[n:].any()
+
+    def test_padding_neutrality_with_perturbation(self, scene_spec):
+        cfg, store, _, batch = self.oracle_batch(scene_spec)
         for out in batch:
-            assert out.token_set.n_rows - out.token_set.n_valid == len(out.token_set.pad_levels)
-            mask = out.token_set.valid_mask()
-            assert mask.sum() == out.token_set.n_valid
+            n_pad = len(out.token_set.pad_levels)
+            assert out.token_set.n_rows - out.token_set.n_valid == n_pad
+            assert out.token_set.valid_mask().sum() == out.token_set.n_valid
+            perturbed = out.feats.data.copy()
+            perturbed[out.token_set.n_valid :] += 13.0
+            a = run_stage2(out, store, cfg)
+            b = run_stage2(dataclasses.replace(out, feats=Tensor(perturbed)), store, cfg)
+            for lvl in range(4):
+                assert a.emitted[lvl].keys == b.emitted[lvl].keys
+                assert np.array_equal(a.emitted[lvl].feats.data, b.emitted[lvl].feats.data)
 
     def test_allocator_mse_matches_numpy_loss(self, nano_cfg, nano_store, rng, scene_spec):
         sc = scenes.generate_scene(31, scene_spec)

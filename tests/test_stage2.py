@@ -102,16 +102,19 @@ class TestRunStage2:
             assert len(s2out.emitted[lvl].keys) == 0
         assert len(s2out.emitted[0].keys) == 4
 
-    def test_padded_batch_emits_same_valid_features(self, nano_cfg, nano_store, scene_spec):
-        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52)]
-        batch = run_stage1_batch([s.image for s in sc], nano_store, nano_cfg, [s.labels for s in sc])
-        solo = run_stage1(sc[0].image, nano_store, nano_cfg, sc[0].labels)
-        s2_batch = run_stage2(batch[0], nano_store, nano_cfg)
-        s2_solo = run_stage2(solo, nano_store, nano_cfg)
-        for lvl in range(4):
-            n = len(s2_solo.emitted[lvl].keys)
-            assert s2_batch.emitted[lvl].keys == s2_solo.emitted[lvl].keys
-            assert np.array_equal(s2_batch.emitted[lvl].feats.data[:n], s2_solo.emitted[lvl].feats.data)
+    def test_padded_batch_emits_same_valid_features(self, scene_spec):
+        # oracle allocation on these scenes pads the batch by 80/12/0 rows
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
+        batch = run_stage1_batch([s.image for s in sc], store, cfg, [s.labels for s in sc])
+        assert [len(o.token_set.pad_levels) for o in batch] == [80, 12, 0]
+        for out, s in zip(batch, sc):
+            s2_batch = run_stage2(out, store, cfg)
+            s2_solo = run_stage2(run_stage1(s.image, store, cfg, s.labels), store, cfg)
+            for lvl in range(4):
+                assert s2_batch.emitted[lvl].keys == s2_solo.emitted[lvl].keys
+                assert np.array_equal(s2_batch.emitted[lvl].feats.data, s2_solo.emitted[lvl].feats.data)
 
     @pytest.mark.parametrize("stage1_only", [False, True])
     def test_real_padding_is_inert(self, stage1_only, scene_spec):
@@ -194,6 +197,17 @@ class TestDensify:
         assert dense.data.shape == (256, nano_cfg.stage2_dims[0])
         assert cell_token.shape == (256,)
         assert np.all(cell_token >= 0)
+
+    def test_emitted_keys_must_partition_the_union(self, forward_parts, nano_cfg, nano_store):
+        # equal counts are not enough: reordered or duplicated keys are rejected
+        _, s1out, s2out = forward_parts
+        em = s2out.emitted[0]
+        rotated = dataclasses.replace(em, keys=em.keys[1:] + em.keys[:1])
+        duplicated = dataclasses.replace(em, keys=em.keys[:-1] + em.keys[:1])
+        for bad in (rotated, duplicated):
+            emitted = {**s2out.emitted, 0: bad}
+            with pytest.raises(ContractError):
+                densify_finest(s1out.token_set, dataclasses.replace(s2out, emitted=emitted), nano_store, nano_cfg)
 
     def test_head_logits_shape(self, forward_parts, nano_cfg, nano_store):
         _, s1out, s2out = forward_parts

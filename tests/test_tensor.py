@@ -125,13 +125,13 @@ class TestSoftmaxAttention:
             tensor.softmax_attention(Tensor(q), Tensor(q), Tensor(q[:2]), mask)
 
 
-def window_attention_loop(q, k, v, n_valid, size, heads):
+def window_attention_loop(q, k, v, size, heads):
     """The per-run, per-head `softmax_attention` loop `window_attention`
-    replaces; rows from n_valid on stay zero."""
-    rows, d = q.shape
+    replaces."""
+    n, d = q.shape
     hd = d // heads
-    runs = [np.arange(s, min(s + size, n_valid)) for s in range(0, n_valid, size)]
-    out = np.zeros((rows, d))
+    runs = [np.arange(s, min(s + size, n)) for s in range(0, n, size)]
+    out = np.zeros((n, d))
     for c, own in enumerate(runs):
         nb = np.concatenate(runs[max(c - 1, 0) : c + 2])
         mask = np.ones((len(own), len(nb)), bool)
@@ -148,29 +148,28 @@ class TestWindowAttention:
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("n", [1, SIZE - 1, SIZE, SIZE + 1, 5 * SIZE + 3])
     def test_matches_per_run_loop(self, n, heads, rng):
-        d, pad = 4 * heads, 3
-        q, k, v = (rng.standard_normal((n + pad, d)) for _ in range(3))
+        d = 4 * heads
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         with flops.meter() as m_new:
-            out = tensor.window_attention(Tensor(q), Tensor(k), Tensor(v), n, self.SIZE, heads)
+            out = tensor.window_attention(Tensor(q), Tensor(k), Tensor(v), self.SIZE, heads)
         with flops.meter() as m_old:
-            expect = window_attention_loop(q, k, v, n, self.SIZE, heads)
+            expect = window_attention_loop(q, k, v, self.SIZE, heads)
         assert np.max(np.abs(out.data - expect)) <= 1e-12
         if n <= self.SIZE:
             # one run: the same arithmetic in the same order
             assert np.array_equal(out.data, expect)
-        assert np.array_equal(out.data[n:], np.zeros((pad, d)))
         assert m_new.total() == m_old.total()
 
-    def test_gradients_finite_with_padding_and_short_tail(self, rng):
+    def test_gradients_finite_with_short_tail(self, rng):
         n, d = 2 * self.SIZE + 3, 4
-        q, k, v = (Tensor(rng.standard_normal((n + 5, d)), requires_grad=True) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((n, d)), requires_grad=True) for _ in range(3))
         with GradTape() as tape:
-            out = tensor.window_attention(q, k, v, n, self.SIZE, 2)
+            out = tensor.window_attention(q, k, v, self.SIZE, 2)
             loss = tensor.sum_all(tensor.mul(out, out))
         backward(loss, tape)
         for t in (q, k, v):
+            assert t.grad.shape == (n, d)
             assert np.all(np.isfinite(t.grad))
-            assert np.array_equal(t.grad[n:], np.zeros((5, d)))
 
 
 class TestBackward:
@@ -231,16 +230,16 @@ class TestBackward:
         lambda rng: ("matmul", (rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))),
         lambda rng: ("mul", (rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))),
         lambda rng: ("add", (rng.standard_normal((3, 4)), rng.standard_normal(4))),
-        # three runs of 3 over 8 valid rows (short tail) plus 2 padding rows
+        # three runs of 3 over 8 rows (short tail)
         lambda rng: (
             "window_attention",
-            tuple(rng.standard_normal((10, 4)) for _ in range(3)),
-            {"n_valid": 8, "size": 3, "heads": 2},
+            tuple(rng.standard_normal((8, 4)) for _ in range(3)),
+            {"size": 3, "heads": 2},
         ),
         lambda rng: (
             "window_attention",
             tuple(rng.standard_normal((5, 4)) for _ in range(3)),
-            {"n_valid": 5, "size": 5, "heads": 1},
+            {"size": 5, "heads": 1},
         ),
     ],
 )
