@@ -6,7 +6,8 @@ its own cluster plus the neighboring run on either side, which lets fine
 tokens see nearby coarse context and vice versa. The assignment is a pure
 function of (canonical order, cluster_size) and is recomputed whenever the
 allocation changes. Every row is a real token: batch padding never
-reaches this module.
+reaches this module. A stacked batch passes a `TokenBatch`: its samples'
+rows follow one another, and every window stays inside its sample.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import tensor
 from .errors import ContractError
-from .geometry import MixedResolutionTokenSet
+from .geometry import MixedResolutionTokenSet, TokenBatch
 from .params import ParamStore
 from .tensor import Tensor
 
@@ -42,58 +43,61 @@ class ClusterAssignment:
         return np.arange(max(c - 1, 0) * self.cluster_size, min((c + 2) * self.cluster_size, self.n_tokens))
 
 
-def cluster(token_set: MixedResolutionTokenSet, cluster_size: int) -> ClusterAssignment:
+def cluster(token_set: MixedResolutionTokenSet | TokenBatch, cluster_size: int) -> ClusterAssignment:
+    """Assignment over the rows of a token set or a `TokenBatch`; in a batch
+    the runs restart at every sample's first row."""
     if cluster_size < 1:
         raise ValueError("cluster_size must be >= 1")
     return ClusterAssignment(n_tokens=token_set.n_valid, cluster_size=cluster_size)
 
 
-def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, size: int, key_levels):
+def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, size: int, key_levels, segments):
     h = tensor.layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
-    q = tensor.add(tensor.matmul(h, store[f"{prefix}.q.w"]), store[f"{prefix}.q.b"])
-    k = tensor.add(tensor.matmul(h, store[f"{prefix}.k.w"]), store[f"{prefix}.k.b"])
-    v = tensor.add(tensor.matmul(h, store[f"{prefix}.v.w"]), store[f"{prefix}.v.b"])
+    q, k, v = (tensor.linear(h, store[f"{prefix}.{nm}.w"], store[f"{prefix}.{nm}.b"], segments) for nm in "qkv")
     if key_levels is not None:
         # scale-aware keys: coarse and fine tokens in one neighborhood stay
         # distinguishable to the attention logits
         k = tensor.add(k, tensor.gather_rows(store[f"{prefix}.key_scale"], key_levels))
-    attn = tensor.window_attention(q, k, v, size, heads)
-    return tensor.add(tensor.matmul(attn, store[f"{prefix}.o.w"]), store[f"{prefix}.o.b"])
+    attn = tensor.window_attention(q, k, v, size, heads, segments)
+    return tensor.linear(attn, store[f"{prefix}.o.w"], store[f"{prefix}.o.b"], segments)
 
 
-def _mlp(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    h = tensor.add(tensor.matmul(x, store[f"{prefix}.mlp1.w"]), store[f"{prefix}.mlp1.b"])
-    h = tensor.gelu(h)
-    return tensor.add(tensor.matmul(h, store[f"{prefix}.mlp2.w"]), store[f"{prefix}.mlp2.b"])
+def _mlp(x: Tensor, store: ParamStore, prefix: str, segments) -> Tensor:
+    h = tensor.gelu(tensor.linear(x, store[f"{prefix}.mlp1.w"], store[f"{prefix}.mlp1.b"], segments))
+    return tensor.linear(h, store[f"{prefix}.mlp2.w"], store[f"{prefix}.mlp2.b"], segments)
 
 
-def _block(x, store, prefix, heads, size, key_levels) -> Tensor:
-    x = tensor.add(x, _attention(x, store, prefix, heads, size, key_levels))
+def _block(x, store, prefix, heads, size, key_levels, segments) -> Tensor:
+    x = tensor.add(x, _attention(x, store, prefix, heads, size, key_levels, segments))
     h = tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
-    return tensor.add(x, _mlp(h, store, prefix))
+    return tensor.add(x, _mlp(h, store, prefix, segments))
 
 
 def cluster_attention_block(
     x: Tensor,
-    token_set: MixedResolutionTokenSet,
+    token_set: MixedResolutionTokenSet | TokenBatch,
     assignment: ClusterAssignment,
     store: ParamStore,
     prefix: str,
     heads: int,
 ) -> Tensor:
-    """Pre-norm block with attention restricted to cluster neighborhoods."""
+    """Pre-norm block with attention restricted to cluster neighborhoods.
+    `token_set` is one sample's set or the `TokenBatch` whose rows x stacks;
+    no neighborhood crosses a sample."""
     if not x.data.shape[0] == token_set.n_valid == assignment.n_tokens:
         raise ContractError(
             f"{x.data.shape[0]} feature rows, {token_set.n_valid} tokens and a cluster "
             f"assignment over {assignment.n_tokens} rows do not agree"
         )
-    return _block(x, store, prefix, heads, assignment.cluster_size, token_set.row_levels())
+    return _block(x, store, prefix, heads, assignment.cluster_size, token_set.row_levels(), token_set.segments)
 
 
-def vit_block(x: Tensor, valid_rows: np.ndarray, store: ParamStore, prefix: str, heads: int) -> Tensor:
-    """Plain pre-norm ViT block: full self-attention over all rows of x,
-    which `valid_rows` must list as 0..n-1."""
+def vit_block(x: Tensor, valid_rows: np.ndarray, store: ParamStore, prefix: str, heads: int, segments=None) -> Tensor:
+    """Plain pre-norm ViT block: full self-attention within each row
+    segment (one per stacked sample; None is all rows of x), whose rows
+    `valid_rows` must list as 0..n-1."""
     n = x.data.shape[0]
     if not np.array_equal(valid_rows, np.arange(n)):
         raise ContractError("vit_block valid rows must be every row of x, in order")
-    return _block(x, store, prefix, heads, max(n, 1), None)
+    segments = (n,) if segments is None else tuple(segments)
+    return _block(x, store, prefix, heads, max(max(segments, default=0), 1), None, segments)

@@ -9,7 +9,8 @@ growing a set returns the permutation that carries feature rows along.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -112,10 +113,14 @@ class MixedResolutionTokenSet:
     def n_rows(self) -> int:
         return len(self.keys) + len(self.pad_levels)
 
-    def valid_mask(self) -> np.ndarray:
-        m = np.zeros(self.n_rows, dtype=bool)
-        m[: self.n_valid] = True
-        return m
+    @property
+    def sets(self) -> tuple["MixedResolutionTokenSet"]:
+        """The set as a batch of one (see `TokenBatch`)."""
+        return (self,)
+
+    @property
+    def segments(self) -> tuple[int]:
+        return (self.n_valid,)
 
     def counts_per_level(self) -> list[int]:
         counts = [0] * (MAX_LEVEL + 1)
@@ -169,6 +174,35 @@ class MixedResolutionTokenSet:
                 raise ContractError(f"parent {p} has {n} children, expected 4")
         if list(self.keys) != canonical_order(self.keys):
             raise ContractError("keys are not in canonical order")
+
+
+@dataclass(frozen=True)
+class TokenBatch:
+    """The token sets of a batch whose feature rows are stacked in batch
+    order: sample i's rows follow sample i-1's. It offers what a single
+    `MixedResolutionTokenSet` offers as a batch of one: `sets`, `segments`
+    (rows per sample), `n_valid` and `row_levels()`."""
+
+    sets: tuple[MixedResolutionTokenSet, ...]
+    segments: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)  # first row of each sample
+    _levels: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        segments = tuple(s.n_valid for s in self.sets)
+        levels = np.concatenate([s.row_levels() for s in self.sets])
+        levels.flags.writeable = False
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(segments[:-1], initial=0)))
+        object.__setattr__(self, "_levels", levels)
+
+    @property
+    def n_valid(self) -> int:
+        return len(self._levels)
+
+    def row_levels(self) -> np.ndarray:
+        """Level of each stacked row (read-only)."""
+        return self._levels
 
 
 def coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:

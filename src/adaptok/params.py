@@ -157,24 +157,53 @@ def save_params(path, store: ParamStore, cfg: EncoderConfig):
             f.write(arr.astype("<f8").tobytes())
 
 
+class _Reader:
+    """Cursor over a container's bytes; running short is a ValueError that
+    names what was being read."""
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise ValueError(
+                f"truncated parameter container: {what} needs {n} bytes at offset {self.pos}, "
+                f"{len(self.blob) - self.pos} left"
+            )
+        self.pos += n
+        return self.blob[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
 def load_params(path, cfg: EncoderConfig | None = None) -> ParamStore:
+    """Read a container; raises ValueError naming the cause (and the
+    parameter) for a truncated file, trailing bytes or non-finite values."""
     with open(path, "rb") as f:
-        if f.read(8) != MAGIC:
-            raise ValueError("not a parameter container")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise ValueError(f"unsupported container version {version}")
-        digest = f.read(32)
-        if cfg is not None and digest != bytes.fromhex(cfg.digest()):
-            raise ValueError("parameter container was built for a different config")
-        (count,) = struct.unpack("<I", f.read(4))
-        store = ParamStore()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode()
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            n = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
-            store.add(name, arr.copy())
+        r = _Reader(f.read())
+    if r.blob[:8] != MAGIC:
+        raise ValueError("not a parameter container")
+    r.take(8, "magic")
+    (version,) = r.unpack("<I", "version")
+    if version != VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    digest = r.take(32, "config digest")
+    if cfg is not None and digest != bytes.fromhex(cfg.digest()):
+        raise ValueError("parameter container was built for a different config")
+    (count,) = r.unpack("<I", "parameter count")
+    store = ParamStore()
+    for i in range(count):
+        (name_len,) = r.unpack("<H", f"name length of parameter {i}")
+        name = r.take(name_len, f"name of parameter {i}").decode()
+        (ndim,) = r.unpack("<B", f"rank of parameter {name}")
+        shape = r.unpack(f"<{ndim}I", f"shape of parameter {name}")
+        n = int(np.prod(shape)) if ndim else 1
+        arr = np.frombuffer(r.take(8 * n, f"values of parameter {name}"), dtype="<f8").reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter {name} has non-finite values")
+        store.add(name, arr.copy())
+    if r.pos != len(r.blob):
+        raise ValueError(f"parameter container has {len(r.blob) - r.pos} trailing bytes after {count} parameters")
     return store

@@ -8,13 +8,20 @@ threshold, splits each selected patch into four children, and mixes the
 grown token set with cluster attention. Lateral snapshots are kept for the
 top-down refinement stage.
 
-Every sample runs all its rounds on its own rows, without padding. Only the
-finished batch is padded: each final token set gets zero feature rows up to
-the batch maximum per level, which Stage 2 drops again on entry.
+A batch runs its rounds in lockstep on one stacked feature matrix: sample
+i's rows follow sample i-1's, so every row-wise op is one tape node per
+batch. GEMMs run once per sample segment and attention windows stay inside
+their sample, so each row is computed exactly as in a solo run. Only the
+allocation decisions are made per sample. The per-sample outputs are padded
+per level to the batch maximum; Stage 2 consumes the stacked, unpadded
+batch.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +29,7 @@ import numpy as np
 from . import boundary, clusterattn, flops, geometry, tensor
 from .config import ROUNDS, EncoderConfig
 from .errors import ContractError
-from .geometry import MixedResolutionTokenSet, TokenKey
+from .geometry import MixedResolutionTokenSet, TokenBatch, TokenKey
 from .params import ParamStore, rng_for
 from .tensor import Tensor
 
@@ -67,148 +74,240 @@ class AllocationTrace:
 
 @dataclass
 class Lateral:
-    token_set: MixedResolutionTokenSet
+    token_set: MixedResolutionTokenSet | TokenBatch  # a TokenBatch when stacked
     feats: Tensor
 
 
 @dataclass
 class Stage1Output:
+    """One sample's Stage-1 result. From a batch its tensors are detached
+    views of the sample's rows (the padded `feats` a copy); `stacked()`
+    turns it into the batch of one that Stage 2 takes."""
+
     token_set: MixedResolutionTokenSet
     feats: Tensor  # rows from token_set.n_valid on: zero batch padding
     trace: AllocationTrace
     laterals: dict[str, Lateral]
     score_tensors: list[Tensor | None]  # per round, rows follow the frontier
 
+    def stacked(self) -> "Stage1Batch":
+        """This sample as a batch of one, without its padding rows."""
+        token_set, feats = self.token_set, self.feats
+        if token_set.pad_levels:
+            token_set = replace(token_set, pad_levels=())
+            feats = tensor.gather_rows(feats, np.arange(token_set.n_valid))
+        return Stage1Batch(TokenBatch((token_set,)), feats, self.laterals, self.score_tensors, [self])
 
-def allocator_mse(out: Stage1Output) -> Tensor | None:
-    """Differentiable MSE of predicted vs target scores pooled over rounds.
-    None when no frontier token was ever scored (or labels were absent)."""
-    preds, targets = [], []
-    for st, rec in zip(out.score_tensors, out.trace.rounds):
-        if st is None or rec.targets is None or rec.candidate_count == 0:
-            continue
-        preds.append(st)
-        targets.append(rec.targets.reshape(-1, 1))
-    if not preds:
+
+@dataclass
+class Stage1Batch(Sequence):
+    """A batch's Stage-1 result, stacked: sample i's rows follow sample
+    i-1's in `feats`, in every lateral and, per round, in `score_tensors`.
+    Indexing yields the per-sample outputs, padded per level to the batch
+    maximum."""
+
+    tokens: TokenBatch
+    feats: Tensor
+    laterals: dict[str, Lateral]
+    score_tensors: list[Tensor | None]  # per round, each sample's frontier rows
+    outputs: list[Stage1Output]
+
+    def __getitem__(self, i):
+        return self.outputs[i]
+
+    def __len__(self) -> int:
+        return len(self.outputs)
+
+    def stacked(self) -> "Stage1Batch":
+        return self
+
+
+def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor, list[int]] | None:
+    """Per-sample differentiable MSE of predicted vs target scores pooled
+    over rounds, for those of `samples` (default: all) with scored, labelled
+    frontier tokens; also their indices. None when there are none."""
+    s1 = s1.stacked()
+    scored = [r for r, st in enumerate(s1.score_tensors) if st is not None]
+    if not scored:
         return None
-    pred = tensor.concat(preds, axis=0) if len(preds) > 1 else preds[0]
-    return tensor.mse(pred, tensor.constant(np.concatenate(targets, axis=0)))
+    # row of sample i's first score of round r in the concatenated tensors
+    first, base = {}, 0
+    for r in scored:
+        for i, out in enumerate(s1):
+            first[i, r] = base
+            base += out.trace.rounds[r].candidate_count
+    rows, targets, counts, ids = [], [], [], []
+    for i in range(len(s1)) if samples is None else samples:
+        recs = [(r, s1[i].trace.rounds[r]) for r in scored]
+        recs = [(r, rec) for r, rec in recs if rec.targets is not None and rec.candidate_count]
+        if recs:
+            rows.extend(np.arange(first[i, r], first[i, r] + rec.candidate_count) for r, rec in recs)
+            targets.extend(rec.targets for _, rec in recs)
+            counts.append(sum(rec.candidate_count for _, rec in recs))
+            ids.append(i)
+    if not ids:
+        return None
+    preds = [s1.score_tensors[r] for r in scored]
+    pred = tensor.gather_rows(tensor.concat(preds) if len(preds) > 1 else preds[0], np.concatenate(rows))
+    target = tensor.constant(np.concatenate(targets).reshape(-1, 1))
+    return tensor.mse(pred, target, counts), ids
 
 
 class Stage1Run:
-    """Round-stepped state for one sample, on that sample's rows alone;
-    `run_stage1_batch` drives the hooks."""
+    """Lockstep round state for a batch on one stacked feature matrix;
+    `run_stage1_batch` drives the hooks. Row-wise ops run once per batch;
+    per-sample lists (token sets, round records) follow batch order."""
 
-    def __init__(self, image, store: ParamStore, cfg: EncoderConfig, labels=None):
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != (cfg.input_h, cfg.input_w, cfg.channels):
-            raise ValueError(
-                f"image shape {image.shape} does not match config "
-                f"{(cfg.input_h, cfg.input_w, cfg.channels)}"
-            )
-        if labels is not None and labels.shape != (cfg.input_h, cfg.input_w):
-            raise ValueError("label map shape does not match the image")
-        self.image = image
+    def __init__(self, images, store: ParamStore, cfg: EncoderConfig, labels_list=None):
+        labels_list = [None] * len(images) if labels_list is None else list(labels_list)
+        self.images = []
+        for image, labels in zip(images, labels_list):
+            image = np.asarray(image, dtype=np.float64)
+            if image.shape != (cfg.input_h, cfg.input_w, cfg.channels):
+                raise ValueError(
+                    f"image shape {image.shape} does not match config "
+                    f"{(cfg.input_h, cfg.input_w, cfg.channels)}"
+                )
+            if labels is not None and labels.shape != (cfg.input_h, cfg.input_w):
+                raise ValueError("label map shape does not match the image")
+            self.images.append(image)
         self.store = store
         self.cfg = cfg
-        self.labels = labels
-        self.bmap = (
-            boundary.boundary_map(labels, cfg.connectivity) if labels is not None else None
-        )
-        self.token_set: MixedResolutionTokenSet | None = None
-        self.feats: Tensor | None = None
+        self.labels = labels_list
+        self.bmaps = [
+            None if labels is None else boundary.boundary_map(labels, cfg.connectivity) for labels in labels_list
+        ]
+        self.tokens: TokenBatch | None = None
+        self.feats: Tensor | None = None  # every sample's rows, stacked
         self.laterals: dict[str, Lateral] = {}
-        self.rounds: list[RoundRecord] = []
+        self.rounds: list[list[RoundRecord]] = [[] for _ in self.images]
         self.score_tensors: list[Tensor | None] = [None] * ROUNDS
+
+    @property
+    def token_sets(self) -> tuple[MixedResolutionTokenSet, ...]:
+        return self.tokens.sets
 
     # -- pre-allocation ----------------------------------------------------
 
     def begin(self):
         cfg, store = self.cfg, self.store
+        grid_w = cfg.input_w // 32
         with flops.section("stage1.embed"):
-            self.token_set = geometry.coarse_grid(cfg.input_h, cfg.input_w)
-            keys = self.token_set.keys
-            patches = np.stack(
-                [self.image[k.rect()[0] : k.rect()[2], k.rect()[1] : k.rect()[3]].reshape(-1) for k in keys]
-            )
-            grid_w = cfg.input_w // 32
-            pos_idx = [k.row * grid_w + k.col for k in keys]
-            x = tensor.add(tensor.matmul(tensor.constant(patches), store["s1.embed.w"]), store["s1.embed.b"])
+            self.tokens = TokenBatch(tuple(geometry.coarse_grid(cfg.input_h, cfg.input_w) for _ in self.images))
+            patches, pos_idx = [], []
+            for image, token_set in zip(self.images, self.tokens.sets):
+                for k in token_set.keys:
+                    y0, x0, y1, x1 = k.rect()
+                    patches.append(image[y0:y1, x0:x1].reshape(-1))
+                    pos_idx.append(k.row * grid_w + k.col)
+            segments = self.tokens.segments
+            x = tensor.linear(tensor.constant(np.stack(patches)), store["s1.embed.w"], store["s1.embed.b"], segments)
             self.feats = tensor.add(x, tensor.gather_rows(store["s1.embed.pos"], pos_idx))
         with flops.section("stage1.pre"):
             heads = cfg.heads_for(cfg.stage1_dims[0])
-            rows = np.arange(self.token_set.n_valid)
+            rows = np.arange(len(pos_idx))
             for i in range(cfg.stage1_blocks[0]):
-                self.feats = clusterattn.vit_block(self.feats, rows, store, f"s1.pre.{i}", heads)
+                self.feats = clusterattn.vit_block(self.feats, rows, store, f"s1.pre.{i}", heads, segments)
         self.snapshot("pre")
 
     # -- allocation round hooks ---------------------------------------------
 
     def enter_round(self, r: int):
         with flops.section(f"stage1.r{r}"):
-            p = self.store[f"s1.r{r}.proj.w"]
-            self.feats = tensor.add(tensor.matmul(self.feats, p), self.store[f"s1.r{r}.proj.b"])
+            store = self.store
+            self.feats = tensor.linear(self.feats, store[f"s1.r{r}.proj.w"], store[f"s1.r{r}.proj.b"], self.tokens.segments)
 
-    def score_round(self, r: int) -> np.ndarray:
-        rows = self.token_set.rows_of(self.token_set.frontier)
+    def score_round(self, r: int) -> list[np.ndarray]:
+        """Scores of every sample's frontier, in frontier order."""
+        tokens = self.tokens
+        rows = [o + row for s, o in zip(tokens.sets, tokens.offsets) for row in s.rows_of(s.frontier)]
+        counts = [len(s.frontier) for s in tokens.sets]
         if not rows:
-            return np.zeros(0)
+            return [np.zeros(0) for _ in counts]
         with flops.section(f"stage1.r{r}"):
             store = self.store
             g = tensor.gather_rows(self.feats, rows)
-            h = tensor.gelu(tensor.add(tensor.matmul(g, store[f"s1.r{r}.score1.w"]), store[f"s1.r{r}.score1.b"]))
-            z = tensor.add(tensor.matmul(h, store[f"s1.r{r}.score2.w"]), store[f"s1.r{r}.score2.b"])
-            s = tensor.sigmoid(z)
+            h = tensor.gelu(tensor.linear(g, store[f"s1.r{r}.score1.w"], store[f"s1.r{r}.score1.b"], counts))
+            s = tensor.sigmoid(tensor.linear(h, store[f"s1.r{r}.score2.w"], store[f"s1.r{r}.score2.b"], counts))
         self.score_tensors[r - 1] = s
-        return s.data.ravel().copy()
+        bounds = list(itertools.accumulate(counts, initial=0))
+        return [s.data[lo:hi, 0].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    def targets_round(self) -> np.ndarray | None:
-        if self.bmap is None:
-            return None
-        return boundary.target_scores(self.bmap, self.token_set.frontier)
+    def targets_round(self) -> list[np.ndarray | None]:
+        return [
+            None if bmap is None else boundary.target_scores(bmap, s.frontier)
+            for bmap, s in zip(self.bmaps, self.token_sets)
+        ]
 
-    def allocate_round(self, r: int, selected, scores: np.ndarray, targets, source: str):
-        frontier = self.token_set.frontier
-        self.rounds.append(
-            RoundRecord(
-                round_index=r,
-                frontier=tuple(frontier),
-                candidate_count=len(frontier),
-                scores=np.asarray(scores, dtype=np.float64),
-                targets=None if targets is None else np.asarray(targets, dtype=np.float64),
-                selected=tuple(selected),
-                selected_count=len(selected),
-                selection_source=source,
+    def allocate_round(self, r: int, picks, scores, targets):
+        """Split every sample's selection; `picks` holds one (selected keys,
+        selection source) pair per sample, as `choose_selection` returns."""
+        for i, ((selected, source), s) in enumerate(zip(picks, self.token_sets)):
+            self.rounds[i].append(
+                RoundRecord(
+                    round_index=r,
+                    frontier=tuple(s.frontier),
+                    candidate_count=len(s.frontier),
+                    scores=np.asarray(scores[i], dtype=np.float64),
+                    targets=None if targets[i] is None else np.asarray(targets[i], dtype=np.float64),
+                    selected=tuple(selected),
+                    selected_count=len(selected),
+                    selection_source=source,
+                )
             )
-        )
-        if not selected:
-            self.token_set = replace(self.token_set, frontier=())
+            if len(set(selected)) != len(selected):
+                repeated = sorted(k for k, c in Counter(selected).items() if c > 1)
+                raise ContractError(f"round-{r} selection names a parent more than once: {repeated}")
+            not_frontier = set(selected) - set(s.frontier)
+            if not_frontier:
+                raise ContractError(f"selection outside the round-{r} frontier: {not_frontier}")
+        selections = [list(selected) for selected, _ in picks]
+        if not any(selections):
+            self.tokens = TokenBatch(tuple(replace(s, frontier=()) for s in self.token_sets))
             return
-        not_frontier = set(selected) - set(frontier)
-        if not_frontier:
-            raise ContractError(f"selection outside the round-{r} frontier: {not_frontier}")
         with flops.section(f"stage1.r{r}"):
-            merged = tensor.concat([self.feats, self._child_features(r, selected)], axis=0)
-            self.token_set, perm = self.token_set.with_children(selected)
-            self.feats = tensor.gather_rows(merged, perm)
+            tokens = self.tokens
+            merged = tensor.concat([self.feats, self._child_features(r, selections)], axis=0)
+            # sample i's grown rows: its old rows, then its children, which
+            # follow every old row in `merged`
+            child_row, perm, grown = tokens.n_valid, [], []
+            for s, o, selected in zip(tokens.sets, tokens.offsets, selections):
+                if not selected:
+                    grown.append(replace(s, frontier=()))
+                    perm.append(o + np.arange(s.n_valid))
+                    continue
+                s_new, p = s.with_children(selected)
+                perm.append(np.where(p < s.n_valid, o + p, child_row + p - s.n_valid))
+                child_row += 4 * len(selected)
+                grown.append(s_new)
+            self.tokens = TokenBatch(tuple(grown))
+            self.feats = tensor.gather_rows(merged, np.concatenate(perm))
 
-    def _child_features(self, r: int, selected) -> Tensor:
+    def _child_features(self, r: int, selections) -> Tensor:
+        """Features of every sample's children, in sample, `selected` x
+        `split` order."""
         cfg, store = self.cfg, self.store
         d = cfg.stage1_dims[r]
-        parent_rows = np.repeat(self.token_set.rows_of(selected), 4)
-        slot_idx = np.tile(np.arange(4), len(selected))
+        tokens = self.tokens
+        counts = [4 * len(selected) for selected in selections]
+        parent_rows = np.concatenate(
+            [o + np.repeat(s.rows_of(selected), 4) for s, o, selected in zip(tokens.sets, tokens.offsets, selections)]
+        ).astype(np.intp)
+        slot_idx = np.tile(np.arange(4), sum(counts) // 4)
         feat = None
         if not cfg.no_aux_image:
-            rects = [c.rect() for p in selected for c in geometry.split(p)]
-            pix = np.stack([self.image[y0:y1, x0:x1].reshape(-1) for y0, x0, y1, x1 in rects])
-            t = tensor.add(tensor.matmul(tensor.constant(pix), store[f"s1.r{r}.child.pix.w"]), store[f"s1.r{r}.child.pix.b"])
-            h = tensor.gelu(tensor.add(tensor.matmul(t, store[f"s1.r{r}.child.mlp1.w"]), store[f"s1.r{r}.child.mlp1.b"]))
-            feat = tensor.add(tensor.matmul(h, store[f"s1.r{r}.child.mlp2.w"]), store[f"s1.r{r}.child.mlp2.b"])
+            rects = [
+                (image, c.rect()) for image, selected in zip(self.images, selections) for p in selected for c in geometry.split(p)
+            ]
+            pix = np.stack([image[y0:y1, x0:x1].reshape(-1) for image, (y0, x0, y1, x1) in rects])
+            t = tensor.linear(tensor.constant(pix), store[f"s1.r{r}.child.pix.w"], store[f"s1.r{r}.child.pix.b"], counts)
+            h = tensor.gelu(tensor.linear(t, store[f"s1.r{r}.child.mlp1.w"], store[f"s1.r{r}.child.mlp1.b"], counts))
+            feat = tensor.linear(h, store[f"s1.r{r}.child.mlp2.w"], store[f"s1.r{r}.child.mlp2.b"], counts)
         if not cfg.no_residual:
             residual = tensor.gather_rows(self.feats, parent_rows)
             feat = residual if feat is None else tensor.add(feat, residual)
         if feat is None:
-            feat = tensor.constant(np.zeros((4 * len(selected), d)))
+            feat = tensor.constant(np.zeros((sum(counts), d)))
         feat = tensor.add(feat, store[f"s1.r{r}.scale_emb"])
         return tensor.add(feat, tensor.gather_rows(store[f"s1.r{r}.slot_emb"], slot_idx))
 
@@ -217,24 +316,46 @@ class Stage1Run:
         if cfg.stage1_blocks[r] == 0:
             return
         with flops.section(f"stage1.r{r}"):
-            assignment = clusterattn.cluster(self.token_set, cfg.cluster_size)
+            tokens = self.tokens
+            assignment = clusterattn.cluster(tokens, cfg.cluster_size)
             heads = cfg.heads_for(cfg.stage1_dims[r])
             for i in range(cfg.stage1_blocks[r]):
                 self.feats = clusterattn.cluster_attention_block(
-                    self.feats, self.token_set, assignment, self.store, f"s1.r{r}.blk{i}", heads
+                    self.feats, tokens, assignment, self.store, f"s1.r{r}.blk{i}", heads
                 )
 
     def snapshot(self, name: str):
-        self.laterals[name] = Lateral(self.token_set, self.feats)
+        self.laterals[name] = Lateral(self.tokens, self.feats)
 
-    def output(self) -> Stage1Output:
-        return Stage1Output(
-            token_set=self.token_set,
-            feats=self.feats,
-            trace=AllocationTrace(self.rounds),
-            laterals=self.laterals,
-            score_tensors=self.score_tensors,
-        )
+    def output(self) -> Stage1Batch:
+        """The stacked batch, with per-sample outputs padded per level to the
+        batch maximum (zero feature rows), so `n_rows` is equal across it."""
+        tokens = self.tokens
+        outputs = []
+        for i, padded in enumerate(pad_and_mask(tokens.sets)):
+            feats = _sample_rows(self.feats, tokens, i)
+            if padded.n_rows > padded.n_valid:
+                zeros = np.zeros((padded.n_rows - padded.n_valid, feats.shape[1]))
+                feats = np.concatenate([feats, zeros])
+            laterals = {
+                name: Lateral(lat.token_set.sets[i], Tensor(_sample_rows(lat.feats, lat.token_set, i)))
+                for name, lat in self.laterals.items()
+            }
+            scores = []
+            for st, rec in zip(self.score_tensors, self.rounds[i]):
+                if st is None or not rec.candidate_count:
+                    scores.append(None)
+                    continue
+                lo = sum(rounds[rec.round_index - 1].candidate_count for rounds in self.rounds[:i])
+                scores.append(Tensor(st.data[lo : lo + rec.candidate_count]))
+            outputs.append(Stage1Output(padded, Tensor(feats), AllocationTrace(self.rounds[i]), laterals, scores))
+        return Stage1Batch(tokens, self.feats, self.laterals, self.score_tensors, outputs)
+
+
+def _sample_rows(feats: Tensor, tokens: TokenBatch, i: int) -> np.ndarray:
+    """Sample i's rows of a stacked feature tensor (a view)."""
+    lo = tokens.offsets[i]
+    return feats.data[lo : lo + tokens.segments[i]]
 
 
 def choose_selection(
@@ -263,21 +384,6 @@ def choose_selection(
     return [frontier[i] for i in idx], "predicted"
 
 
-def _drive_rounds(run: Stage1Run, use_oracle: bool, batch_index: int, i: int):
-    cfg = run.cfg
-    for r in range(1, ROUNDS + 1):
-        run.enter_round(r)
-        scores = run.score_round(r)
-        targets = run.targets_round()
-        ratio_rng = rng_for(cfg.policy_seed, "ratio", batch_index, i, r)
-        with flops.section(f"stage1.r{r}"):
-            selected, source = choose_selection(cfg, r, run.token_set.frontier, scores, targets, use_oracle, ratio_rng)
-        run.allocate_round(r, selected, scores, targets, source)
-        run.attend_round(r)
-        if r < ROUNDS:
-            run.snapshot(f"alloc{r}")
-
-
 def run_stage1(
     image,
     store: ParamStore,
@@ -297,35 +403,38 @@ def run_stage1_batch(
     labels_list=None,
     *,
     batch_index: int = 0,
-) -> list[Stage1Output]:
-    """Batch forward: each sample runs alone, then every final token set is
-    padded per level to the batch maximum with zero, invalid feature rows, so
-    `n_rows` is equal across the batch. Sample i draws its random_ratio
-    selections from stream i; its first `n_valid` rows equal a solo run's
-    whenever the selection does not depend on i."""
-    if labels_list is None:
-        labels_list = [None] * len(images)
-    runs = [Stage1Run(im, store, cfg, lab) for im, lab in zip(images, labels_list)]
+) -> Stage1Batch:
+    """Batch forward: all samples run their rounds in lockstep on one stacked
+    feature tensor, and every per-sample output is padded per level to the
+    batch maximum with zero, invalid feature rows, so `n_rows` is equal
+    across the batch. Sample i draws its random_ratio selections from stream
+    i; its first `n_valid` rows equal a solo run's whenever the selection
+    does not depend on i."""
+    run = Stage1Run(images, store, cfg, labels_list)
     use_oracle = cfg.policy == "oracle_mix" and oracle_mix_gate(cfg.oracle_rate, cfg.policy_seed, batch_index)
-    if use_oracle and any(run.labels is None for run in runs):
+    if use_oracle and any(labels is None for labels in run.labels):
         raise ValueError("policy=oracle_mix selected the oracle for this batch but labels are missing")
-    for i, run in enumerate(runs):
-        run.begin()
-        _drive_rounds(run, use_oracle, batch_index, i)
-    outs = [run.output() for run in runs]
-    padded, _ = pad_and_mask([o.token_set for o in outs])
-    for o, token_set in zip(outs, padded):
-        extra = token_set.n_rows - token_set.n_valid
-        if extra:
-            zeros = tensor.constant(np.zeros((extra, o.feats.data.shape[1])))
-            o.feats = tensor.concat([o.feats, zeros], axis=0)
-        o.token_set = token_set
-    return outs
+    run.begin()
+    for r in range(1, ROUNDS + 1):
+        run.enter_round(r)
+        scores = run.score_round(r)
+        targets = run.targets_round()
+        with flops.section(f"stage1.r{r}"):
+            picks = [
+                choose_selection(
+                    cfg, r, s.frontier, scores[i], targets[i], use_oracle, rng_for(cfg.policy_seed, "ratio", batch_index, i, r)
+                )
+                for i, s in enumerate(run.token_sets)
+            ]
+        run.allocate_round(r, picks, scores, targets)
+        run.attend_round(r)
+        if r < ROUNDS:
+            run.snapshot(f"alloc{r}")
+    return run.output()
 
 
-def pad_and_mask(token_sets) -> tuple[list[MixedResolutionTokenSet], list[np.ndarray]]:
-    """Pad finished token sets per level to the batch maximum; returns the
-    padded sets and their validity masks."""
+def pad_and_mask(token_sets) -> list[MixedResolutionTokenSet]:
+    """Pad finished token sets per level to the batch maximum."""
     sets = list(token_sets)
     max_per_level = [0] * (geometry.MAX_LEVEL + 1)
     for s in sets:
@@ -337,4 +446,4 @@ def pad_and_mask(token_sets) -> tuple[list[MixedResolutionTokenSet], list[np.nda
         for lvl, c in enumerate(s.counts_per_level()):
             pads.extend([lvl] * (max_per_level[lvl] - c))
         padded.append(s.with_padding(pads))
-    return padded, [s.valid_mask() for s in padded]
+    return padded

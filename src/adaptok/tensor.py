@@ -8,6 +8,7 @@ Broadcasting is limited to trailing-dimension affine (matrix + row vector).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -114,9 +115,10 @@ def backward(loss: Tensor, tape: GradTape, params=None):
         for p, g in zip(node._parents, gs):
             if g is None or not p.requires_grad:
                 continue
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            p.grad += g
+            # the first gradient is adopted as is; it may alias another
+            # parent's (add hands `g` to both, reshape and concat return
+            # views), so a second arrival allocates instead of adding in place
+            p.grad = g if p.grad is None else p.grad + g
     if params is not None:
         out = {}
         for name, t in params:
@@ -197,6 +199,52 @@ def matmul(a, b) -> Tensor:
         (a, b),
         lambda g: (g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None),
     )
+    return out
+
+
+def _bounds(segments, n: int) -> list[int]:
+    """Row offsets [0, s0, s0+s1, ..., n] of consecutive row segments; None
+    is one segment of all n rows."""
+    if segments is None:
+        return [0, n]
+    bounds = list(itertools.accumulate(segments, initial=0))
+    if bounds[-1] != n or min(segments, default=0) < 0:
+        raise ValueError(f"segments {tuple(segments)} do not cover {n} rows")
+    return bounds
+
+
+def linear(x, w, b, segments=None) -> Tensor:
+    """x @ w + b over row segments (per-sample blocks of a stacked batch):
+    one GEMM per segment, so each row gets the result its sample would get
+    alone (BLAS rounds a row differently when the row count changes). Costs
+    what matmul plus a bias add cost."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"linear shapes {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ValueError(f"linear bias shape {b.data.shape} for weight {w.data.shape}")
+    (m, k), n = x.data.shape, w.data.shape[1]
+    flops.add_cost(macs=m * k * n, scalar_ops=m * n)
+    xd, wd = x.data, w.data
+    bounds = _bounds(segments, m)
+    if len(bounds) == 2:
+        y = xd @ wd
+    else:
+        y = np.empty((m, n))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                y[lo:hi] = xd[lo:hi] @ wd
+    y += b.data
+    out = Tensor(y)
+
+    def vjp(g):
+        return (
+            g @ wd.T if x.requires_grad else None,
+            xd.T @ g if w.requires_grad else None,
+            g.sum(axis=0),
+        )
+
+    _record(out, (x, w, b), vjp)
     return out
 
 
@@ -352,17 +400,20 @@ def softmax_attention(q, k, v, mask) -> Tensor:
     return matmul(attn, v)
 
 
-def window_attention(q, k, v, size: int, heads: int) -> Tensor:
+def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     """Multi-head local attention over runs of `size` consecutive rows.
 
-    The rows are chopped into runs of `size` (the last may be short); each
-    run's queries attend to the keys of its own run and the runs on either
-    side. With a single run the window is all rows. q, k, v: (n, d) with d
-    divisible by `heads`.
+    Each row segment (one sample of a stacked batch; None is one segment of
+    all rows) is chopped into runs of `size`, the last possibly short; each
+    run's queries attend to the keys of its own run and of the runs on
+    either side within the segment. A segment of at most `size` rows is a
+    single run over itself. q, k, v: (n, d) with d divisible by `heads`.
 
-    All runs are stacked into one (runs, heads, size, 3*size) problem: the
-    key/value rows are zero-padded by one run at each end, and the padding,
-    the short tail and the missing neighbours are masked out. FLOPs are
+    The runs of all segments that share a window layout are stacked into one
+    (runs, heads, L, span*L) problem: multi-run segments use L = size and
+    three-run windows, single-run segments of length L one window of L. Keys
+    outside the segment and query slots past its end are zero rows, masked
+    out, so each segment sees exactly the layout it has alone. FLOPs are
     charged on live (query, key) pairs only, as the per-run loop of
     `softmax_attention` would be.
     """
@@ -373,70 +424,80 @@ def window_attention(q, k, v, size: int, heads: int) -> Tensor:
     if d % heads:
         raise ValueError(f"dim {d} not divisible by {heads} heads")
     hd = d // heads
-    runs = -(-n // size)
-    if runs == 1:
-        size = n
-    span = 3 if runs > 1 else 1  # runs per key window
-    lead = size if runs > 1 else 0  # zero rows ahead of row 0 in the key frame
-    width = span * size
+    bounds = _bounds(segments, n)
+    # (run length, runs per window) -> starts and lengths of its segments
+    layouts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            layouts.setdefault((size, 3) if hi - lo > size else (hi - lo, 1), []).append((lo, hi - lo))
 
-    qpos = np.arange(runs)[:, None] * size + np.arange(size)
-    kpos = np.arange(runs)[:, None] * size - lead + np.arange(width)
-    qlive = qpos < n
-    klive = (kpos >= 0) & (kpos < n)
-    live = qlive[:, :, None] & klive[:, None, :]
-    per_row = live.sum(axis=-1)
-    pairs = int(per_row.sum())
-    flops.add_cost(
-        macs=heads * 2 * pairs * hd,
-        scalar_ops=heads * (pairs + int(np.maximum(4 * per_row - 1, 0).sum())),
-        comparisons=heads * pairs,
-    )
+    def split_heads(a):  # (runs, L, d) -> (runs, heads, L, hd)
+        return a.reshape(a.shape[0], a.shape[1], heads, hd).transpose(0, 2, 1, 3)
 
-    def frame(a, lead, n_runs):  # a's n rows, `lead` rows into a zero frame of n_runs runs
-        out = np.zeros((n_runs * size, d))
-        out[lead : lead + n] = a
-        return out
-
-    def unframe(framed, lead):  # adjoint of frame
-        return framed[lead : lead + n]
-
-    def split_heads(a, n_rows):  # (runs * n_rows, d) -> (runs, heads, n_rows, hd)
-        return a.reshape(runs, n_rows, heads, hd).transpose(0, 2, 1, 3)
-
-    def merge_heads(a):  # inverse of split_heads
+    def merge_heads(a):  # inverse of split_heads, flattened to rows
         return a.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    def windows(a):  # (n, d) -> (runs, heads, width, hd)
-        framed = frame(a, lead, runs + span - 1).reshape(runs + span - 1, size, d)
-        stacked = np.concatenate([framed[i : i + runs] for i in range(span)], axis=1)
-        return split_heads(stacked.reshape(-1, d), width)
+    def frame(a, places, length, runs):  # each segment's rows into the first slots of its runs
+        framed = np.zeros((runs * length, d))
+        for start, m, slot in places:
+            framed[slot : slot + m] = a[start : start + m]
+        return framed.reshape(runs, length, d)
 
-    def unwindow(w):  # adjoint of windows: shifted adds, one per run offset
-        w = merge_heads(w).reshape(runs, span, size, d)
-        framed = np.zeros((runs + span - 1, size, d))
-        for i in range(span):
-            framed[i : i + runs] += w[:, i]
-        return unframe(framed.reshape(-1, d), lead)
-
-    qs, ks, vs = split_heads(frame(q.data, 0, runs), size), windows(k.data), windows(v.data)
+    zero = np.zeros((1, d))  # row n of the key and value operands: the dead slot
+    kx, vx = np.concatenate([k.data, zero]), np.concatenate([v.data, zero])
     c = 1.0 / math.sqrt(hd)
-    # every query slot, the tail's empty ones included, keeps at least one
-    # live key, so no softmax row is empty; empty slots are dropped from the output
-    z = np.where(klive[:, None, None, :], np.matmul(qs, ks.transpose(0, 1, 3, 2)) * c, -np.inf)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(unframe(merge_heads(np.matmul(p, vs)), 0))
+    out = np.empty((n, d))
+    groups = []
+    pairs = soft = 0
+    for (length, span), members in layouts.items():
+        lead = length if span == 3 else 0  # rows of a window ahead of its run
+        places, qlive, kidx, runs = [], [], [], 0
+        for start, m in members:
+            first = np.arange(-(-m // length))[:, None] * length
+            places.append((start, m, runs * length))
+            runs += len(first)
+            qlive.append(first + np.arange(length) < m)
+            kpos = first - lead + np.arange(span * length)
+            kidx.append(np.where((kpos >= 0) & (kpos < m), start + kpos, n))
+        qlive, kidx = np.concatenate(qlive), np.concatenate(kidx)
+        klive = kidx < n
+        per_row = qlive * klive.sum(axis=-1, keepdims=True)
+        pairs += int(per_row.sum())
+        soft += int(np.maximum(4 * per_row - 1, 0).sum())
+        qs = split_heads(frame(q.data, places, length, runs))
+        ks, vs = split_heads(kx[kidx]), split_heads(vx[kidx])
+        # every query slot, the tail's empty ones included, keeps at least
+        # one live key, so no softmax row is empty; empty slots are dropped
+        z = np.where(klive[:, None, None, :], np.matmul(qs, ks.transpose(0, 1, 3, 2)) * c, -np.inf)
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=-1, keepdims=True)
+        merged = merge_heads(np.matmul(p, vs))
+        for start, m, slot in places:
+            out[start : start + m] = merged[slot : slot + m]
+        groups.append((length, span, places, runs, kidx, qs, ks, vs, p))
+    flops.add_cost(macs=heads * 2 * pairs * hd, scalar_ops=heads * (pairs + soft), comparisons=heads * pairs)
+    out = Tensor(out)
 
     def vjp(g):
-        gs = split_heads(frame(g, 0, runs), size)
-        dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
-        dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-        dq = unframe(merge_heads(np.matmul(dz, ks)), 0)
-        dk = unwindow(np.matmul(dz.transpose(0, 1, 3, 2), qs))
-        dv = unwindow(np.matmul(p.transpose(0, 1, 3, 2), gs))
-        return dq, dk, dv
+        dq = np.empty((n, d))
+        dk, dv = np.zeros((n + 1, d)), np.zeros((n + 1, d))
+        for length, span, places, runs, kidx, qs, ks, vs, p in groups:
+            gs = split_heads(frame(g, places, length, runs))
+            dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
+            dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+            dqm = merge_heads(np.matmul(dz, ks))
+            for start, m, slot in places:
+                dq[start : start + m] = dqm[slot : slot + m]
+            dkw = merge_heads(np.matmul(dz.transpose(0, 1, 3, 2), qs)).reshape(-1, span, length, d)
+            dvw = merge_heads(np.matmul(p.transpose(0, 1, 3, 2), gs)).reshape(-1, span, length, d)
+            # within one window offset every live key row appears once, so a
+            # buffered scatter per offset is exact; the dead row n is dropped
+            for o in range(span):
+                rows = kidx[:, o * length : (o + 1) * length].reshape(-1)
+                dk[rows] += dkw[:, o].reshape(-1, d)
+                dv[rows] += dvw[:, o].reshape(-1, d)
+        return dq, dk[:n], dv[:n]
 
     _record(out, (q, k, v), vjp)
     return out
@@ -461,9 +522,32 @@ def mean_all(x) -> Tensor:
     return out
 
 
-def softmax_cross_entropy(logits, labels) -> Tensor:
+def segment_mean(x, segments) -> Tensor:
+    """Mean over all entries of each row segment of x: one value per
+    segment. Costs what `mean_all` of each segment costs."""
+    x = _as_tensor(x)
+    rows = x.data.shape[0]
+    bounds = _bounds(segments, rows)
+    counts = np.diff(bounds)
+    if np.any(counts == 0):
+        raise ValueError("mean over an empty segment")
+    flops.add_cost(scalar_ops=x.data.size)
+    out = Tensor(np.array([x.data[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])]))
+    width = x.data.size // rows
+    shape = x.data.shape
+
+    def vjp(g):
+        per_row = np.repeat(g / (counts * width), counts).reshape((rows,) + (1,) * (len(shape) - 1))
+        return (np.broadcast_to(per_row, shape).copy(),)
+
+    _record(out, (x,), vjp)
+    return out
+
+
+def softmax_cross_entropy(logits, labels, segments=None) -> Tensor:
     """Mean cross-entropy of row softmax vs integer labels. Fused for
-    stability; caller filters rows to the ones that should count."""
+    stability; caller filters rows to the ones that should count. With
+    `segments`, one mean per row segment instead of a scalar."""
     logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.intp)
     n, c = logits.data.shape
@@ -471,24 +555,30 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         raise ValueError(f"labels shape {labels.shape} for logits {logits.data.shape}")
     if n == 0:
         raise ValueError("cross entropy over zero rows")
+    bounds = _bounds(segments, n)
+    counts = np.diff(bounds)
+    if np.any(counts == 0):
+        raise ValueError("cross entropy over an empty segment")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     nll = -(z[np.arange(n), labels] - np.log(e.sum(axis=1)))
     flops.add_cost(scalar_ops=n * flops.softmax_row_ops(c) + 3 * n, comparisons=n * c)
-    out = Tensor(nll.mean())
+    means = [nll[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    out = Tensor(means[0] if segments is None else np.array(means))
 
     def vjp(g):
         grad = p.copy()
         grad[np.arange(n), labels] -= 1.0
-        return (grad * (g / n),)
+        return (grad * np.repeat(np.reshape(g, -1) / counts, counts)[:, None],)
 
     _record(out, (logits,), vjp)
     return out
 
 
-def mse(pred, target) -> Tensor:
+def mse(pred, target, segments=None) -> Tensor:
     """Mean squared error over all entries (compose with gather_rows to
-    restrict to valid rows)."""
+    restrict to valid rows); with `segments`, one mean per row segment."""
     diff = sub(pred, target)
-    return mean_all(mul(diff, diff))
+    sq = mul(diff, diff)
+    return mean_all(sq) if segments is None else segment_mean(sq, segments)

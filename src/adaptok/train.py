@@ -3,7 +3,8 @@ sanity segmentation head's cross entropy, end to end through both stages."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,75 +12,134 @@ from . import boundary, stage1, stage2, tensor
 from .boundary import IGNORE
 from .config import EncoderConfig
 from .params import ParamStore, rng_for
-from .stage1 import Stage1Output
+from .stage1 import Stage1Batch, Stage1Output
 from .stage2 import Stage2Output
 from .tensor import GradTape, Tensor
 
 
 @dataclass
 class ForwardResult:
+    """One sample's outputs: detached row views of its batch's stacked
+    tensors. Its loss is taken on the batch (`sample_loss`)."""
+
     s1out: Stage1Output
     s2out: Stage2Output
     dense: Tensor
     logits: Tensor
     cell_token: np.ndarray
     cell_labels: np.ndarray | None
+    batch: BatchForward = field(repr=False, compare=False)
+    index: int = 0
 
 
-def _refine(s1out: Stage1Output, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
-    if cfg.stage1_only:
-        return stage2.run_stage1_only_refine(s1out, store, cfg)
-    return stage2.run_stage2(s1out, store, cfg)
+@dataclass
+class BatchForward(Sequence):
+    """One forward over a batch, stacked: sample i's cells follow sample
+    i-1's in `dense`, `logits` and `cell_token`. Indexing yields per-sample
+    ForwardResults, made on access (a result refers to its batch, so the
+    batch keeps none: no reference cycle holds a step's tape alive)."""
 
+    s1: Stage1Batch
+    s2out: Stage2Output
+    dense: Tensor
+    logits: Tensor
+    cell_token: np.ndarray
+    cell_labels: list[np.ndarray | None]
 
-def _finish(s1out, store, cfg, labels) -> ForwardResult:
-    s2out = _refine(s1out, store, cfg)
-    dense, cell_token = stage2.densify_finest(s1out.token_set, s2out, store, cfg)
-    logits = stage2.head_logits(dense, store)
-    cell_labels = None if labels is None else boundary.cell_majority_labels(labels)
-    return ForwardResult(s1out, s2out, dense, logits, cell_token, cell_labels)
+    def __len__(self) -> int:
+        return len(self.s1)
+
+    def __getitem__(self, i: int) -> ForwardResult:
+        if not -len(self) <= i < len(self):
+            raise IndexError(i)
+        i %= len(self)
+        cells = len(self.cell_token) // len(self)
+        rows = slice(i * cells, (i + 1) * cells)
+        return ForwardResult(
+            self.s1[i],
+            self.s2out.sample(i),
+            Tensor(self.dense.data[rows]),
+            Tensor(self.logits.data[rows]),
+            self.cell_token[rows],
+            self.cell_labels[i],
+            self,
+            i,
+        )
 
 
 def forward_full(image, store, cfg, labels=None, *, batch_index: int = 0) -> ForwardResult:
-    s1out = stage1.run_stage1(image, store, cfg, labels, batch_index=batch_index)
-    return _finish(s1out, store, cfg, labels)
+    """One sample, as a batch of one."""
+    return _forward([image], None if labels is None else [labels], store, cfg, batch_index)[0]
 
 
-def forward_batch(images, labels_list, store, cfg, *, batch_index: int = 0) -> list[ForwardResult]:
-    outs = stage1.run_stage1_batch(images, store, cfg, labels_list, batch_index=batch_index)
-    labels_list = labels_list if labels_list is not None else [None] * len(outs)
-    return [_finish(o, store, cfg, lab) for o, lab in zip(outs, labels_list)]
+def forward_batch(images, labels_list, store, cfg, *, batch_index: int = 0) -> BatchForward:
+    return _forward(images, labels_list, store, cfg, batch_index)
 
 
-def head_cross_entropy(fr: ForwardResult) -> Tensor | None:
-    if fr.cell_labels is None:
+def _forward(images, labels_list, store, cfg, batch_index: int) -> BatchForward:
+    # both entry points call this, not each other, so a wrapper around
+    # either one sees each forward once
+    s1 = stage1.run_stage1_batch(images, store, cfg, labels_list, batch_index=batch_index)
+    refine = stage2.run_stage1_only_refine if cfg.stage1_only else stage2.run_stage2
+    s2out = refine(s1, store, cfg)
+    dense, cell_token = stage2.densify_finest(s1.tokens, s2out, store, cfg)
+    logits = stage2.head_logits(dense, store, (cfg.head_cells,) * len(s1))
+    labels_list = [None] * len(s1) if labels_list is None else labels_list
+    cell_labels = [None if lab is None else boundary.cell_majority_labels(lab) for lab in labels_list]
+    return BatchForward(s1, s2out, dense, logits, cell_token, cell_labels)
+
+
+def head_cross_entropy(batch: BatchForward, samples=None) -> tuple[Tensor, list[int]] | None:
+    """Per-sample cross entropy of the head over labelled cells, for those
+    of `samples` (default: all) with any; also their indices."""
+    cells = len(batch.cell_token) // len(batch)
+    rows, labels, counts, ids = [], [], [], []
+    for i in range(len(batch)) if samples is None else samples:
+        if batch.cell_labels[i] is None:
+            continue
+        lab = batch.cell_labels[i].reshape(-1)
+        valid = np.flatnonzero(lab != IGNORE)
+        if valid.size:
+            rows.append(i * cells + valid)
+            labels.append(lab[valid])
+            counts.append(valid.size)
+            ids.append(i)
+    if not ids:
         return None
-    lab = fr.cell_labels.reshape(-1)
-    valid = np.flatnonzero(lab != IGNORE)
-    if valid.size == 0:
-        return None
-    picked = tensor.gather_rows(fr.logits, valid)
-    return tensor.softmax_cross_entropy(picked, lab[valid])
+    picked = tensor.gather_rows(batch.logits, np.concatenate(rows))
+    return tensor.softmax_cross_entropy(picked, np.concatenate(labels), counts), ids
+
+
+def batch_loss(batch: BatchForward, allocator_weight: float = 1.0, samples=None) -> tuple[Tensor | None, list[dict]]:
+    """Mean over `samples` (default: all) of each sample's loss,
+    allocator_weight x allocator MSE + head cross entropy, on the stacked
+    tensors; samples with neither part do not count. Also each sample's raw
+    parts."""
+    chosen = list(range(len(batch))) if samples is None else list(samples)
+    raw = {i: {} for i in chosen}
+    vectors = []
+    for name, part in (
+        ("allocator_mse", stage1.allocator_mse(batch.s1, chosen)),
+        ("head_ce", head_cross_entropy(batch, chosen)),
+    ):
+        if part is None:
+            continue
+        t, ids = part
+        for i, v in zip(ids, t.data):
+            raw[i][name] = float(v)
+        if name == "allocator_mse" and allocator_weight != 1.0:
+            t = tensor.scale(t, allocator_weight)
+        vectors.append(t)
+    counted = sum(1 for parts in raw.values() if parts)
+    if not counted:
+        return None, list(raw.values())
+    total = tensor.sum_all(tensor.concat(vectors) if len(vectors) > 1 else vectors[0])
+    return tensor.scale(total, 1.0 / counted), list(raw.values())
 
 
 def sample_loss(fr: ForwardResult, allocator_weight: float = 1.0) -> tuple[Tensor | None, dict]:
-    parts = {}
-    raw = {}
-    mse_t = stage1.allocator_mse(fr.s1out)
-    if mse_t is not None:
-        raw["allocator_mse"] = float(mse_t.data)
-        parts["allocator_mse"] = (
-            tensor.scale(mse_t, allocator_weight) if allocator_weight != 1.0 else mse_t
-        )
-    ce = head_cross_entropy(fr)
-    if ce is not None:
-        raw["head_ce"] = float(ce.data)
-        parts["head_ce"] = ce
-    if not parts:
-        return None, {}
-    total = None
-    for t in parts.values():
-        total = t if total is None else tensor.add(total, t)
+    """One sample's loss, taken on its batch's stacked tensors."""
+    total, (raw,) = batch_loss(fr.batch, allocator_weight, [fr.index])
     return total, raw
 
 
@@ -138,21 +198,14 @@ def train(
         images = [corpus[i].image for i in idx]
         labels = [corpus[i].labels for i in idx]
         with GradTape() as tape:
-            results = forward_batch(images, labels, store, cfg, batch_index=step)
-            losses = []
+            batch = forward_batch(images, labels, store, cfg, batch_index=step)
+            total, raw = batch_loss(batch, allocator_weight)
             parts_acc: dict[str, float] = {}
-            for fr in results:
-                t, parts = sample_loss(fr, allocator_weight)
-                if t is not None:
-                    losses.append(t)
+            for parts in raw:
                 for k, v in parts.items():
-                    parts_acc[k] = parts_acc.get(k, 0.0) + v / len(results)
-            if not losses:
+                    parts_acc[k] = parts_acc.get(k, 0.0) + v / len(batch)
+            if total is None:
                 continue
-            total = losses[0]
-            for t in losses[1:]:
-                total = tensor.add(total, t)
-            total = tensor.scale(total, 1.0 / len(losses))
             loss_val = float(total.data)
             if not np.isfinite(loss_val):
                 raise RuntimeError(

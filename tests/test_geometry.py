@@ -208,7 +208,7 @@ def test_pad_and_mask_counts():
     a = coarse_grid(64, 64)
     b, _ = coarse_grid(64, 64).with_children([a.frontier[0]])
     # counts per level: a = [4,0,...], b = [4,4,...]
-    padded, masks = pad_and_mask([a, b])
+    padded = pad_and_mask([a, b])
     assert padded[0].n_rows == padded[1].n_rows == 8
-    assert masks[0].sum() == 4 and masks[1].sum() == 8
-    assert list(padded[0].pad_levels) == [1] * 4
+    assert padded[0].n_valid == 4 and padded[1].n_valid == 8
+    assert list(padded[0].pad_levels) == [1] * 4 and not padded[1].pad_levels

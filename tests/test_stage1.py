@@ -1,7 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptok import boundary, config, geometry, params, scenes, stage1
 from adaptok.errors import ContractError
@@ -60,31 +63,31 @@ class TestCoarseEmbed:
         store = init_params(nano_cfg, seed=0)
         store["s1.embed.w"].data[:] = 0.0
         store["s1.embed.b"].data[:] = 0.0
-        run = stage1.Stage1Run(np.zeros((64, 64, 3)), store, nano_cfg)
+        run = stage1.Stage1Run([np.zeros((64, 64, 3))], store, nano_cfg)
         # no pre-allocation blocks: strip them by zeroing is messy; read
         # the embedding before the ViT instead
         cfgs = nano_cfg.with_overrides(stage1_blocks=(0, 1, 1, 0))
         store0 = init_params(cfgs, seed=0)
         store0["s1.embed.w"].data[:] = 0.0
         store0["s1.embed.b"].data[:] = 0.0
-        run = stage1.Stage1Run(np.zeros((64, 64, 3)), store0, cfgs)
+        run = stage1.Stage1Run([np.zeros((64, 64, 3))], store0, cfgs)
         run.begin()
         grid_w = 64 // 32
         pos = store0["s1.embed.pos"].data
-        for i, k in enumerate(run.token_set.keys):
+        for i, k in enumerate(run.token_sets[0].keys):
             assert np.array_equal(run.feats.data[i], pos[k.row * grid_w + k.col])
 
     def test_embed_matches_matmul_oracle(self, nano_cfg, rng):
         cfg = nano_cfg.with_overrides(stage1_blocks=(0, 1, 1, 0))
         store = init_params(cfg, seed=1)
         img = rng.random((64, 64, 3))
-        run = stage1.Stage1Run(img, store, cfg)
+        run = stage1.Stage1Run([img], store, cfg)
         run.begin()
         grid_w = 2
         w = store["s1.embed.w"].data
         b = store["s1.embed.b"].data
         pos = store["s1.embed.pos"].data
-        for i, k in enumerate(run.token_set.keys):
+        for i, k in enumerate(run.token_sets[0].keys):
             y0, x0, y1, x1 = k.rect()
             expect = img[y0:y1, x0:x1].reshape(-1) @ w + b + pos[k.row * grid_w + k.col]
             assert np.max(np.abs(run.feats.data[i] - expect)) < 1e-12
@@ -95,10 +98,10 @@ class TestPreAllocationVit:
         cfg = nano_cfg.with_overrides(stage1_blocks=(0, 1, 1, 0))
         store = init_params(cfg, seed=0)
         img = rng.random((64, 64, 3))
-        run = stage1.Stage1Run(img, store, cfg)
+        run = stage1.Stage1Run([img], store, cfg)
         run.begin()
         w = store["s1.embed.w"].data
-        k0 = run.token_set.keys[0]
+        k0 = run.token_sets[0].keys[0]
         y0, x0, y1, x1 = k0.rect()
         expect = img[y0:y1, x0:x1].reshape(-1) @ w + store["s1.embed.b"].data
         expect = expect + store["s1.embed.pos"].data[k0.row * 2 + k0.col]
@@ -108,7 +111,7 @@ class TestPreAllocationVit:
         cfg = config.nano(h=32, w=32)
         store = init_params(cfg, seed=2)
         img = rng.random((32, 32, 3))
-        run = stage1.Stage1Run(img, store, cfg)
+        run = stage1.Stage1Run([img], store, cfg)
         run.begin()
         # replicate by hand: embed then one pre-norm block with n=1
         x = img.reshape(1, -1) @ store["s1.embed.w"].data + store["s1.embed.b"].data
@@ -146,24 +149,24 @@ class TestScorer:
             store[f"s1.r1.{nm}.w"].data[:] = 0.0
             store[f"s1.r1.{nm}.b"].data[:] = 0.0
         img = rng.random((64, 64, 3))
-        run = stage1.Stage1Run(img, store, nano_cfg)
+        run = stage1.Stage1Run([img], store, nano_cfg)
         run.begin()
         run.enter_round(1)
-        scores = run.score_round(1)
+        (scores,) = run.score_round(1)
         assert np.allclose(scores, 0.5)
 
     def test_scores_in_open_interval(self, nano_cfg, nano_store, rng):
-        run = stage1.Stage1Run(rng.random((64, 64, 3)), nano_store, nano_cfg)
+        run = stage1.Stage1Run([rng.random((64, 64, 3))], nano_store, nano_cfg)
         run.begin()
         run.enter_round(1)
-        scores = run.score_round(1)
+        (scores,) = run.score_round(1)
         assert np.all((scores > 0) & (scores < 1))
 
     def test_scoring_cost_is_linear_in_frontier(self, nano_cfg, nano_store, rng):
         from adaptok import flops
 
         def scorer_cost(img, cfg, store):
-            run = stage1.Stage1Run(img, store, cfg)
+            run = stage1.Stage1Run([img], store, cfg)
             run.begin()
             run.enter_round(1)
             with flops.meter() as m:
@@ -186,40 +189,40 @@ class TestAllocate:
         for nm in ("pix", "mlp1", "mlp2"):
             store[f"s1.r1.child.{nm}.w"].data[:] = 0.0
             store[f"s1.r1.child.{nm}.b"].data[:] = 0.0
-        run = stage1.Stage1Run(np.zeros((64, 64, 3)), store, nano_cfg)
+        run = stage1.Stage1Run([np.zeros((64, 64, 3))], store, nano_cfg)
         run.begin()
         run.enter_round(1)
-        scores = run.score_round(1)
-        parent = run.token_set.frontier[0]
-        parent_row = run.token_set.rows_of([parent])[0]
+        (scores,) = run.score_round(1)
+        parent = run.token_sets[0].frontier[0]
+        parent_row = run.token_sets[0].rows_of([parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
-        run.allocate_round(1, [parent], scores, None, "predicted")
+        run.allocate_round(1, [([parent], "predicted")], [scores], [None])
         scale = store["s1.r1.scale_emb"].data
         slots = store["s1.r1.slot_emb"].data
         kids = geometry.split(parent)
         for slot, kid in enumerate(kids):
-            row = run.token_set.keys.index(kid)
+            row = run.token_sets[0].keys.index(kid)
             expect = parent_feat + scale + slots[slot]
             assert np.max(np.abs(run.feats.data[row] - expect)) < 1e-12
 
     def test_children_share_residual_and_scale(self, nano_cfg, rng):
         store = init_params(nano_cfg, seed=0)
         img = rng.random((64, 64, 3))
-        run = stage1.Stage1Run(img, store, nano_cfg)
+        run = stage1.Stage1Run([img], store, nano_cfg)
         run.begin()
         run.enter_round(1)
-        scores = run.score_round(1)
-        parent = run.token_set.frontier[0]
-        parent_row = run.token_set.rows_of([parent])[0]
+        (scores,) = run.score_round(1)
+        parent = run.token_sets[0].frontier[0]
+        parent_row = run.token_sets[0].rows_of([parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
-        run.allocate_round(1, [parent], scores, None, "predicted")
+        run.allocate_round(1, [([parent], "predicted")], [scores], [None])
         slots = store["s1.r1.slot_emb"].data
         kids = geometry.split(parent)
         # subtracting the per-slot embedding and the shared residual leaves
         # only the per-child pixel path
         leftovers = []
         for slot, kid in enumerate(kids):
-            row = run.token_set.keys.index(kid)
+            row = run.token_sets[0].keys.index(kid)
             leftovers.append(run.feats.data[row] - slots[slot] - parent_feat - store["s1.r1.scale_emb"].data)
         # recompute pixel path by hand for child 0
         y0, x0, y1, x1 = kids[0].rect()
@@ -241,12 +244,22 @@ class TestAllocate:
                 assert rec.selected_count == recount
 
     def test_selection_outside_frontier_rejected(self, nano_cfg, nano_store, rng):
-        run = stage1.Stage1Run(rng.random((64, 64, 3)), nano_store, nano_cfg)
+        run = stage1.Stage1Run([rng.random((64, 64, 3))], nano_store, nano_cfg)
         run.begin()
         run.enter_round(1)
-        scores = run.score_round(1)
+        (scores,) = run.score_round(1)
         with pytest.raises(ContractError):
-            run.allocate_round(1, [geometry.TokenKey(2, 0, 0)], scores, None, "predicted")
+            run.allocate_round(1, [([geometry.TokenKey(2, 0, 0)], "predicted")], [scores], [None])
+
+
+    def test_selection_naming_a_parent_twice_rejected(self, nano_cfg, nano_store, rng):
+        run = stage1.Stage1Run([rng.random((64, 64, 3))], nano_store, nano_cfg)
+        run.begin()
+        run.enter_round(1)
+        (scores,) = run.score_round(1)
+        parent = run.token_sets[0].frontier[0]
+        with pytest.raises(ContractError, match=f"more than once.*{re.escape(repr(parent))}"):
+            run.allocate_round(1, [([parent, parent], "predicted")], [scores], [None])
 
 
 class TestPolicies:
@@ -367,7 +380,7 @@ class TestBatchPadding:
         for out in batch:
             n_pad = len(out.token_set.pad_levels)
             assert out.token_set.n_rows - out.token_set.n_valid == n_pad
-            assert out.token_set.valid_mask().sum() == out.token_set.n_valid
+            assert out.feats.data.shape[0] == out.token_set.n_valid + n_pad
             perturbed = out.feats.data.copy()
             perturbed[out.token_set.n_valid :] += 13.0
             a = run_stage2(out, store, cfg)
@@ -379,10 +392,11 @@ class TestBatchPadding:
     def test_allocator_mse_matches_numpy_loss(self, nano_cfg, nano_store, rng, scene_spec):
         sc = scenes.generate_scene(31, scene_spec)
         out = run_stage1(sc.image, nano_store, nano_cfg, sc.labels)
-        t = allocator_mse(out)
+        t, ids = allocator_mse(out)
         preds = np.concatenate([r.scores for r in out.trace.rounds if r.candidate_count])
         targs = np.concatenate([r.targets for r in out.trace.rounds if r.candidate_count])
-        assert abs(float(t.data) - boundary.allocator_loss(preds, targs)) < 1e-12
+        assert ids == [0] and t.data.shape == (1,)
+        assert abs(float(t.data[0]) - boundary.allocator_loss(preds, targs)) < 1e-12
 
 
 class TestParamContainer:
@@ -401,8 +415,52 @@ class TestParamContainer:
         with pytest.raises(ValueError):
             load_params(path, other)
 
+    def test_truncated_container_rejected(self, tmp_path, nano_cfg, nano_store):
+        path = tmp_path / "params.bin"
+        save_params(path, nano_store, nano_cfg)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-12])
+        last = sorted(nano_store.names())[-1]
+        with pytest.raises(ValueError, match=f"truncated.*values of parameter {last}"):
+            load_params(path, nano_cfg)
+
+    def test_trailing_bytes_rejected(self, tmp_path, nano_cfg, nano_store):
+        path = tmp_path / "params.bin"
+        save_params(path, nano_store, nano_cfg)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="8 trailing bytes"):
+            load_params(path, nano_cfg)
+
+    def test_non_finite_parameter_rejected(self, tmp_path, nano_cfg):
+        store = init_params(nano_cfg, seed=0)
+        store["head.b"].data[1] = np.nan
+        path = tmp_path / "params.bin"
+        save_params(path, store, nano_cfg)
+        with pytest.raises(ValueError, match="parameter head.b has non-finite values"):
+            load_params(path, nano_cfg)
+
     def test_init_is_creation_order_independent(self, nano_cfg):
         a = init_params(nano_cfg, seed=5)
         b = init_params(nano_cfg, seed=5)
         for name, t in a.items():
             assert np.array_equal(t.data, b[name].data)
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """A saved nano container: (path to rewrite, its bytes, its config)."""
+    cfg = config.nano()
+    path = tmp_path_factory.mktemp("container") / "params.bin"
+    save_params(path, init_params(cfg, seed=0), cfg)
+    return path, path.read_bytes(), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(min_value=0), extra=st.binary(max_size=64))
+def test_malformed_container_raises_value_error(container, cut, extra):
+    # cut at any byte, or intact with bytes appended: always a ValueError,
+    # never a raw struct.error
+    path, blob, cfg = container
+    path.write_bytes(blob + extra if extra else blob[: cut % len(blob)])
+    with pytest.raises(ValueError):
+        load_params(path, cfg)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptok import config, geometry, params, scenes, stage2, train
+from adaptok import config, flops, geometry, params, scenes, stage2, train
 from adaptok.errors import ContractError
 from adaptok.stage1 import Lateral, run_stage1, run_stage1_batch
 from adaptok.stage2 import densify_finest, head_logits, lateral_fuse, run_stage2
@@ -140,6 +140,50 @@ class TestRunStage2:
             for lvl in range(4):
                 nv = len(a.emitted[lvl].keys)
                 assert np.array_equal(a.emitted[lvl].feats.data[:nv], b.emitted[lvl].feats.data[:nv])
+
+
+    def test_stacked_batch_mixes_window_layouts(self, scene_spec):
+        # oracle allocation pads scenes 51/52/53 by 80/12/0 rows: 52 and 53
+        # are multi-run windows, 51 keeps its 4 coarse tokens, one run of its
+        # own; a uniform label map splits nothing either, so its 4 tokens
+        # share 51's single-run layout
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
+        images = [s.image for s in sc] + [sc[0].image]
+        labels = [s.labels for s in sc] + [np.zeros_like(sc[0].labels)]
+        with flops.meter() as m:
+            batch = train.forward_batch(images, labels, store, cfg)
+        assert [len(fr.s1out.token_set.pad_levels) for fr in batch] == [80, 12, 0, 80]
+        assert [fr.s1out.token_set.n_valid for fr in batch] == [4, 72, 84, 4]
+        solo_counts = []
+        for fr, image, lab in zip(batch, images, labels):
+            solo = train.forward_full(image, store, cfg, lab)
+            n = solo.s1out.token_set.n_valid
+            assert fr.s1out.token_set.keys == solo.s1out.token_set.keys
+            assert np.array_equal(fr.s1out.feats.data[:n], solo.s1out.feats.data)
+            assert np.array_equal(fr.logits.data, solo.logits.data)
+            assert np.array_equal(fr.cell_token, solo.cell_token)
+            solo_counts.append(flops.count_forward(cfg, fr.s1out.trace).total())
+        t = m.total()
+        assert (t.macs, t.scalar_ops, t.comparisons) == tuple(
+            sum(getattr(c, f) for c in solo_counts) for f in ("macs", "scalar_ops", "comparisons")
+        )
+
+    def test_sample_loss_is_the_batch_loss_of_one(self, scene_spec):
+        # a sample's loss taken on its batch equals its solo loss, and the
+        # batch loss is the mean of the per-sample losses
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
+        batch = train.forward_batch([s.image for s in sc], [s.labels for s in sc], store, cfg)
+        solo = [train.sample_loss(train.forward_full(s.image, store, cfg, s.labels), 10.0) for s in sc]
+        for fr, (total, raw) in zip(batch, solo):
+            got, got_raw = train.sample_loss(fr, 10.0)
+            assert float(got.data) == float(total.data) and got_raw == raw
+        total, raws = train.batch_loss(batch, 10.0)
+        assert raws == [raw for _, raw in solo]
+        assert abs(float(total.data) - np.mean([float(t.data) for t, _ in solo])) <= 1e-15
 
 
 class TestDensify:

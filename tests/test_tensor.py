@@ -172,6 +172,54 @@ class TestWindowAttention:
             assert np.all(np.isfinite(t.grad))
 
 
+    # segment lengths mixing every window layout: multi-run with a short
+    # tail, exactly one run, shorter than a run, a single row, and empty
+    SEGMENTS = (2 * SIZE + 3, SIZE, 3, 1, 0, SIZE + 1)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_segments_equal_separate_calls(self, heads, rng):
+        d = 4 * heads
+        n = sum(self.SEGMENTS)
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        with flops.meter() as m_batch:
+            out = tensor.window_attention(Tensor(q), Tensor(k), Tensor(v), self.SIZE, heads, self.SEGMENTS)
+        bounds = np.cumsum((0,) + self.SEGMENTS)
+        with flops.meter() as m_solo:
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                if hi > lo:
+                    solo = tensor.window_attention(Tensor(q[lo:hi]), Tensor(k[lo:hi]), Tensor(v[lo:hi]), self.SIZE, heads)
+                    assert np.array_equal(out.data[lo:hi], solo.data)
+        assert m_batch.total() == m_solo.total()
+
+    def test_segments_must_cover_the_rows(self, rng):
+        q = Tensor(rng.standard_normal((5, 4)))
+        with pytest.raises(ValueError):
+            tensor.window_attention(q, q, q, self.SIZE, 1, (2, 2))
+
+
+class TestLinear:
+    def test_segments_equal_separate_calls(self, rng):
+        # k = 3072 is the patch embedding's width, where BLAS rounds a row
+        # differently when the row count changes
+        segments = (1, 4, 0, 7, 2)
+        x = rng.standard_normal((sum(segments), 3072))
+        w, b = rng.standard_normal((3072, 16)), rng.standard_normal(16)
+        with flops.meter() as m:
+            out = tensor.linear(Tensor(x), Tensor(w), Tensor(b), segments)
+        assert m.total().macs == x.shape[0] * 3072 * 16 and m.total().scalar_ops == x.shape[0] * 16
+        bounds = np.cumsum((0,) + segments)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            expect = tensor.add(tensor.matmul(Tensor(x[lo:hi]), Tensor(w)), Tensor(b))
+            assert np.array_equal(out.data[lo:hi], expect.data)
+
+    def test_shapes_checked(self, rng):
+        x, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            tensor.linear(x, w, Tensor(np.zeros(3)))
+        with pytest.raises(ValueError):
+            tensor.linear(x, w, Tensor(np.zeros(2)), (1, 1))
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
@@ -195,6 +243,31 @@ class TestBackward:
             y = tensor.mul(w, w)
         with pytest.raises(ContractError):
             backward(y, tape)
+
+    def test_aliased_consumers_match_finite_differences(self, rng):
+        # add(a, a) hands one gradient array to a twice, and add(a, b), the
+        # last consumer of both, hands one array to a and b, which earlier
+        # consumers then reach again: an adopted gradient must never be
+        # added into in place
+        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        coef = Tensor(rng.standard_normal((3, 4)))
+
+        def forward():
+            early_a = tensor.mul(a, coef)
+            early_b = tensor.mul(tensor.reshape(b, (4, 3)), tensor.reshape(b, (4, 3)))
+            doubled = tensor.add(a, a)
+            s = tensor.add(a, b)
+            parts = [early_a, early_b, tensor.mul(s, s), tensor.mul(doubled, coef)]
+            return tensor.sum_all(tensor.concat([tensor.reshape(p, (12,)) for p in parts]))
+
+        with GradTape() as tape:
+            loss = forward()
+        backward(loss, tape)
+        for t in (a, b):
+            for idx in np.ndindex(t.data.shape):
+                fd = finite_difference(lambda: float(forward().data), t, idx)
+                assert rel_err(t.grad[idx], fd) < 1e-6
 
     def test_scorer_mlp_mse_finite_differences(self, rng):
         # 2-layer sigmoid MLP regression: the allocator's exact shape
@@ -240,6 +313,18 @@ class TestBackward:
             "window_attention",
             tuple(rng.standard_normal((5, 4)) for _ in range(3)),
             {"size": 5, "heads": 1},
+        ),
+        lambda rng: ("linear", (rng.standard_normal((5, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2))),
+        lambda rng: (
+            "linear",
+            (rng.standard_normal((5, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2)),
+            {"segments": (2, 0, 3)},
+        ),
+        # a multi-run segment, a single run shorter than size, a single row
+        lambda rng: (
+            "window_attention",
+            tuple(rng.standard_normal((12, 4)) for _ in range(3)),
+            {"size": 3, "heads": 2, "segments": (8, 3, 1)},
         ),
     ],
 )
