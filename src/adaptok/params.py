@@ -9,6 +9,7 @@ values of existing ones.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -33,15 +34,55 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
 
 
 class ParamStore:
-    def __init__(self):
+    """Named float64 parameters laid out in one arena, `flat`: each
+    parameter's `data` is a writable C-contiguous view of its slot, in
+    creation order, so a write through `store[name].data` moves `flat` and
+    whole-model passes (Adam, finite checks) are single vector ops.
+
+    `specs` lays out a whole model at once: (name, shape, fill) triples,
+    where fill(out) writes the values into their slot (None: zeros). The
+    arena is sized exactly and nothing is made outside it, so a big model
+    is never held twice. `add` grows the arena by one parameter."""
+
+    def __init__(self, specs=()):
+        specs = [(name, tuple(shape), fill) for name, shape, fill in specs]
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape, _ in specs))
         self._params: dict[str, Tensor] = {}
+        lo = 0
+        for name, shape, fill in specs:
+            if name in self._params:
+                raise ValueError(f"duplicate parameter {name}")
+            t = self._seat(name, lo, shape)
+            if fill is not None:
+                fill(t.data)
+            lo += t.data.size
+
+    def _seat(self, name: str, lo: int, shape) -> Tensor:
+        """Point `name`'s data at the arena slot of this shape starting at `lo`."""
+        view = self.flat[lo : lo + math.prod(shape)].reshape(shape)
+        if name in self._params:
+            self._params[name].data = view
+        else:
+            self._params[name] = Tensor(view, requires_grad=True)
+        return self._params[name]
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter {name}")
-        t = Tensor(array, requires_grad=True)
-        self._params[name] = t
-        return t
+        array = np.asarray(array, dtype=np.float64)
+        self.flat = np.concatenate([self.flat, array.reshape(-1)])
+        lo = 0
+        for n, t in self._params.items():  # re-seat every view in the new arena
+            self._seat(n, lo, t.data.shape)
+            lo += t.data.size
+        return self._seat(name, lo, array.shape)
+
+    def declare(self, name: str, shape, fill=None) -> Tensor:
+        """`add` with the values of a spec (see the class docstring)."""
+        values = np.zeros(shape)
+        if fill is not None:
+            fill(values)
+        return self.add(name, values)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -55,28 +96,35 @@ class ParamStore:
     def names(self):
         return list(self._params)
 
-    @property
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
-    def zero_grads(self):
-        for t in self._params.values():
-            t.grad = None
+class _Specs(list):
+    """The (name, shape, fill) specs of a model, collected by the init
+    helpers before `ParamStore` lays them out."""
+
+    def declare(self, name: str, shape, fill=None):
+        self.append((name, shape, fill))
 
 
-def _linear(store, seed, name, d_in, d_out):
-    rng = rng_for(seed, name, "w")
-    store.add(f"{name}.w", rng.standard_normal((d_in, d_out)) / np.sqrt(d_in))
-    store.add(f"{name}.b", np.zeros(d_out))
+def _linear(store, seed, name, d_in, d_out, bias: float = 0.0):
+    def weights(out):
+        rng_for(seed, name, "w").standard_normal(out=out)
+        out /= np.sqrt(d_in)
+
+    store.declare(f"{name}.w", (d_in, d_out), weights)
+    store.declare(f"{name}.b", (d_out,), lambda out: out.fill(bias))
 
 
 def _layer_norm(store, name, d):
-    store.add(f"{name}.g", np.ones(d))
-    store.add(f"{name}.b", np.zeros(d))
+    store.declare(f"{name}.g", (d,), lambda out: out.fill(1.0))
+    store.declare(f"{name}.b", (d,))
 
 
 def _embedding(store, seed, name, shape):
-    store.add(name, rng_for(seed, name).standard_normal(shape) * EMB_SCALE)
+    def values(out):
+        rng_for(seed, name).standard_normal(out=out)
+        out *= EMB_SCALE
+
+    store.declare(name, shape, values)
 
 
 def _block(store, seed, prefix, d, key_scale: bool):
@@ -90,52 +138,51 @@ def _block(store, seed, prefix, d, key_scale: bool):
     _linear(store, seed, f"{prefix}.mlp2", MLP_RATIO * d, d)
 
 
-def init_coarse_embed(store: ParamStore, cfg: EncoderConfig, seed: int):
+def init_coarse_embed(store, cfg: EncoderConfig, seed: int):
     d0 = cfg.stage1_dims[0]
     _linear(store, seed, "s1.embed", 32 * 32 * cfg.channels, d0)
     _embedding(store, seed, "s1.embed.pos", (cfg.coarse_tokens, d0))
 
 
 def init_params(cfg: EncoderConfig, seed: int) -> ParamStore:
-    store = ParamStore()
-    init_coarse_embed(store, cfg, seed)
+    specs = _Specs()
+    init_coarse_embed(specs, cfg, seed)
     d0 = cfg.stage1_dims[0]
     for i in range(cfg.stage1_blocks[0]):
-        _block(store, seed, f"s1.pre.{i}", d0, key_scale=False)
+        _block(specs, seed, f"s1.pre.{i}", d0, key_scale=False)
     for r in (1, 2, 3):
         d = cfg.stage1_dims[r]
         side = 32 >> r
-        _linear(store, seed, f"s1.r{r}.proj", cfg.stage1_dims[r - 1], d)
+        _linear(specs, seed, f"s1.r{r}.proj", cfg.stage1_dims[r - 1], d)
         hid = cfg.scorer_hidden(r)
-        _linear(store, seed, f"s1.r{r}.score1", d, hid)
-        _linear(store, seed, f"s1.r{r}.score2", hid, 1)
-        store[f"s1.r{r}.score2.b"].data[:] = SCORER_BIAS_INIT
+        _linear(specs, seed, f"s1.r{r}.score1", d, hid)
+        _linear(specs, seed, f"s1.r{r}.score2", hid, 1, bias=SCORER_BIAS_INIT)
         if not cfg.no_aux_image:
-            _linear(store, seed, f"s1.r{r}.child.pix", side * side * cfg.channels, d)
-            _linear(store, seed, f"s1.r{r}.child.mlp1", d, d)
-            _linear(store, seed, f"s1.r{r}.child.mlp2", d, d)
-        _embedding(store, seed, f"s1.r{r}.scale_emb", (d,))
-        _embedding(store, seed, f"s1.r{r}.slot_emb", (4, d))
+            _linear(specs, seed, f"s1.r{r}.child.pix", side * side * cfg.channels, d)
+            _linear(specs, seed, f"s1.r{r}.child.mlp1", d, d)
+            _linear(specs, seed, f"s1.r{r}.child.mlp2", d, d)
+        _embedding(specs, seed, f"s1.r{r}.scale_emb", (d,))
+        _embedding(specs, seed, f"s1.r{r}.slot_emb", (4, d))
         for i in range(cfg.stage1_blocks[r]):
-            _block(store, seed, f"s1.r{r}.blk{i}", d, key_scale=True)
+            _block(specs, seed, f"s1.r{r}.blk{i}", d, key_scale=True)
     head_dim = cfg.stage2_dims[0]
     if cfg.stage1_only:
-        _block(store, seed, "s1x.blk", cfg.stage1_dims[3], key_scale=True)
+        _block(specs, seed, "s1x.blk", cfg.stage1_dims[3], key_scale=True)
         for lvl in (2, 1, 0):
-            _linear(store, seed, f"s1x.align{lvl}", cfg.stage1_dims[3], cfg.stage1_dims[3])
+            _linear(specs, seed, f"s1x.align{lvl}", cfg.stage1_dims[3], cfg.stage1_dims[3])
     else:
         for k in (1, 2, 3, 4):
             d = cfg.stage2_dims[k - 1]
             if k >= 2:
-                _linear(store, seed, f"s2.r{k}.proj", cfg.stage2_dims[k - 2], d)
-                _linear(store, seed, f"s2.r{k}.fuse", 2 * d, d)
+                _linear(specs, seed, f"s2.r{k}.proj", cfg.stage2_dims[k - 2], d)
+                _linear(specs, seed, f"s2.r{k}.fuse", 2 * d, d)
             for i in range(cfg.stage2_blocks[k - 1]):
-                _block(store, seed, f"s2.r{k}.blk{i}", d, key_scale=k < 4)
+                _block(specs, seed, f"s2.r{k}.blk{i}", d, key_scale=k < 4)
         for lvl in (2, 1, 0):
-            _linear(store, seed, f"dens.align{lvl}", cfg.stage2_dims[3 - lvl], head_dim)
-    _embedding(store, seed, "dens.pos", (cfg.head_cells, head_dim))
-    _linear(store, seed, "head", head_dim, cfg.n_classes)
-    return store
+            _linear(specs, seed, f"dens.align{lvl}", cfg.stage2_dims[3 - lvl], head_dim)
+    _embedding(specs, seed, "dens.pos", (cfg.head_cells, head_dim))
+    _linear(specs, seed, "head", head_dim, cfg.n_classes)
+    return ParamStore(specs)
 
 
 def save_params(path, store: ParamStore, cfg: EncoderConfig):
@@ -165,14 +212,19 @@ class _Reader:
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def skip(self, n: int, what: str) -> int:
+        """Step over n bytes; returns their offset."""
         if self.pos + n > len(self.blob):
             raise ValueError(
                 f"truncated parameter container: {what} needs {n} bytes at offset {self.pos}, "
                 f"{len(self.blob) - self.pos} left"
             )
         self.pos += n
-        return self.blob[self.pos - n : self.pos]
+        return self.pos - n
+
+    def take(self, n: int, what: str) -> bytes:
+        lo = self.skip(n, what)
+        return self.blob[lo : lo + n]
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -180,7 +232,8 @@ class _Reader:
 
 def load_params(path, cfg: EncoderConfig | None = None) -> ParamStore:
     """Read a container; raises ValueError naming the cause (and the
-    parameter) for a truncated file, trailing bytes or non-finite values."""
+    parameter) for a truncated file, trailing bytes or non-finite values.
+    Values are copied from the file's bytes straight into the arena."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.blob[:8] != MAGIC:
@@ -193,17 +246,20 @@ def load_params(path, cfg: EncoderConfig | None = None) -> ParamStore:
     if cfg is not None and digest != bytes.fromhex(cfg.digest()):
         raise ValueError("parameter container was built for a different config")
     (count,) = r.unpack("<I", "parameter count")
-    store = ParamStore()
+    specs = []
     for i in range(count):
         (name_len,) = r.unpack("<H", f"name length of parameter {i}")
         name = r.take(name_len, f"name of parameter {i}").decode()
         (ndim,) = r.unpack("<B", f"rank of parameter {name}")
         shape = r.unpack(f"<{ndim}I", f"shape of parameter {name}")
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(r.take(8 * n, f"values of parameter {name}"), dtype="<f8").reshape(shape)
-        if not np.isfinite(arr).all():
-            raise ValueError(f"parameter {name} has non-finite values")
-        store.add(name, arr.copy())
+        n = math.prod(shape)
+        lo = r.skip(8 * n, f"values of parameter {name}")
+        values = np.frombuffer(r.blob, dtype="<f8", count=n, offset=lo).reshape(shape)
+        specs.append((name, shape, lambda out, values=values: np.copyto(out, values)))
     if r.pos != len(r.blob):
         raise ValueError(f"parameter container has {len(r.blob) - r.pos} trailing bytes after {count} parameters")
+    store = ParamStore(specs)
+    if not np.isfinite(store.flat).all():
+        name = next(name for name, t in store.items() if not np.isfinite(t.data).all())
+        raise ValueError(f"parameter {name} has non-finite values")
     return store

@@ -93,20 +93,42 @@ def _record(out: Tensor, parents, vjp):
         _TAPES[-1].nodes.append(out)
 
 
+class Gradients(dict):
+    """Name -> gradient of each parameter passed to `backward`, each a view
+    of its slot in `flat`, one buffer laid out in the order the parameters
+    were given (a `ParamStore`'s `items()` gives its arena's layout)."""
+
+    def __init__(self, params):
+        params = list(params)
+        self.flat = np.empty(sum(t.data.size for _, t in params))
+        lo = 0
+        for name, t in params:
+            self[name] = self.flat[lo : lo + t.data.size].reshape(t.data.shape)
+            lo += t.data.size
+
+
 def backward(loss: Tensor, tape: GradTape, params=None):
     """Accumulate d(loss)/d(t) into `t.grad` for every tensor on the tape
     and every `requires_grad` leaf under it; constants keep `grad` None.
 
     `loss` must be a scalar produced under `tape`. When `params` is given
-    (iterable of (name, Tensor)), returns a name -> gradient dict with zeros
-    for parameters the loss never touched.
+    (iterable of (name, Tensor)), returns their `Gradients`: each
+    parameter's gradient lands in its slot of one flat buffer (a copy on
+    the first arrival, in-place adds after), and parameters the loss never
+    touched get zeros there; their `grad` stays None.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    params = None if params is None else list(params)
     for node in tape.nodes:
         node.grad = None
         for p in node._parents:
             p.grad = None
+    grads = None if params is None else Gradients(params)
+    slots = {}
+    for name, t in params or ():
+        t.grad = None  # an earlier backward's gradient is not this loss's
+        slots[id(t)] = grads[name]
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
         if node.grad is None:
@@ -115,16 +137,23 @@ def backward(loss: Tensor, tape: GradTape, params=None):
         for p, g in zip(node._parents, gs):
             if g is None or not p.requires_grad:
                 continue
-            # the first gradient is adopted as is; it may alias another
-            # parent's (add hands `g` to both, reshape and concat return
-            # views), so a second arrival allocates instead of adding in place
-            p.grad = g if p.grad is None else p.grad + g
-    if params is not None:
-        out = {}
-        for name, t in params:
-            out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return out
-    return None
+            slot = slots.get(id(p))
+            if slot is None:
+                # the first gradient is adopted as is; it may alias another
+                # parent's (add hands `g` to both, reshape and concat return
+                # views), so a second arrival allocates instead of adding in place
+                p.grad = g if p.grad is None else p.grad + g
+            elif p.grad is None:
+                slot[...] = g
+                p.grad = slot
+            else:
+                slot += g
+    if grads is None:
+        return None
+    for name, t in params:
+        if t.grad is None:
+            grads[name][...] = 0.0
+    return grads
 
 
 def _as_tensor(x) -> Tensor:
@@ -277,7 +306,8 @@ def concat(parts, axis: int = 0) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Select rows by integer index; duplicate indices accumulate on backward."""
+    """Select rows by non-negative integer index; duplicate indices
+    accumulate on backward."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(a.data[idx])
@@ -285,7 +315,10 @@ def gather_rows(a, idx) -> Tensor:
 
     def vjp(g):
         full = np.zeros((n_rows,) + g.shape[1:])
-        np.add.at(full, idx, g)
+        if idx.size and np.bincount(idx, minlength=n_rows).max() <= 1:
+            full[idx] = g  # unique rows (a permutation): nothing to accumulate
+        else:
+            np.add.at(full, idx, g)
         return (full,)
 
     _record(out, (a,), vjp)

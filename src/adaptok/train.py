@@ -144,27 +144,54 @@ def sample_loss(fr: ForwardResult, allocator_weight: float = 1.0) -> tuple[Tenso
 
 
 class Adam:
+    """Adam over a store's arena: flat first and second moments, updated
+    chunk by chunk with two scratch buffers, so each step allocates nothing
+    and each chunk stays in cache. Elementwise, a step is
+        m = b1*m + (1-b1)*g
+        v = b2*v + ((1-b2)*g)*g
+        p -= lr*(m/b1t) / (sqrt(v/b2t) + eps)
+    in that order of operations."""
+
+    CHUNK = 1 << 15  # elements per pass: six float64 chunks fit in L2
+
     def __init__(self, store: ParamStore, lr: float = 3e-3, betas=(0.9, 0.999), eps: float = 1e-8):
         self.store = store
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in store.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in store.items()}
+        self.m = np.zeros_like(store.flat)
+        self.v = np.zeros_like(store.flat)
+        self._scratch = np.empty((2, min(self.CHUNK, store.flat.size)))
 
-    def step(self, grads: dict[str, np.ndarray]):
+    def step(self, grad: np.ndarray):
+        """One update from `grad`, the gradient in the arena's layout (the
+        `.flat` of `backward`'s Gradients over `store.items()`)."""
+        if grad.shape != self.store.flat.shape:
+            raise ValueError(f"gradient shape {grad.shape} for an arena of {self.store.flat.size} values")
         self.t += 1
-        b1t = 1.0 - self.b1**self.t
-        b2t = 1.0 - self.b2**self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            self.store[name].data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        b1t = 1.0 - b1**self.t
+        b2t = 1.0 - b2**self.t
+        p_all = self.store.flat
+        for lo in range(0, p_all.size, self.CHUNK):
+            hi = min(lo + self.CHUNK, p_all.size)
+            g, m, v, p = grad[lo:hi], self.m[lo:hi], self.v[lo:hi], p_all[lo:hi]
+            a, b = self._scratch[:, : hi - lo]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, b2t, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, eps, out=a)
+            np.divide(m, b1t, out=b)
+            np.multiply(b, lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(p, b, out=p)
 
 
 def train(
@@ -182,7 +209,8 @@ def train(
     log=print,
 ) -> list[dict]:
     """Minimize mean per-sample loss over seeded batches; returns the loss
-    curve. Aborts with a diagnostic if the loss stops being finite."""
+    curve. Aborts with a diagnostic, before any update, if the loss or a
+    gradient stops being finite."""
     if cfg.policy not in ("adaptive", "dense", "oracle_mix", "random_ratio"):
         raise ValueError(f"unsupported training policy {cfg.policy}")
     if lr_schedule not in ("cosine", "constant"):
@@ -213,7 +241,10 @@ def train(
                     f"parts={parts_acc}"
                 )
             grads = tensor.backward(total, tape, params=store.items())
-        opt.step(grads)
+        if not np.isfinite(grads.flat).all():
+            name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+            raise RuntimeError(f"training diverged at step {step}: non-finite gradient in {name}")
+        opt.step(grads.flat)
         rec = {"step": step, "loss": loss_val, **parts_acc}
         history.append(rec)
         if log is not None and (step % log_every == 0 or step == steps - 1):

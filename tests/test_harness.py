@@ -109,8 +109,7 @@ class TestAdam:
         store.add("w", np.array([5.0, -3.0]))
         opt = train.Adam(store, lr=0.1)
         for _ in range(200):
-            g = 2 * store["w"].data
-            opt.step({"w": g})
+            opt.step(2 * store.flat)
         assert np.max(np.abs(store["w"].data)) < 1e-3
 
     def test_lr_zero_keeps_loss_constant(self, nano_cfg, scene_spec):
@@ -120,6 +119,77 @@ class TestAdam:
         hist = train.train(nano_cfg, store, corpus, steps=3, lr=0.0, batch_size=2, seed=0, log=None, lr_schedule="constant")
         losses = [h["loss"] for h in hist]
         assert max(losses) - min(losses) < 1e-12
+
+
+class TestParamArena:
+    def test_every_parameter_is_a_view_of_the_arena(self, nano_cfg, tmp_path):
+        path = tmp_path / "params.bin"
+        params.save_params(path, params.init_params(nano_cfg, seed=0), nano_cfg)
+        incremental = params.ParamStore()
+        incremental.add("w", np.array([5.0, -3.0]))
+        params._linear(incremental, 0, "fuse", 4, 2)
+        for store in (params.init_params(nano_cfg, seed=0), params.load_params(path, nano_cfg), incremental):
+            assert store.flat.size == sum(t.data.size for _, t in store.items())
+            for name, t in store.items():
+                assert np.shares_memory(t.data, store.flat), name
+                assert t.data.flags.c_contiguous and t.data.flags.writeable
+            name = store.names()[-1]
+            before = store.flat.copy()
+            store[name].data[(0,) * store[name].data.ndim] += 1.0
+            assert np.flatnonzero(store.flat != before).tolist() == [store.flat.size - store[name].data.size]
+
+    def test_add_keeps_values_and_tensors(self):
+        store = params.ParamStore()
+        w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = store.add("b", np.array([5.0]))
+        assert store["w"] is w and store["b"] is b
+        assert store.flat.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(ValueError, match="duplicate"):
+            store.add("w", np.zeros(1))
+
+
+def _param_digest(store) -> str:
+    h = hashlib.sha256()
+    for name in sorted(store.names()):
+        h.update(store[name].data.tobytes())
+    return h.hexdigest()
+
+
+class TestTrainingPinned:
+    # SHA-256 of the final parameters after 12 nano steps at batch 4 (by
+    # sorted name, raw float64 bytes). oracle_mix 0.5 leaves the allocation
+    # rounds' scorer and child parameters off the tape on oracle batches;
+    # their gradient there is zero, not the last step's.
+    DIGESTS = {
+        "random_ratio": "24e078f5469673d0d69ce0dcbd66d5cee97dae7398498eea21a523e7ba1e074d",
+        "oracle_mix": "a01b646d822805b6b41c5482d5d52969356629f7536daf882410bd579141eab4",
+        "dense": "ab68c5146018c2ef4d660e1f65cfb4a95763aaf24d1261cf5b728e1495d5e90e",
+    }
+
+    @pytest.mark.parametrize("policy", sorted(DIGESTS))
+    def test_final_parameters_bit_identical(self, policy):
+        extra = {"oracle_rate": 0.5} if policy == "oracle_mix" else {}
+        cfg = config.nano().with_overrides(policy=policy, **extra)
+        store = params.init_params(cfg, seed=0)
+        corpus = scenes.generate_corpus(0, 8, SceneSpec())
+        train.train(cfg, store, corpus, steps=12, batch_size=4, seed=0, log=None)
+        assert _param_digest(store) == self.DIGESTS[policy]
+
+    def test_non_finite_gradient_stops_before_any_update(self, nano_cfg, scene_spec, monkeypatch):
+        store = params.init_params(nano_cfg, seed=0)
+        corpus = scenes.generate_corpus(5, 2, scene_spec)
+        backward = train.tensor.backward
+
+        def poisoned(loss, tape, params=None):
+            grads = backward(loss, tape, params=params)
+            grads["s2.r3.blk0.q.w"][1, 2] = np.nan
+            return grads
+
+        monkeypatch.setattr(train.tensor, "backward", poisoned)
+        before = store.flat.copy()
+        with pytest.raises(RuntimeError, match=r"training diverged at step 0: non-finite gradient in s2\.r3\.blk0\.q\.w$"):
+            train.train(nano_cfg, store, corpus, steps=2, batch_size=2, seed=0, log=None)
+        assert np.array_equal(store.flat, before)
 
 
 class TestRankingAuc:

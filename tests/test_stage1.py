@@ -408,6 +408,12 @@ class TestParamContainer:
         for name, t in nano_store.items():
             assert np.array_equal(back[name].data, t.data)
 
+    def test_save_load_save_is_byte_identical(self, tmp_path, nano_cfg, nano_store):
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_params(first, nano_store, nano_cfg)
+        save_params(second, load_params(first, nano_cfg), nano_cfg)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_digest_mismatch_rejected(self, tmp_path, nano_cfg, nano_store):
         path = tmp_path / "params.bin"
         save_params(path, nano_store, nano_cfg)

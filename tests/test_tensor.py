@@ -237,6 +237,28 @@ class TestBackward:
         assert np.array_equal(grads["p"], np.zeros(3))
         assert np.allclose(grads["w"], 2 * w.data)
 
+    def test_gradients_are_views_of_one_flat_buffer(self, rng):
+        w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        p = Tensor(rng.standard_normal(4), requires_grad=True)
+        with GradTape() as tape:
+            loss = tensor.sum_all(tensor.add(tensor.mul(w, w), w))
+        grads = backward(loss, tape, params=[("w", w), ("p", p)])
+        assert grads.flat.shape == (10,)
+        assert np.shares_memory(grads["w"], grads.flat) and np.shares_memory(grads["p"], grads.flat)
+        assert np.array_equal(grads.flat, np.concatenate([(2 * w.data + 1).ravel(), np.zeros(4)]))
+
+    def test_parameter_off_a_later_tape_gets_zero_not_its_old_gradient(self, rng):
+        w = Tensor(rng.standard_normal(3), requires_grad=True)
+        p = Tensor(rng.standard_normal(3), requires_grad=True)
+        with GradTape() as tape:
+            loss = tensor.sum_all(tensor.mul(p, w))
+        backward(loss, tape, params=[("w", w), ("p", p)])
+        with GradTape() as tape:
+            loss = tensor.sum_all(tensor.mul(w, w))
+        grads = backward(loss, tape, params=[("w", w), ("p", p)])
+        assert np.array_equal(grads["p"], np.zeros(3)) and p.grad is None
+        assert np.array_equal(grads["w"], 2 * w.data)
+
     def test_non_scalar_loss_rejected(self, rng):
         w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         with GradTape() as tape:
@@ -399,6 +421,17 @@ def test_gather_concat_gradients(rng):
         pos = (int(rng.integers(5)), int(rng.integers(4)))
         fd = finite_difference(lambda: float(forward().data), x, pos)
         assert rel_err(x.grad[pos], fd) < 1e-4
+    # the scatter assigns for unique indices (a permutation, a subset) and
+    # accumulates duplicates: both bit-identical to np.add.at
+    for idx in (rng.permutation(5), np.array([4, 0, 3]), np.array([1, 3, 1, 1, 0])):
+        g = rng.standard_normal((idx.size, 4))
+        with GradTape():
+            out = tensor.gather_rows(x, idx)
+        (got,) = out._vjp(g)
+        expect = np.zeros((5, 4))
+        np.add.at(expect, idx, g)
+        assert np.array_equal(got, expect)
+    assert np.array_equal(got[1], g[0] + g[2] + g[3])
 
 
 def test_forward_determinism(rng):
