@@ -53,21 +53,15 @@ def target_scores(bmap: np.ndarray, tokens) -> np.ndarray:
     return np.asarray(scores, dtype=np.float64)
 
 
-def allocator_loss(pred, target, valid=None) -> float:
-    """Mean squared error over valid entries; 0 when nothing is valid."""
+def allocator_loss(pred, target) -> float:
+    """Mean squared error over all entries; 0 when there are none."""
     pred = np.asarray(pred, dtype=np.float64).ravel()
     target = np.asarray(target, dtype=np.float64).ravel()
     if pred.shape != target.shape:
         raise ValueError(f"pred/target lengths differ: {pred.shape} vs {target.shape}")
-    if valid is None:
-        valid = np.ones(pred.shape, dtype=bool)
-    else:
-        valid = np.asarray(valid, dtype=bool).ravel()
-        if valid.shape != pred.shape:
-            raise ValueError("mask length differs from predictions")
-    if not valid.any():
+    if not pred.size:
         return 0.0
-    d = pred[valid] - target[valid]
+    d = pred - target
     return float(np.mean(d * d))
 
 

@@ -29,7 +29,7 @@ def _scene_spec(args, cfg: EncoderConfig) -> scenes_mod.SceneSpec:
 
 def _corpus(args, cfg, seed_attr="corpus_seed", count_attr="count"):
     if getattr(args, "corpus_dir", None):
-        sc = scenes_mod.load_corpus_dir(args.corpus_dir)
+        sc = scenes_mod.load_corpus_dir(args.corpus_dir, (cfg.input_h, cfg.input_w))
         return sc, {"kind": "directory", "path": args.corpus_dir, "count": len(sc)}
     spec = _scene_spec(args, cfg)
     seed = getattr(args, seed_attr)
@@ -110,7 +110,7 @@ def cmd_eval(args) -> int:
 def cmd_flops(args) -> int:
     cfg = _load_cfg(args)
     corpus, _ = _corpus(args, cfg)
-    store = load_params(args.params, None) if args.params else init_params(cfg, args.seed)
+    store = load_params(args.params, cfg) if args.params else init_params(cfg, args.seed)
     rows = []
     for policy in args.policies.split(","):
         pcfg = cfg.with_overrides(policy=policy)

@@ -6,7 +6,9 @@ Conventions (documented here, used by both the meter and the analytic side):
 
 * one multiply-accumulate (MAC) = 2 FLOPs in reported totals
 * matmul (m x k) @ (k x n): m*k*n MACs
-* elementwise add/sub/mul/scale/bias over E scalars: E scalar ops
+* elementwise add/scale/bias over E scalars: E scalar ops
+* mean squared error over E entries: 3E scalar ops (subtract, square and
+  mean, fused in one tape node)
 * layer norm over a row of width d: 7d + 2 scalar ops
   (mean d, center d, variance 2d, eps+sqrt 2, scale d, affine 2d)
 * GELU (tanh form): 12 scalar ops per element
@@ -97,10 +99,6 @@ class FlopsReport:
         for c in self.sections.values():
             t += c
         return t
-
-    @property
-    def total_flops(self) -> int:
-        return self.total().flops
 
     def as_dict(self) -> dict:
         return {

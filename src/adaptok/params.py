@@ -230,10 +230,11 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def load_params(path, cfg: EncoderConfig | None = None) -> ParamStore:
-    """Read a container; raises ValueError naming the cause (and the
-    parameter) for a truncated file, trailing bytes or non-finite values.
-    Values are copied from the file's bytes straight into the arena."""
+def load_params(path, cfg: EncoderConfig) -> ParamStore:
+    """Read a container built for `cfg`; raises ValueError naming the cause
+    (and the parameter) for a config mismatch, a truncated file, trailing
+    bytes or non-finite values. Values are copied from the file's bytes
+    straight into the arena."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     if r.blob[:8] != MAGIC:
@@ -243,8 +244,8 @@ def load_params(path, cfg: EncoderConfig | None = None) -> ParamStore:
     if version != VERSION:
         raise ValueError(f"unsupported container version {version}")
     digest = r.take(32, "config digest")
-    if cfg is not None and digest != bytes.fromhex(cfg.digest()):
-        raise ValueError("parameter container was built for a different config")
+    if digest != bytes.fromhex(cfg.digest()):
+        raise ValueError(f"{path}: parameter container was built for a different config")
     (count,) = r.unpack("<I", "parameter count")
     specs = []
     for i in range(count):

@@ -7,18 +7,32 @@ from __future__ import annotations
 import numpy as np
 
 
-def _read_header(f, magic: bytes):
-    if f.read(2) != magic:
-        raise ValueError(f"not a {magic.decode()} file")
-    fields = []
-    while len(fields) < 3:
-        line = f.readline()
-        if not line:
-            raise ValueError("truncated header")
-        line = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in line.split())
-    w, h, maxval = fields[:3]
-    return w, h, maxval
+def _read(path, magic: bytes, maxval: int, dtype: str, channels: int) -> np.ndarray:
+    """The raster of a P5/P6 file as (h, w * channels) samples; raises
+    ValueError naming the file for a bad header, a truncated payload or
+    trailing bytes."""
+    with open(path, "rb") as f:
+        if f.read(2) != magic:
+            raise ValueError(f"{path}: not a {magic.decode()} file")
+        fields = []
+        while len(fields) < 3:
+            line = f.readline()
+            if not line:
+                raise ValueError(f"{path}: truncated header")
+            try:
+                fields.extend(int(tok) for tok in line.split(b"#", 1)[0].split())
+            except ValueError:
+                raise ValueError(f"{path}: malformed header") from None
+        payload = f.read()
+    w, h, found = fields[:3]
+    if w <= 0 or h <= 0:
+        raise ValueError(f"{path}: image size {w}x{h} is not positive")
+    if found != maxval:
+        raise ValueError(f"{path}: expected maxval {maxval}, found {found}")
+    want = w * h * channels * np.dtype(dtype).itemsize
+    if len(payload) != want:
+        raise ValueError(f"{path}: payload of {len(payload)} bytes, a {w}x{h} image needs {want}")
+    return np.frombuffer(payload, dtype=dtype).reshape(h, w * channels)
 
 
 def write_pgm16(path, labels: np.ndarray):
@@ -30,14 +44,7 @@ def write_pgm16(path, labels: np.ndarray):
 
 
 def read_pgm16(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        w, h, maxval = _read_header(f, b"P5")
-        if maxval != 65535:
-            raise ValueError(f"expected 16-bit PGM, maxval={maxval}")
-        data = np.frombuffer(f.read(w * h * 2), dtype=">u2")
-    if data.size != w * h:
-        raise ValueError("truncated PGM payload")
-    return data.reshape(h, w).astype(np.uint16)
+    return _read(path, b"P5", 65535, ">u2", 1).astype(np.uint16)
 
 
 def write_ppm8(path, image: np.ndarray):
@@ -53,11 +60,5 @@ def write_ppm8(path, image: np.ndarray):
 
 def read_ppm8(path) -> np.ndarray:
     """Returns (H, W, 3) uint8."""
-    with open(path, "rb") as f:
-        w, h, maxval = _read_header(f, b"P6")
-        if maxval != 255:
-            raise ValueError(f"expected 8-bit PPM, maxval={maxval}")
-        data = np.frombuffer(f.read(w * h * 3), dtype=np.uint8)
-    if data.size != w * h * 3:
-        raise ValueError("truncated PPM payload")
-    return data.reshape(h, w, 3)
+    raster = _read(path, b"P6", 255, "u1", 3)
+    return raster.reshape(raster.shape[0], -1, 3)

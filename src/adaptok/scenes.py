@@ -128,17 +128,23 @@ def pad_to_grid(image: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
     return img, boundary.pad_labels(labels, hp, wp)
 
 
-def load_corpus_dir(path) -> list[SyntheticScene]:
+def load_corpus_dir(path, shape: tuple[int, int]) -> list[SyntheticScene]:
     """Read back image/label pairs written by save_corpus (or any PPM/PGM
     pairs following the same naming). Ragged sizes are padded to the token
-    grid."""
+    grid, which must come to `shape`, the config's (H, W); a pair that
+    does not raises ValueError naming its file."""
     import os
 
     scenes = []
     names = sorted(n for n in os.listdir(path) if n.endswith(".ppm"))
     for n in names:
-        img = pnm.read_ppm8(os.path.join(path, n)).astype(np.float64) / 255.0
-        lab = pnm.read_pgm16(os.path.join(path, n[:-4] + ".pgm")).astype(np.int64)
+        file = os.path.join(path, n)
+        img = pnm.read_ppm8(file).astype(np.float64) / 255.0
+        lab = pnm.read_pgm16(file[:-4] + ".pgm").astype(np.int64)
+        if img.shape[:2] != lab.shape:
+            raise ValueError(f"{file}: image is {img.shape[0]}x{img.shape[1]}, its label map {lab.shape[0]}x{lab.shape[1]}")
         img, lab = pad_to_grid(img, lab)
+        if lab.shape != tuple(shape):
+            raise ValueError(f"{file}: pads to {lab.shape[0]}x{lab.shape[1]}, the config takes {shape[0]}x{shape[1]}")
         scenes.append(SyntheticScene(image=img, labels=lab, seed=-1))
     return scenes

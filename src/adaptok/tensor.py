@@ -36,33 +36,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(data) -> Tensor:
     return Tensor(data)
-
-
-def param(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
 
 
 class GradTape:
@@ -140,8 +116,8 @@ def backward(loss: Tensor, tape: GradTape, params=None):
             slot = slots.get(id(p))
             if slot is None:
                 # the first gradient is adopted as is; it may alias another
-                # parent's (add hands `g` to both, reshape and concat return
-                # views), so a second arrival allocates instead of adding in place
+                # parent's (add hands `g` to both, concat returns views), so a
+                # second arrival allocates instead of adding in place
                 p.grad = g if p.grad is None else p.grad + g
             elif p.grad is None:
                 slot[...] = g
@@ -180,27 +156,6 @@ def add(a, b) -> Tensor:
         return g, gb
 
     _record(out, (a, b), vjp)
-    return out
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub shapes {a.data.shape} vs {b.data.shape}")
-    flops.add_cost(scalar_ops=a.data.size)
-    out = Tensor(a.data - b.data)
-    _record(out, (a, b), lambda g: (g, -g))
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"mul shapes {a.data.shape} vs {b.data.shape}")
-    flops.add_cost(scalar_ops=a.data.size)
-    out = Tensor(a.data * b.data)
-    ad, bd = a.data, b.data
-    _record(out, (a, b), lambda g: (g * bd, g * ad))
     return out
 
 
@@ -281,14 +236,6 @@ def transpose(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.T)
     _record(out, (a,), lambda g: (g.T,))
-    return out
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    orig = a.data.shape
-    _record(out, (a,), lambda g: (g.reshape(orig),))
     return out
 
 
@@ -545,38 +492,6 @@ def sum_all(x) -> Tensor:
     return out
 
 
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    n = x.data.size
-    flops.add_cost(scalar_ops=n)
-    out = Tensor(x.data.mean())
-    shape = x.data.shape
-    _record(out, (x,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
-    return out
-
-
-def segment_mean(x, segments) -> Tensor:
-    """Mean over all entries of each row segment of x: one value per
-    segment. Costs what `mean_all` of each segment costs."""
-    x = _as_tensor(x)
-    rows = x.data.shape[0]
-    bounds = _bounds(segments, rows)
-    counts = np.diff(bounds)
-    if np.any(counts == 0):
-        raise ValueError("mean over an empty segment")
-    flops.add_cost(scalar_ops=x.data.size)
-    out = Tensor(np.array([x.data[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])]))
-    width = x.data.size // rows
-    shape = x.data.shape
-
-    def vjp(g):
-        per_row = np.repeat(g / (counts * width), counts).reshape((rows,) + (1,) * (len(shape) - 1))
-        return (np.broadcast_to(per_row, shape).copy(),)
-
-    _record(out, (x,), vjp)
-    return out
-
-
 def softmax_cross_entropy(logits, labels, segments=None) -> Tensor:
     """Mean cross-entropy of row softmax vs integer labels. Fused for
     stability; caller filters rows to the ones that should count. With
@@ -611,7 +526,31 @@ def softmax_cross_entropy(logits, labels, segments=None) -> Tensor:
 
 def mse(pred, target, segments=None) -> Tensor:
     """Mean squared error over all entries (compose with gather_rows to
-    restrict to valid rows); with `segments`, one mean per row segment."""
-    diff = sub(pred, target)
-    sq = mul(diff, diff)
-    return mean_all(sq) if segments is None else segment_mean(sq, segments)
+    restrict to valid rows); with `segments`, one mean per row segment.
+    One node; costs what a subtract, a square and a mean cost (3 scalar
+    ops per entry)."""
+    pred, target = _as_tensor(pred), _as_tensor(target)
+    if pred.data.shape != target.data.shape:
+        raise ValueError(f"mse shapes {pred.data.shape} vs {target.data.shape}")
+    rows = pred.data.shape[0]
+    bounds = _bounds(segments, rows)
+    counts = np.diff(bounds)
+    if np.any(counts == 0):
+        raise ValueError("mse over an empty segment")
+    flops.add_cost(scalar_ops=3 * pred.data.size)
+    diff = pred.data - target.data
+    sq = diff * diff
+    means = [sq[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])]
+    out = Tensor(means[0] if segments is None else np.array(means))
+    per_entry = counts * (pred.data.size // rows)
+
+    def vjp(g):
+        # d(mean)/d(sq), times d(sq)/d(diff) = diff + diff, as separate
+        # terms: the arithmetic of a subtract, multiply, mean chain
+        per_row = np.repeat(np.reshape(g, -1) / per_entry, counts)
+        t = per_row.reshape((rows,) + (1,) * (diff.ndim - 1)) * diff
+        t = t + t
+        return t, -t if target.requires_grad else None
+
+    _record(out, (pred, target), vjp)
+    return out

@@ -204,24 +204,20 @@ def train(
     batch_size: int = 4,
     seed: int = 0,
     allocator_weight: float = 10.0,
-    lr_schedule: str = "cosine",
     log_every: int = 50,
     log=print,
 ) -> list[dict]:
-    """Minimize mean per-sample loss over seeded batches; returns the loss
-    curve. Aborts with a diagnostic, before any update, if the loss or a
+    """Minimize mean per-sample loss over seeded batches, the learning rate
+    decaying from `lr` to zero on a half cosine; returns the loss curve.
+    Aborts with a diagnostic, before any update, if the loss or a
     gradient stops being finite."""
     if cfg.policy not in ("adaptive", "dense", "oracle_mix", "random_ratio"):
         raise ValueError(f"unsupported training policy {cfg.policy}")
-    if lr_schedule not in ("cosine", "constant"):
-        raise ValueError(f"unknown lr schedule {lr_schedule!r}")
     opt = Adam(store, lr=lr)
     history = []
     n = len(corpus)
     for step in range(steps):
-        if lr_schedule == "cosine":
-            # standard half-cosine decay to zero over the run
-            opt.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / max(steps - 1, 1)))
+        opt.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / max(steps - 1, 1)))
         idx = rng_for(seed, "batch", step).choice(n, size=min(batch_size, n), replace=False)
         images = [corpus[i].image for i in idx]
         labels = [corpus[i].labels for i in idx]

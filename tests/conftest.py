@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from adaptok import config, geometry, params, scenes
+from adaptok import config, geometry, params, scenes, tensor
+from adaptok.tensor import Tensor
 
 
 @pytest.fixture
@@ -50,6 +51,23 @@ def finite_difference(f, t, idx, h=1e-5):
     down = f()
     t.data[idx] = orig
     return (up - down) / (2 * h)
+
+
+def mul(a, b):
+    """Elementwise product as a tape node: a test-only op for building
+    scalar losses out of any primitive's output."""
+    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    tensor._record(out, (a, b), lambda g: (g * bd, g * ad))
+    return out
+
+
+def reshape(a, shape):
+    """Reshape as a tape node whose gradient is a view (test-only)."""
+    out = Tensor(a.data.reshape(shape))
+    orig = a.data.shape
+    tensor._record(out, (a,), lambda g: (g.reshape(orig),))
+    return out
 
 
 def rel_err(a, b, floor=1e-8):

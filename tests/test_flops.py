@@ -159,7 +159,7 @@ class TestStructuralProperties:
         stage1_total = sum(c.flops for name, c in rep.sections.items() if name.startswith("stage1"))
         stage2_total = sum(c.flops for name, c in rep.sections.items() if name.startswith("stage2"))
         rest = sum(c.flops for name, c in rep.sections.items() if name in ("densify", "head"))
-        assert stage1_total + stage2_total + rest == rep.total_flops
+        assert stage1_total + stage2_total + rest == rep.total().flops
 
     def test_padded_tokens_contribute_zero(self, scene_spec):
         # per-sample accounting is defined on the solo (unpadded) forward;

@@ -51,7 +51,7 @@ class TestSceneGeneration:
     def test_save_load_corpus_dir(self, tmp_path, scene_spec):
         sc = scenes.generate_corpus(1, 3, scene_spec)
         scenes.save_corpus(tmp_path, sc, scenes.corpus_descriptor(1, 3, scene_spec))
-        back = scenes.load_corpus_dir(tmp_path)
+        back = scenes.load_corpus_dir(tmp_path, (64, 64))
         assert len(back) == 3
         for a, b in zip(sc, back):
             assert np.array_equal(a.labels, b.labels)
@@ -64,7 +64,7 @@ class TestSceneGeneration:
         lab = np.ones((50, 70), dtype=np.uint16)
         pnm.write_ppm8(tmp_path / "scene_00000.ppm", img)
         pnm.write_pgm16(tmp_path / "scene_00000.pgm", lab)
-        (sc,) = scenes.load_corpus_dir(tmp_path)
+        (sc,) = scenes.load_corpus_dir(tmp_path, (64, 96))
         assert sc.image.shape == (64, 96, 3)
         assert sc.labels.shape == (64, 96)
         assert np.all(sc.labels[50:] == IGNORE)
@@ -116,7 +116,7 @@ class TestAdam:
         store = params.init_params(nano_cfg, seed=0)
         # batch == corpus so every step sees the same samples
         corpus = scenes.generate_corpus(5, 2, scene_spec)
-        hist = train.train(nano_cfg, store, corpus, steps=3, lr=0.0, batch_size=2, seed=0, log=None, lr_schedule="constant")
+        hist = train.train(nano_cfg, store, corpus, steps=3, lr=0.0, batch_size=2, seed=0, log=None)
         losses = [h["loss"] for h in hist]
         assert max(losses) - min(losses) < 1e-12
 
@@ -392,6 +392,40 @@ class TestCli:
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] and record["message"]
+
+    def error_record(self, capsys, *argv):
+        assert self.run(*argv) == 1
+        return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("command", ["eval", "flops"])
+    def test_container_for_another_config_rejected(self, tmp_path, capsys, command):
+        # a 6-class nano container under a 5-class nano config
+        path = tmp_path / "params.bin"
+        params.save_params(path, params.init_params(config.nano(), seed=0), config.nano())
+        cfg_path = tmp_path / "five.json"
+        config.save_config(cfg_path, config.nano(classes=5))
+        record = self.error_record(capsys, command, "--config", str(cfg_path), "--params", str(path), "--count", "1")
+        assert "built for a different config" in record["message"] and str(path) in record["message"]
+
+    @pytest.mark.parametrize(
+        "image_hw, label_hw, cause",
+        [((64, 64), (40, 64), "label map 40x64"), ((96, 96), (96, 96), "pads to 96x96")],
+        ids=["sizes_differ", "wrong_extent"],
+    )
+    def test_bad_corpus_pair_rejected(self, tmp_path, capsys, image_hw, label_hw, cause):
+        pnm.write_ppm8(tmp_path / "scene_00000.ppm", np.zeros(image_hw + (3,)))
+        pnm.write_pgm16(tmp_path / "scene_00000.pgm", np.zeros(label_hw, dtype=np.uint16))
+        record = self.error_record(capsys, "eval", "--corpus-dir", str(tmp_path), "--out", str(tmp_path / "ev"))
+        assert record["error"] == "ValueError"
+        assert cause in record["message"] and "scene_00000.ppm" in record["message"]
+
+    def test_truncated_pnm_rejected(self, tmp_path, capsys):
+        pnm.write_ppm8(tmp_path / "scene_00000.ppm", np.zeros((64, 64, 3)))
+        pnm.write_pgm16(tmp_path / "scene_00000.pgm", np.zeros((64, 64), dtype=np.uint16))
+        blob = (tmp_path / "scene_00000.pgm").read_bytes()
+        (tmp_path / "scene_00000.pgm").write_bytes(blob[:-1])
+        record = self.error_record(capsys, "flops", "--corpus-dir", str(tmp_path))
+        assert "scene_00000.pgm" in record["message"] and "payload" in record["message"]
 
     def test_ablate_smoke(self, tmp_path):
         assert (

@@ -7,7 +7,7 @@ from adaptok import flops, tensor
 from adaptok.errors import ContractError
 from adaptok.tensor import GradTape, Tensor, backward
 
-from conftest import finite_difference, rel_err
+from conftest import finite_difference, mul, rel_err, reshape
 
 
 def naive_matmul(a, b):
@@ -165,7 +165,7 @@ class TestWindowAttention:
         q, k, v = (Tensor(rng.standard_normal((n, d)), requires_grad=True) for _ in range(3))
         with GradTape() as tape:
             out = tensor.window_attention(q, k, v, self.SIZE, 2)
-            loss = tensor.sum_all(tensor.mul(out, out))
+            loss = tensor.sum_all(mul(out, out))
         backward(loss, tape)
         for t in (q, k, v):
             assert t.grad.shape == (n, d)
@@ -224,7 +224,7 @@ class TestBackward:
     def test_sum_of_squares(self):
         w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with GradTape() as tape:
-            loss = tensor.sum_all(tensor.mul(w, w))
+            loss = tensor.sum_all(mul(w, w))
         backward(loss, tape)
         assert np.allclose(w.grad, [2.0, 4.0, 6.0])
 
@@ -232,7 +232,7 @@ class TestBackward:
         w = Tensor(rng.standard_normal(3), requires_grad=True)
         p = Tensor(rng.standard_normal(3), requires_grad=True)
         with GradTape() as tape:
-            loss = tensor.sum_all(tensor.mul(w, w))
+            loss = tensor.sum_all(mul(w, w))
         grads = backward(loss, tape, params=[("w", w), ("p", p)])
         assert np.array_equal(grads["p"], np.zeros(3))
         assert np.allclose(grads["w"], 2 * w.data)
@@ -241,7 +241,7 @@ class TestBackward:
         w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         p = Tensor(rng.standard_normal(4), requires_grad=True)
         with GradTape() as tape:
-            loss = tensor.sum_all(tensor.add(tensor.mul(w, w), w))
+            loss = tensor.sum_all(tensor.add(mul(w, w), w))
         grads = backward(loss, tape, params=[("w", w), ("p", p)])
         assert grads.flat.shape == (10,)
         assert np.shares_memory(grads["w"], grads.flat) and np.shares_memory(grads["p"], grads.flat)
@@ -251,10 +251,10 @@ class TestBackward:
         w = Tensor(rng.standard_normal(3), requires_grad=True)
         p = Tensor(rng.standard_normal(3), requires_grad=True)
         with GradTape() as tape:
-            loss = tensor.sum_all(tensor.mul(p, w))
+            loss = tensor.sum_all(mul(p, w))
         backward(loss, tape, params=[("w", w), ("p", p)])
         with GradTape() as tape:
-            loss = tensor.sum_all(tensor.mul(w, w))
+            loss = tensor.sum_all(mul(w, w))
         grads = backward(loss, tape, params=[("w", w), ("p", p)])
         assert np.array_equal(grads["p"], np.zeros(3)) and p.grad is None
         assert np.array_equal(grads["w"], 2 * w.data)
@@ -262,7 +262,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self, rng):
         w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         with GradTape() as tape:
-            y = tensor.mul(w, w)
+            y = mul(w, w)
         with pytest.raises(ContractError):
             backward(y, tape)
 
@@ -276,12 +276,12 @@ class TestBackward:
         coef = Tensor(rng.standard_normal((3, 4)))
 
         def forward():
-            early_a = tensor.mul(a, coef)
-            early_b = tensor.mul(tensor.reshape(b, (4, 3)), tensor.reshape(b, (4, 3)))
+            early_a = mul(a, coef)
+            early_b = mul(reshape(b, (4, 3)), reshape(b, (4, 3)))
             doubled = tensor.add(a, a)
             s = tensor.add(a, b)
-            parts = [early_a, early_b, tensor.mul(s, s), tensor.mul(doubled, coef)]
-            return tensor.sum_all(tensor.concat([tensor.reshape(p, (12,)) for p in parts]))
+            parts = [early_a, early_b, mul(s, s), mul(doubled, coef)]
+            return tensor.sum_all(tensor.concat([reshape(p, (12,)) for p in parts]))
 
         with GradTape() as tape:
             loss = forward()
@@ -316,6 +316,58 @@ class TestBackward:
                 assert rel_err(t.grad[idx], fd) < 1e-4
 
 
+def mse_chain(pred, target, segments, g):
+    """Value and (pred, target) gradients of mse as the subtract, multiply
+    and mean tape chain computed them, for upstream gradient g."""
+    diff = pred - target
+    sq = diff * diff
+    if segments is None:
+        value = sq.mean()
+        grad_sq = np.broadcast_to(g / sq.size, sq.shape).copy()
+    else:
+        counts = np.array(segments)
+        bounds = np.cumsum((0,) + segments)
+        value = np.array([sq[lo:hi].mean() for lo, hi in zip(bounds[:-1], bounds[1:])])
+        width = sq.size // sq.shape[0]
+        per_row = np.repeat(g / (counts * width), counts).reshape(-1, 1)
+        grad_sq = np.broadcast_to(per_row, sq.shape).copy()
+    # the multiply hands grad_sq * diff to both of its operands (one array,
+    # diff), which backward sums; the subtract passes that on and negates it
+    t = grad_sq * diff
+    grad_diff = t + t
+    return value, grad_diff, -grad_diff
+
+
+class TestMse:
+    @pytest.mark.parametrize("segments", [None, (3, 1, 4)])
+    def test_bit_identical_to_the_three_node_chain(self, segments, rng):
+        # 24 entries and segments of 9, 3 and 12: no mean divides by a
+        # power of two, where any order of the arithmetic rounds alike
+        pred = Tensor(rng.random((8, 3)), requires_grad=True)
+        target = Tensor(rng.random((8, 3)), requires_grad=True)
+        g = rng.standard_normal(() if segments is None else len(segments))
+        with GradTape() as tape:
+            out = tensor.mse(pred, target, segments)
+            loss = tensor.sum_all(mul(out, Tensor(g)))
+        backward(loss, tape)
+        value, grad_pred, grad_target = mse_chain(pred.data, target.data, segments, g)
+        assert np.array_equal(out.data, value)
+        assert np.array_equal(pred.grad, grad_pred)
+        assert np.array_equal(target.grad, grad_target)
+
+    def test_one_node_three_scalar_ops_per_entry(self, rng):
+        pred = Tensor(rng.random((7, 3)), requires_grad=True)
+        with flops.meter() as m, GradTape() as tape:
+            tensor.mse(pred, Tensor(rng.random((7, 3))), (2, 5))
+        assert m.total() == flops.Counts(scalar_ops=3 * 21)
+        assert len(tape.nodes) == 1
+
+    def test_empty_segment_rejected(self, rng):
+        x = Tensor(rng.random((3, 1)))
+        with pytest.raises(ValueError):
+            tensor.mse(x, x, (3, 0))
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -348,15 +400,17 @@ class TestBackward:
             tuple(rng.standard_normal((12, 4)) for _ in range(3)),
             {"size": 3, "heads": 2, "segments": (8, 3, 1)},
         ),
+        lambda rng: ("mse", (rng.standard_normal((8, 2)), rng.standard_normal((8, 2))), {"segments": (3, 1, 4)}),
     ],
 )
 def test_primitive_gradients_match_finite_differences(build, rng):
     name, arrays, *kwargs = build(rng)
-    op = functools.partial(getattr(tensor, name), **(kwargs[0] if kwargs else {}))
+    primitive = {"mul": mul}.get(name) or getattr(tensor, name)
+    op = functools.partial(primitive, **(kwargs[0] if kwargs else {}))
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
 
     def forward():
-        return tensor.sum_all(tensor.mul(op(*tensors), op(*tensors)))
+        return tensor.sum_all(mul(op(*tensors), op(*tensors)))
 
     with GradTape() as tape:
         loss = forward()
@@ -376,7 +430,7 @@ def test_masked_softmax_gradient(rng):
     coef = rng.standard_normal((4, 6))
 
     def forward():
-        return tensor.sum_all(tensor.mul(tensor.masked_softmax(x, mask), Tensor(coef)))
+        return tensor.sum_all(mul(tensor.masked_softmax(x, mask), Tensor(coef)))
 
     with GradTape() as tape:
         loss = forward()
@@ -412,7 +466,7 @@ def test_gather_concat_gradients(rng):
         g = tensor.gather_rows(x, idx)
         wide = tensor.concat([g, g], axis=1)
         cat = tensor.concat([wide, wide], axis=0)
-        return tensor.sum_all(tensor.mul(cat, Tensor(coef)))
+        return tensor.sum_all(mul(cat, Tensor(coef)))
 
     with GradTape() as tape:
         loss = forward()
