@@ -86,12 +86,18 @@ class FlopsReport:
         finally:
             self._stack.pop()
 
-    def add(self, counts: Counts, name: str | None = None):
-        """Charge `counts` to section `name`, by default the innermost open one."""
+    def counts(self, name: str | None = None) -> Counts:
+        """The running counts of section `name`, by default the innermost
+        open one; charges add to them in place."""
         name = self._stack[-1] if name is None else name
         c = self.sections.get(name)
         if c is None:
             c = self.sections[name] = Counts()
+        return c
+
+    def add(self, counts: Counts, name: str | None = None):
+        """Charge `counts` to section `name`, by default the innermost open one."""
+        c = self.counts(name)
         c += counts
 
     def total(self) -> Counts:
@@ -125,9 +131,14 @@ def meter():
 
 
 def add_cost(macs: int = 0, scalar_ops: int = 0, comparisons: int = 0):
-    m = active_meter()
-    if m is not None:
-        m.add(Counts(macs, scalar_ops, comparisons))
+    """Charge one op's cost to the innermost open section of the active
+    meter, in place: every metered op calls this, so it builds no Counts."""
+    if not _METERS:
+        return
+    c = _METERS[-1].counts()
+    c.macs += macs
+    c.scalar_ops += scalar_ops
+    c.comparisons += comparisons
 
 
 def section(name: str):

@@ -206,17 +206,18 @@ def save_params(path, store: ParamStore, cfg: EncoderConfig):
 
 class _Reader:
     """Cursor over a container's bytes; running short is a ValueError that
-    names what was being read."""
+    names the file and what was being read."""
 
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: bytes, path):
         self.blob = blob
+        self.path = path
         self.pos = 0
 
     def skip(self, n: int, what: str) -> int:
         """Step over n bytes; returns their offset."""
         if self.pos + n > len(self.blob):
             raise ValueError(
-                f"truncated parameter container: {what} needs {n} bytes at offset {self.pos}, "
+                f"{self.path}: truncated parameter container: {what} needs {n} bytes at offset {self.pos}, "
                 f"{len(self.blob) - self.pos} left"
             )
         self.pos += n
@@ -231,18 +232,18 @@ class _Reader:
 
 
 def load_params(path, cfg: EncoderConfig) -> ParamStore:
-    """Read a container built for `cfg`; raises ValueError naming the cause
-    (and the parameter) for a config mismatch, a truncated file, trailing
-    bytes or non-finite values. Values are copied from the file's bytes
-    straight into the arena."""
+    """Read a container built for `cfg`; raises ValueError naming the file
+    and the cause (and the parameter) for a bad magic or version, a config
+    mismatch, a truncated file, trailing bytes or non-finite values. Values
+    are copied from the file's bytes straight into the arena."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
+        r = _Reader(f.read(), path)
     if r.blob[:8] != MAGIC:
-        raise ValueError("not a parameter container")
+        raise ValueError(f"{path}: not a parameter container")
     r.take(8, "magic")
     (version,) = r.unpack("<I", "version")
     if version != VERSION:
-        raise ValueError(f"unsupported container version {version}")
+        raise ValueError(f"{path}: unsupported container version {version}")
     digest = r.take(32, "config digest")
     if digest != bytes.fromhex(cfg.digest()):
         raise ValueError(f"{path}: parameter container was built for a different config")
@@ -258,9 +259,11 @@ def load_params(path, cfg: EncoderConfig) -> ParamStore:
         values = np.frombuffer(r.blob, dtype="<f8", count=n, offset=lo).reshape(shape)
         specs.append((name, shape, lambda out, values=values: np.copyto(out, values)))
     if r.pos != len(r.blob):
-        raise ValueError(f"parameter container has {len(r.blob) - r.pos} trailing bytes after {count} parameters")
+        raise ValueError(
+            f"{path}: parameter container has {len(r.blob) - r.pos} trailing bytes after {count} parameters"
+        )
     store = ParamStore(specs)
     if not np.isfinite(store.flat).all():
         name = next(name for name, t in store.items() if not np.isfinite(t.data).all())
-        raise ValueError(f"parameter {name} has non-finite values")
+        raise ValueError(f"{path}: parameter {name} has non-finite values")
     return store

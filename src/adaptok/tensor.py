@@ -8,6 +8,7 @@ Broadcasting is limited to trailing-dimension affine (matrix + row vector).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -261,12 +262,16 @@ def gather_rows(a, idx) -> Tensor:
     n_rows = a.data.shape[0]
 
     def vjp(g):
-        full = np.zeros((n_rows,) + g.shape[1:])
+        shape = (n_rows,) + g.shape[1:]
         if idx.size and np.bincount(idx, minlength=n_rows).max() <= 1:
+            full = np.zeros(shape)
             full[idx] = g  # unique rows (a permutation): nothing to accumulate
-        else:
-            np.add.at(full, idx, g)
-        return (full,)
+            return (full,)
+        # one weighted count over flat (row, column) slots adds each slot's
+        # contributions in index order, as np.add.at does
+        d = math.prod(g.shape[1:])
+        slots = (idx[:, None] * d + np.arange(d)).ravel()
+        return (np.bincount(slots, weights=g.ravel(), minlength=n_rows * d).reshape(shape),)
 
     _record(out, (a,), vjp)
     return out
@@ -282,11 +287,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise ValueError("layer_norm eps must be positive")
     rows = x.data.size // d
     flops.add_cost(scalar_ops=rows * flops.layer_norm_row_ops(d))
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    # np.var's own arithmetic on rows centred once; the squares land in
+    # the output buffer, which then takes the affine in place
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(np.add.reduce(y, -1, keepdims=True) / d + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=y)
+    y += beta.data
+    out = Tensor(y)
     gd = gamma.data
 
     def vjp(g):
@@ -304,6 +313,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return out
 
 
+CHUNK = 1 << 15  # elements per pass of a fused elementwise chain: a few float64 chunks fit in L2
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
@@ -313,9 +323,23 @@ def gelu(x) -> Tensor:
     x = _as_tensor(x)
     flops.add_cost(scalar_ops=flops.GELU_OPS_PER_ELEM * x.data.size)
     xd = x.data
-    u = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
-    t = np.tanh(u)
-    out = Tensor(0.5 * xd * (1.0 + t))
+    t, y = np.empty(xd.shape), np.empty(xd.shape)
+    xf, tf, yf = xd.reshape(-1), t.reshape(-1), y.reshape(-1)
+    s = np.empty(min(CHUNK, xf.size))
+    # 0.5 x (1 + tanh(c (x + a x^3))), one cache-sized chunk at a time
+    for lo in range(0, xf.size, CHUNK):
+        hi = min(lo + CHUNK, xf.size)
+        xc, tc, yc, sc = xf[lo:hi], tf[lo:hi], yf[lo:hi], s[: hi - lo]
+        np.multiply(xc, xc, out=tc)
+        np.multiply(tc, xc, out=tc)
+        np.multiply(tc, _GELU_A, out=tc)
+        np.add(xc, tc, out=tc)
+        np.multiply(tc, _GELU_C, out=tc)
+        np.tanh(tc, out=tc)
+        np.multiply(xc, 0.5, out=yc)
+        np.add(tc, 1.0, out=sc)
+        np.multiply(yc, sc, out=yc)
+    out = Tensor(y)
 
     def vjp(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
@@ -380,6 +404,48 @@ def softmax_attention(q, k, v, mask) -> Tensor:
     return matmul(attn, v)
 
 
+@functools.lru_cache(maxsize=32)
+def _window_layout(segments: tuple, size: int):
+    """Run layout of `window_attention` over row segments, shared by every
+    block of a round: (rows, groups, live pairs, softmax scalar ops).
+
+    Each group is one window layout (run length L, runs per window span):
+    the (start, rows, first slot) of each of its segments, its run count,
+    the (runs, span*L) key rows, n for a dead key, and a (runs, 1, 1,
+    span*L) additive key bias, 0 on live keys and -inf on dead ones. The
+    arrays are read-only: every caller of one layout shares them.
+    """
+    n = sum(segments)
+    bounds = _bounds(segments, n)
+    # (run length, runs per window) -> starts and lengths of its segments
+    layouts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            layouts.setdefault((size, 3) if hi - lo > size else (hi - lo, 1), []).append((lo, hi - lo))
+    groups = []
+    pairs = soft = 0
+    for (length, span), members in layouts.items():
+        lead = length if span == 3 else 0  # rows of a window ahead of its run
+        places, qlive, kidx, runs = [], [], [], 0
+        for start, m in members:
+            first = np.arange(-(-m // length))[:, None] * length
+            places.append((start, m, runs * length))
+            runs += len(first)
+            qlive.append(first + np.arange(length) < m)
+            kpos = first - lead + np.arange(span * length)
+            kidx.append(np.where((kpos >= 0) & (kpos < m), start + kpos, n))
+        qlive, kidx = np.concatenate(qlive), np.concatenate(kidx)
+        klive = kidx < n
+        per_row = qlive * klive.sum(axis=-1, keepdims=True)
+        pairs += int(per_row.sum())
+        soft += int(np.maximum(4 * per_row - 1, 0).sum())
+        bias = np.where(klive, 0.0, -np.inf)[:, None, None, :]
+        kidx.setflags(write=False)
+        bias.setflags(write=False)
+        groups.append((length, span, tuple(places), runs, kidx, bias))
+    return n, tuple(groups), pairs, soft
+
+
 def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     """Multi-head local attention over runs of `size` consecutive rows.
 
@@ -404,12 +470,10 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     if d % heads:
         raise ValueError(f"dim {d} not divisible by {heads} heads")
     hd = d // heads
-    bounds = _bounds(segments, n)
-    # (run length, runs per window) -> starts and lengths of its segments
-    layouts: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi > lo:
-            layouts.setdefault((size, 3) if hi - lo > size else (hi - lo, 1), []).append((lo, hi - lo))
+    segs = (n,) if segments is None else tuple(segments)
+    covered, layout, pairs, soft = _window_layout(segs, size)
+    if covered != n:
+        raise ValueError(f"segments {segs} do not cover {n} rows")
 
     def split_heads(a):  # (runs, L, d) -> (runs, heads, L, hd)
         return a.reshape(a.shape[0], a.shape[1], heads, hd).transpose(0, 2, 1, 3)
@@ -428,30 +492,19 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     c = 1.0 / math.sqrt(hd)
     out = np.empty((n, d))
     groups = []
-    pairs = soft = 0
-    for (length, span), members in layouts.items():
-        lead = length if span == 3 else 0  # rows of a window ahead of its run
-        places, qlive, kidx, runs = [], [], [], 0
-        for start, m in members:
-            first = np.arange(-(-m // length))[:, None] * length
-            places.append((start, m, runs * length))
-            runs += len(first)
-            qlive.append(first + np.arange(length) < m)
-            kpos = first - lead + np.arange(span * length)
-            kidx.append(np.where((kpos >= 0) & (kpos < m), start + kpos, n))
-        qlive, kidx = np.concatenate(qlive), np.concatenate(kidx)
-        klive = kidx < n
-        per_row = qlive * klive.sum(axis=-1, keepdims=True)
-        pairs += int(per_row.sum())
-        soft += int(np.maximum(4 * per_row - 1, 0).sum())
+    for length, span, places, runs, kidx, bias in layout:
         qs = split_heads(frame(q.data, places, length, runs))
         ks, vs = split_heads(kx[kidx]), split_heads(vx[kidx])
-        # every query slot, the tail's empty ones included, keeps at least
-        # one live key, so no softmax row is empty; empty slots are dropped
-        z = np.where(klive[:, None, None, :], np.matmul(qs, ks.transpose(0, 1, 3, 2)) * c, -np.inf)
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=-1, keepdims=True)
+        # the softmax runs in place in the logits' buffer, which the vjp
+        # keeps as p; every query slot, the tail's empty ones included,
+        # keeps at least one live key, so no softmax row is empty; empty
+        # slots are dropped
+        p = np.matmul(qs, ks.transpose(0, 1, 3, 2))
+        p *= c
+        p += bias
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
         merged = merge_heads(np.matmul(p, vs))
         for start, m, slot in places:
             out[start : start + m] = merged[slot : slot + m]

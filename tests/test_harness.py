@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -406,6 +408,25 @@ class TestCli:
         config.save_config(cfg_path, config.nano(classes=5))
         record = self.error_record(capsys, command, "--config", str(cfg_path), "--params", str(path), "--count", "1")
         assert "built for a different config" in record["message"] and str(path) in record["message"]
+
+    @pytest.mark.parametrize(
+        "corrupt, cause",
+        [
+            (lambda blob: blob[:-5], "truncated parameter container"),
+            (lambda blob: blob + b"\0", "1 trailing bytes"),
+            (lambda blob: b"NOTPARAM" + blob[8:], "not a parameter container"),
+            (lambda blob: blob[:8] + struct.pack("<I", 99) + blob[12:], "unsupported container version 99"),
+            (lambda blob: blob[:-8] + struct.pack("<d", math.nan), "has non-finite values"),
+        ],
+        ids=["cut_by_5_bytes", "trailing_byte", "bad_magic", "bad_version", "nan_value"],
+    )
+    def test_bad_container_error_names_the_file(self, tmp_path, capsys, corrupt, cause):
+        path = tmp_path / "params.bin"
+        params.save_params(path, params.init_params(config.nano(), seed=0), config.nano())
+        path.write_bytes(corrupt(path.read_bytes()))
+        record = self.error_record(capsys, "eval", "--params", str(path), "--count", "1", "--out", str(tmp_path / "ev"))
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{path}: ") and cause in record["message"]
 
     @pytest.mark.parametrize(
         "image_hw, label_hw, cause",

@@ -1,4 +1,10 @@
 import functools
+import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +201,144 @@ class TestWindowAttention:
         q = Tensor(rng.standard_normal((5, 4)))
         with pytest.raises(ValueError):
             tensor.window_attention(q, q, q, self.SIZE, 1, (2, 2))
+
+
+def gelu_reference(x, g):
+    """The unfused GELU expressions the chunked in-place kernel replaces,
+    and its vjp applied to `g`."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * (x * x * x)))
+    du = c * (1.0 + 3.0 * a * (x * x))
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+
+
+def layer_norm_reference(x, gamma, beta, g, eps=1e-5):
+    """Layer norm through np.mean/np.var and out-of-place arithmetic, and
+    its vjp applied to `g`."""
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    dxhat = g * gamma
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gamma + beta, (dx, (g * xhat).sum(axis=0), g.sum(axis=0))
+
+
+def window_attention_reference(q, k, v, size, heads, g):
+    """`window_attention` over one segment of more than `size` rows with
+    the softmax written out of place (np.where key mask, then shift, exp
+    and normalise into new arrays), and its vjp applied to `g`."""
+    n, d = q.shape
+    hd, runs = d // heads, -(-n // size)
+
+    def split_heads(a):
+        return a.reshape(a.shape[0], a.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    def merge_heads(a):
+        return a.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    def framed(a):
+        return np.concatenate([a, np.zeros((runs * size - n, d))]).reshape(runs, size, d)
+
+    kpos = np.arange(runs)[:, None] * size - size + np.arange(3 * size)
+    kidx = np.where((kpos >= 0) & (kpos < n), kpos, n)
+    qs = split_heads(framed(q))
+    ks, vs = (split_heads(np.concatenate([a, np.zeros((1, d))])[kidx]) for a in (k, v))
+    c = 1.0 / math.sqrt(hd)
+    z = np.where((kidx < n)[:, None, None, :], np.matmul(qs, ks.transpose(0, 1, 3, 2)) * c, -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = merge_heads(np.matmul(p, vs))[:n]
+    gs = split_heads(framed(g))
+    dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
+    dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+    dq = merge_heads(np.matmul(dz, ks))[:n]
+    dkw = merge_heads(np.matmul(dz.transpose(0, 1, 3, 2), qs)).reshape(-1, 3, size, d)
+    dvw = merge_heads(np.matmul(p.transpose(0, 1, 3, 2), gs)).reshape(-1, 3, size, d)
+    dk, dv = np.zeros((n + 1, d)), np.zeros((n + 1, d))
+    for o in range(3):
+        rows = kidx[:, o * size : (o + 1) * size].reshape(-1)
+        dk[rows] += dkw[:, o].reshape(-1, d)
+        dv[rows] += dvw[:, o].reshape(-1, d)
+    return out, (dq, dk[:n], dv[:n])
+
+
+def value_and_vjp(primitive, arrays, g, **kwargs):
+    with GradTape():
+        out = primitive(*(Tensor(a, requires_grad=True) for a in arrays), **kwargs)
+    return out.data, out._vjp(g)
+
+
+class TestFusedKernels:
+    """The in-place kernels give the bits of the expressions they replace,
+    in values and vjps, below, at and above one chunk of elements."""
+
+    SIZES = [1000, tensor.CHUNK, 2 * tensor.CHUNK + 96]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_gelu(self, size, rng):
+        x, g = 3.0 * rng.standard_normal((size // 8, 8)), rng.standard_normal((size // 8, 8))
+        value, (dx,) = value_and_vjp(tensor.gelu, (x,), g)
+        expect, expect_dx = gelu_reference(x, g)
+        assert np.array_equal(value, expect)
+        assert np.array_equal(dx, expect_dx)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_layer_norm(self, size, rng):
+        # rows of 96, not a power of two, where dividing by the width and
+        # multiplying by its reciprocal round apart
+        x = 2.0 + 3.0 * rng.standard_normal((size // 96, 96))
+        gamma, beta = rng.standard_normal(96), rng.standard_normal(96)
+        g = rng.standard_normal(x.shape)
+        value, vjps = value_and_vjp(tensor.layer_norm, (x, gamma, beta), g)
+        expect, expect_vjps = layer_norm_reference(x, gamma, beta, g)
+        assert np.array_equal(value, expect)
+        for got, want in zip(vjps, expect_vjps):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, size, heads", [(9, 8, 1), (43, 8, 2), (200, 16, 4)])
+    def test_window_attention_softmax(self, n, size, heads, rng):
+        q, k, v, g = (rng.standard_normal((n, 8 * heads)) for _ in range(4))
+        value, vjps = value_and_vjp(tensor.window_attention, (q, k, v), g, size=size, heads=heads)
+        expect, expect_vjps = window_attention_reference(q, k, v, size, heads, g)
+        assert np.array_equal(value, expect)
+        for got, want in zip(vjps, expect_vjps):
+            assert np.array_equal(got, want)
+
+    def test_window_layout_is_cached_read_only(self, rng):
+        q = Tensor(rng.standard_normal((21, 4)))
+        segments = (13, 8)
+        tensor.window_attention(q, q, q, 4, 2, segments)
+        hits = tensor._window_layout.cache_info().hits
+        tensor.window_attention(q, q, q, 4, 1, list(segments))
+        assert tensor._window_layout.cache_info().hits == hits + 1
+        for _, _, _, _, kidx, bias in tensor._window_layout(segments, 4)[1]:
+            assert not kidx.flags.writeable and not bias.flags.writeable
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting applies to glibc only")
+def test_import_keeps_freed_buffers_in_the_heap():
+    # a fresh interpreter, so no earlier test has grown the heap; two 8 MiB
+    # arrays live at once, because glibc's default dynamic trim threshold
+    # already keeps one (about 20,000 faults per 20 cycles without the setting)
+    code = """
+import resource
+import numpy as np
+import adaptok
+
+def cycle():
+    arrays = [np.ones(1 << 20) for _ in range(2)]
+    del arrays
+
+cycle()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    cycle()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = str(Path(tensor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert int(run.stdout) < 500
 
 
 class TestLinear:
@@ -486,6 +630,18 @@ def test_gather_concat_gradients(rng):
         np.add.at(expect, idx, g)
         assert np.array_equal(got, expect)
     assert np.array_equal(got[1], g[0] + g[2] + g[3])
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 5), (9, 3, 2)])
+def test_gather_rows_vjp_equals_add_at_on_repeated_indices(shape, rng):
+    idx = rng.integers(0, shape[0] - 1, size=60)  # many repeats; the last row never gathered
+    g = rng.standard_normal((idx.size,) + shape[1:])
+    with GradTape():
+        out = tensor.gather_rows(Tensor(rng.standard_normal(shape), requires_grad=True), idx)
+    (got,) = out._vjp(g)
+    expect = np.zeros(shape)
+    np.add.at(expect, idx, g)
+    assert np.array_equal(got, expect)
 
 
 def test_forward_determinism(rng):
