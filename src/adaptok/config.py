@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 POLICIES = ("adaptive", "dense", "random_ratio", "oracle_mix")
 ROUNDS = 3  # allocation rounds after the pre-allocation pass
@@ -86,11 +86,11 @@ class EncoderConfig:
         return (self.input_h // 4) * (self.input_w // 4)
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return d
+        # every field is a scalar or a flat sequence of scalars, so a shallow
+        # walk copies as much as `dataclasses.asdict` would
+        return {
+            f.name: list(v) if isinstance(v := getattr(self, f.name), (tuple, list)) else v for f in fields(self)
+        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EncoderConfig":

@@ -5,10 +5,15 @@ overlap spatially; tokens at one level never do. Canonical token order is
 the Morton (Z-order) code of the patch-center pixel coordinates, with
 (level, row, col) as the tie-break. This module alone decides row order:
 growing a set returns the permutation that carries feature rows along.
+
+A token set keeps its tokens as integer columns (level, row, col, order
+key), built once per set; everything that computes on tokens reads these
+columns, and `TokenKey` tuples are only a view of them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -21,6 +26,19 @@ from .errors import ContractError
 MAX_LEVEL = 3
 PATCH_SIDES = (32, 16, 8, 4)
 COARSE_SIDE = 32
+# Child q = 2*dy + dx of a token, in `split` order, as token-table
+# arithmetic: level + 1, row 2*row + dy, col 2*col + dx, and the order key
+# (`_order_keys`) plus 1 for the level bits plus 4*(4q - 9) child patch
+# areas. With corner (y0, x0) and side s = 2h, the doubled center
+# (2*y0 + s, 2*x0 + s) has Morton code 4*M(y0, x0) + 3*s^2, because the bits
+# do not overlap, and child q's corner has code M(y0, x0) + q*h^2; so the
+# child's code is the parent's plus (4q - 9)*h^2.
+_CHILD_SCALE = np.array([1, 2, 2, 1])
+_CHILD_OFFSET = np.array([[1, 0, 0, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]])
+_CHILD_KEY_STEP = 4 * (4 * np.arange(4) - 9)
+# index of each level's first token in `_all_keys`, in coarse-grid sizes;
+# the last entry counts every level
+_LEVEL_FIRST = (4 ** np.arange(MAX_LEVEL + 2) - 1) // 3
 
 
 class TokenKey(NamedTuple):
@@ -65,16 +83,36 @@ def _part1by1(v: np.ndarray) -> np.ndarray:
     return (v | (v << 1)) & 0x55555555
 
 
-def _canonical_rank(keys) -> np.ndarray:
-    """Indices that put `keys` in canonical order: Morton code of the doubled
-    patch center, then (level, row, col)."""
-    lvl, row, col = np.array(keys, dtype=np.int64).reshape(-1, 3).T
-    side = COARSE_SIDE >> lvl
+def _order_keys(level, row, col) -> np.ndarray:
+    """Canonical sort key of each token: the Morton code of its doubled
+    patch center, shifted left by two bits to hold the level. The code and
+    the level together determine row and col, so ascending order keys are
+    canonical (code, level, row, col) order."""
+    if np.any((level < 0) | (level > MAX_LEVEL)):
+        raise ValueError(f"token levels must lie in 0..{MAX_LEVEL}")
+    side = COARSE_SIDE >> level
     cy, cx = (2 * row + 1) * side, (2 * col + 1) * side
     if np.any(cy >= 1 << 16) or np.any(cx >= 1 << 16):
         raise ValueError("coordinates exceed 16-bit Morton range")
-    code = (_part1by1(cy) << 1) | _part1by1(cx)
-    return np.lexsort((col, row, lvl, code))
+    return (((_part1by1(cy) << 1) | _part1by1(cx)) << 2) | level
+
+
+def key_columns(tokens) -> np.ndarray:
+    """(n, 3) int64 (level, row, col) of an iterable of TokenKeys, or the
+    first three columns of token-table rows (`MixedResolutionTokenSet.table`)."""
+    if isinstance(tokens, np.ndarray):
+        return tokens[:, :3]
+    return np.fromiter(itertools.chain.from_iterable(tokens), dtype=np.int64).reshape(-1, 3)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _canonical_rank(keys) -> np.ndarray:
+    """Indices that put `keys` in canonical order."""
+    return np.argsort(_order_keys(*key_columns(keys).T), kind="stable")
 
 
 def canonical_order(tokens) -> list[TokenKey]:
@@ -89,29 +127,50 @@ def padded_extent(h: int, w: int) -> tuple[int, int]:
     return pad(h), pad(w)
 
 
-@dataclass(frozen=True)
+_NO_ROWS = _readonly(np.zeros(0, dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
 class MixedResolutionTokenSet:
     """All live tokens for one sample, plus padding bookkeeping.
 
-    `keys` holds the real tokens in canonical order; row i of any aligned
-    feature matrix is keys[i]. `pad_levels` describes invalid feature rows
-    appended after them only when a finished Stage-1 sample sits in a padded
-    batch.
+    `table` is a read-only (n, 4) int64 array with one row per real token
+    in canonical order; its columns are level, row, col and the order key
+    (`_order_keys`), and row i of any aligned feature matrix is token i.
+    `frontier_rows` lists, ascending, the rows of the tokens the last round
+    created. `keys` and `frontier` are TokenKey views of the same tokens,
+    made on first use. `pad_levels` describes invalid feature rows appended
+    after them only when a finished Stage-1 sample sits in a padded batch.
     """
 
     height: int
     width: int
-    keys: tuple[TokenKey, ...]
-    frontier: tuple[TokenKey, ...]
+    table: np.ndarray
+    frontier_rows: np.ndarray
     pad_levels: tuple[int, ...] = ()
+
+    @functools.cached_property
+    def keys(self) -> tuple[TokenKey, ...]:
+        return self.keys_at(slice(None))
+
+    @functools.cached_property
+    def frontier(self) -> tuple[TokenKey, ...]:
+        return self.keys_at(self.frontier_rows)
+
+    def keys_at(self, rows) -> tuple[TokenKey, ...]:
+        """TokenKeys of the tokens at `rows` (shared objects, see `_all_keys`)."""
+        level, row, col = self.table[rows, :3].T
+        w0 = self.width // COARSE_SIDE
+        index = (self.height // COARSE_SIDE) * w0 * _LEVEL_FIRST[level] + ((row * w0) << level) + col
+        return tuple(_all_keys(self.height, self.width)[index].tolist())
 
     @property
     def n_valid(self) -> int:
-        return len(self.keys)
+        return len(self.table)
 
     @property
     def n_rows(self) -> int:
-        return len(self.keys) + len(self.pad_levels)
+        return len(self.table) + len(self.pad_levels)
 
     @property
     def sets(self) -> tuple["MixedResolutionTokenSet"]:
@@ -123,29 +182,61 @@ class MixedResolutionTokenSet:
         return (self.n_valid,)
 
     def counts_per_level(self) -> list[int]:
-        counts = [0] * (MAX_LEVEL + 1)
-        for k in self.keys:
-            counts[k.level] += 1
-        return counts
+        return np.bincount(self.table[:, 0], minlength=MAX_LEVEL + 1).tolist()
 
-    def rows_of(self, keys) -> list[int]:
-        pos = {k: i for i, k in enumerate(self.keys)}
-        return [pos[k] for k in keys]
+    def rows_of(self, keys) -> np.ndarray:
+        """Row of each key; ContractError for a key not in the set."""
+        cols = key_columns(keys)
+        want = _order_keys(*cols.T)
+        order = self.table[:, 3]
+        rows = np.searchsorted(order, want)
+        found = rows < len(order)
+        found[found] = order[rows[found]] == want[found]
+        if not found.all():
+            missing = [TokenKey._make(k) for k in cols[~found].tolist()]
+            raise ContractError(f"tokens not in the set: {missing}")
+        return rows
 
     def row_levels(self) -> np.ndarray:
-        """Level of each key, in row order."""
-        return np.array([k.level for k in self.keys], dtype=np.int64)
+        """Level of each token, in row order (read-only)."""
+        return self.table[:, 0]
+
+    def children(self, parent_rows) -> np.ndarray:
+        """Token-table rows of the children of the tokens at `parent_rows`,
+        in `parent_rows` x `split` order."""
+        parents = self.table[parent_rows]
+        if np.any(parents[:, 0] >= MAX_LEVEL):
+            raise ContractError(f"cannot split a level-{MAX_LEVEL} token")
+        kids = parents[:, None, :] * _CHILD_SCALE + _CHILD_OFFSET
+        kids[:, :, 3] += (COARSE_SIDE >> kids[:, :1, 0]) ** 2 * _CHILD_KEY_STEP
+        return kids.reshape(-1, 4)
+
+    def grow(self, parent_rows) -> tuple["MixedResolutionTokenSet", np.ndarray]:
+        """Grow the set by splitting the tokens at `parent_rows`; their
+        children become the frontier. Also returns `perm`: new row i is row
+        perm[i] of the old rows followed by the children in `parent_rows` x
+        `split` order."""
+        merged = np.concatenate([self.table, self.children(parent_rows)])
+        n_old, n = self.n_valid, len(merged)
+        flops.add_cost(comparisons=flops.sort_comparisons(n) + flops.sort_comparisons(n - n_old))
+        perm = np.argsort(merged[:, 3], kind="stable")
+        grown = MixedResolutionTokenSet(
+            self.height, self.width, _readonly(merged[perm]), _readonly(np.flatnonzero(perm >= n_old)), self.pad_levels
+        )
+        return grown, perm
 
     def with_children(self, parents) -> tuple["MixedResolutionTokenSet", np.ndarray]:
-        """Grow the set by splitting `parents`; children become the frontier.
-        Also returns `perm`: new row i is row perm[i] of the old rows followed
-        by the children in `parents` x `split` order."""
-        merged = list(self.keys) + [c for p in parents for c in split(p)]
-        n_old, n = len(self.keys), len(merged)
-        flops.add_cost(comparisons=flops.sort_comparisons(n) + flops.sort_comparisons(n - n_old))
-        perm = _canonical_rank(merged)
-        keys = tuple(merged[i] for i in perm)
-        return replace(self, keys=keys, frontier=tuple(k for k, i in zip(keys, perm) if i >= n_old)), perm
+        """`grow` by splitting the TokenKeys `parents`, each a token of the
+        set; `perm` follows `parents` x `split` order."""
+        return self.grow(self.rows_of(parents))
+
+    def take(self, rows) -> "MixedResolutionTokenSet":
+        """The tokens at ascending `rows` (so still canonical), with no
+        frontier."""
+        return MixedResolutionTokenSet(self.height, self.width, _readonly(self.table[rows]), _NO_ROWS, self.pad_levels)
+
+    def without_frontier(self) -> "MixedResolutionTokenSet":
+        return replace(self, frontier_rows=_NO_ROWS)
 
     def with_padding(self, pad_levels) -> "MixedResolutionTokenSet":
         return replace(self, pad_levels=self.pad_levels + tuple(pad_levels))
@@ -172,7 +263,8 @@ class MixedResolutionTokenSet:
         for p, n in by_parent.items():
             if n != 4:
                 raise ContractError(f"parent {p} has {n} children, expected 4")
-        if list(self.keys) != canonical_order(self.keys):
+        order = self.table[:, 3]
+        if not np.array_equal(order, _order_keys(*self.table[:, :3].T)) or np.any(np.diff(order) <= 0):
             raise ContractError("keys are not in canonical order")
 
 
@@ -190,8 +282,7 @@ class TokenBatch:
 
     def __post_init__(self):
         segments = tuple(s.n_valid for s in self.sets)
-        levels = np.concatenate([s.row_levels() for s in self.sets])
-        levels.flags.writeable = False
+        levels = _readonly(np.concatenate([s.row_levels() for s in self.sets]))
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "offsets", tuple(itertools.accumulate(segments[:-1], initial=0)))
         object.__setattr__(self, "_levels", levels)
@@ -206,28 +297,61 @@ class TokenBatch:
 
 
 def coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
-    """The initial token set: one level-0 token per 32x32 patch."""
+    """The initial token set: one level-0 token per 32x32 patch. The set is
+    built once per extent and shared; each call charges its sort."""
     if h % COARSE_SIDE or w % COARSE_SIDE:
         raise ValueError(
             f"image {h}x{w} not divisible by {COARSE_SIDE}; pad first (padded_extent)"
         )
-    keys = canonical_order(
-        TokenKey(0, r, c)
-        for r in range(h // COARSE_SIDE)
-        for c in range(w // COARSE_SIDE)
+    s = _coarse_grid(h, w)
+    flops.add_cost(comparisons=flops.sort_comparisons(s.n_valid))
+    return s
+
+
+@functools.lru_cache(maxsize=16)
+def _coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
+    row, col = np.divmod(np.arange((h // COARSE_SIDE) * (w // COARSE_SIDE)), w // COARSE_SIDE)
+    level = np.zeros_like(row)
+    table = np.stack([level, row, col, _order_keys(level, row, col)], axis=1)
+    table = _readonly(table[np.argsort(table[:, 3], kind="stable")])
+    return MixedResolutionTokenSet(h, w, table, _readonly(np.arange(len(table))))
+
+
+@functools.lru_cache(maxsize=16)
+def _all_keys(h: int, w: int) -> np.ndarray:
+    """Every TokenKey an h x w image can hold, as one object array: level by
+    level, each level row-major, so `keys_at` turns columns into keys
+    without building a tuple per token."""
+    keys = (
+        TokenKey(level, row, col)
+        for level in range(MAX_LEVEL + 1)
+        for row in range((h // COARSE_SIDE) << level)
+        for col in range((w // COARSE_SIDE) << level)
     )
-    return MixedResolutionTokenSet(
-        height=h, width=w, keys=tuple(keys), frontier=tuple(keys)
-    )
+    return np.fromiter(keys, dtype=object, count=(h // COARSE_SIDE) * (w // COARSE_SIDE) * int(_LEVEL_FIRST[-1]))
+
+
+def patches(image: np.ndarray, level: int, row, col) -> np.ndarray:
+    """(n, s*s*C) flattened patches of tokens (level, row[i], col[i]) of an
+    (H, W, C) image, s the patch side of `level`, each in the pixel order of
+    `image[y0:y1, x0:x1].reshape(-1)`. Only the selected patches are
+    copied: they are indexed from an (H/s, W/s, s, s, C) view."""
+    h, w, c = image.shape
+    s = COARSE_SIDE >> level
+    grid = image.reshape(h // s, s, w // s, s, c).transpose(0, 2, 1, 3, 4)
+    return grid[row, col].reshape(len(row), s * s * c)
 
 
 def finest_cover(token_set: MixedResolutionTokenSet) -> np.ndarray:
     """Per-pixel index (into token_set.keys) of the deepest covering token."""
-    cover = np.full((token_set.height, token_set.width), -1, dtype=np.int64)
-    keys = token_set.keys
-    for i in np.argsort(token_set.row_levels(), kind="stable"):
-        y0, x0, y1, x1 = keys[i].rect()
-        cover[y0:y1, x0:x1] = i
+    h, w = token_set.height, token_set.width
+    cover = np.full((h, w), -1, dtype=np.int64)
+    level, row, col = token_set.table[:, :3].T
+    # coarse levels first, so finer tokens paint over them; tokens of one
+    # level never overlap
+    for lvl, side in enumerate(PATCH_SIDES):
+        rows = np.flatnonzero(level == lvl)
+        cover.reshape(h // side, side, w // side, side)[row[rows], :, col[rows], :] = rows[:, None, None]
     if np.any(cover < 0):
         raise ContractError("finest_cover: uncovered pixels (bad level-0 tiling)")
     return cover

@@ -174,8 +174,10 @@ class Stage1Run:
         self.store = store
         self.cfg = cfg
         self.labels = labels_list
-        self.bmaps = [
-            None if labels is None else boundary.boundary_map(labels, cfg.connectivity) for labels in labels_list
+        # one summed-area table per labelled sample scores every round's targets
+        self.boundary_counts = [
+            None if labels is None else boundary.SummedArea(boundary.boundary_map(labels, cfg.connectivity))
+            for labels in labels_list
         ]
         self.tokens: TokenBatch | None = None
         self.feats: Tensor | None = None  # every sample's rows, stacked
@@ -191,17 +193,17 @@ class Stage1Run:
 
     def begin(self):
         cfg, store = self.cfg, self.store
-        grid_w = cfg.input_w // 32
+        grid_w = cfg.input_w // geometry.COARSE_SIDE
         with flops.section("stage1.embed"):
             self.tokens = TokenBatch(tuple(geometry.coarse_grid(cfg.input_h, cfg.input_w) for _ in self.images))
             patches, pos_idx = [], []
             for image, token_set in zip(self.images, self.tokens.sets):
-                for k in token_set.keys:
-                    y0, x0, y1, x1 = k.rect()
-                    patches.append(image[y0:y1, x0:x1].reshape(-1))
-                    pos_idx.append(k.row * grid_w + k.col)
+                _, row, col = token_set.table[:, :3].T
+                patches.append(geometry.patches(image, 0, row, col))
+                pos_idx.append(row * grid_w + col)
+            pos_idx = np.concatenate(pos_idx)
             segments = self.tokens.segments
-            x = tensor.linear(tensor.constant(np.stack(patches)), store["s1.embed.w"], store["s1.embed.b"], segments)
+            x = tensor.linear(tensor.constant(np.concatenate(patches)), store["s1.embed.w"], store["s1.embed.b"], segments)
             self.feats = tensor.add(x, tensor.gather_rows(store["s1.embed.pos"], pos_idx))
         with flops.section("stage1.pre"):
             heads = cfg.heads_for(cfg.stage1_dims[0])
@@ -220,9 +222,9 @@ class Stage1Run:
     def score_round(self, r: int) -> list[np.ndarray]:
         """Scores of every sample's frontier, in frontier order."""
         tokens = self.tokens
-        rows = [o + row for s, o in zip(tokens.sets, tokens.offsets) for row in s.rows_of(s.frontier)]
-        counts = [len(s.frontier) for s in tokens.sets]
-        if not rows:
+        rows = np.concatenate([o + s.frontier_rows for s, o in zip(tokens.sets, tokens.offsets)])
+        counts = [len(s.frontier_rows) for s in tokens.sets]
+        if not len(rows):
             return [np.zeros(0) for _ in counts]
         with flops.section(f"stage1.r{r}"):
             store = self.store
@@ -235,22 +237,24 @@ class Stage1Run:
 
     def targets_round(self) -> list[np.ndarray | None]:
         return [
-            None if bmap is None else boundary.target_scores(bmap, s.frontier)
-            for bmap, s in zip(self.bmaps, self.token_sets)
+            None if counts is None else boundary.target_scores(counts, s.table[s.frontier_rows])
+            for counts, s in zip(self.boundary_counts, self.token_sets)
         ]
 
     def allocate_round(self, r: int, picks, scores, targets):
         """Split every sample's selection; `picks` holds one (selected keys,
         selection source) pair per sample, as `choose_selection` returns."""
+        parent_rows = []
         for i, ((selected, source), s) in enumerate(zip(picks, self.token_sets)):
+            selected = tuple(selected)
             self.rounds[i].append(
                 RoundRecord(
                     round_index=r,
-                    frontier=tuple(s.frontier),
+                    frontier=s.frontier,
                     candidate_count=len(s.frontier),
                     scores=np.asarray(scores[i], dtype=np.float64),
                     targets=None if targets[i] is None else np.asarray(targets[i], dtype=np.float64),
-                    selected=tuple(selected),
+                    selected=selected,
                     selected_count=len(selected),
                     selection_source=source,
                 )
@@ -258,53 +262,54 @@ class Stage1Run:
             if len(set(selected)) != len(selected):
                 repeated = sorted(k for k, c in Counter(selected).items() if c > 1)
                 raise ContractError(f"round-{r} selection names a parent more than once: {repeated}")
-            not_frontier = set(selected) - set(s.frontier)
+            row_of = dict(zip(s.frontier, s.frontier_rows.tolist()))
+            not_frontier = {k for k in selected if k not in row_of}
             if not_frontier:
                 raise ContractError(f"selection outside the round-{r} frontier: {not_frontier}")
-        selections = [list(selected) for selected, _ in picks]
-        if not any(selections):
-            self.tokens = TokenBatch(tuple(replace(s, frontier=()) for s in self.token_sets))
+            parent_rows.append(np.array([row_of[k] for k in selected], dtype=np.intp))
+        if not any(len(rows) for rows in parent_rows):
+            self.tokens = TokenBatch(tuple(s.without_frontier() for s in self.token_sets))
             return
         with flops.section(f"stage1.r{r}"):
             tokens = self.tokens
-            merged = tensor.concat([self.feats, self._child_features(r, selections)], axis=0)
+            merged = tensor.concat([self.feats, self._child_features(r, parent_rows)], axis=0)
             # sample i's grown rows: its old rows, then its children, which
             # follow every old row in `merged`
             child_row, perm, grown = tokens.n_valid, [], []
-            for s, o, selected in zip(tokens.sets, tokens.offsets, selections):
-                if not selected:
-                    grown.append(replace(s, frontier=()))
+            for s, o, rows in zip(tokens.sets, tokens.offsets, parent_rows):
+                if not len(rows):
+                    grown.append(s.without_frontier())
                     perm.append(o + np.arange(s.n_valid))
                     continue
-                s_new, p = s.with_children(selected)
+                s_new, p = s.grow(rows)
                 perm.append(np.where(p < s.n_valid, o + p, child_row + p - s.n_valid))
-                child_row += 4 * len(selected)
+                child_row += 4 * len(rows)
                 grown.append(s_new)
             self.tokens = TokenBatch(tuple(grown))
             self.feats = tensor.gather_rows(merged, np.concatenate(perm))
 
-    def _child_features(self, r: int, selections) -> Tensor:
-        """Features of every sample's children, in sample, `selected` x
+    def _child_features(self, r: int, parent_rows) -> Tensor:
+        """Features of every sample's children, in sample, `parent_rows` x
         `split` order."""
         cfg, store = self.cfg, self.store
         d = cfg.stage1_dims[r]
         tokens = self.tokens
-        counts = [4 * len(selected) for selected in selections]
-        parent_rows = np.concatenate(
-            [o + np.repeat(s.rows_of(selected), 4) for s, o, selected in zip(tokens.sets, tokens.offsets, selections)]
-        ).astype(np.intp)
+        counts = [4 * len(rows) for rows in parent_rows]
         slot_idx = np.tile(np.arange(4), sum(counts) // 4)
         feat = None
         if not cfg.no_aux_image:
-            rects = [
-                (image, c.rect()) for image, selected in zip(self.images, selections) for p in selected for c in geometry.split(p)
-            ]
-            pix = np.stack([image[y0:y1, x0:x1].reshape(-1) for image, (y0, x0, y1, x1) in rects])
+            pix = []
+            for image, s, rows in zip(self.images, tokens.sets, parent_rows):
+                if len(rows):
+                    _, row, col, _ = s.children(rows).T
+                    pix.append(geometry.patches(image, r, row, col))
+            pix = np.concatenate(pix)
             t = tensor.linear(tensor.constant(pix), store[f"s1.r{r}.child.pix.w"], store[f"s1.r{r}.child.pix.b"], counts)
             h = tensor.gelu(tensor.linear(t, store[f"s1.r{r}.child.mlp1.w"], store[f"s1.r{r}.child.mlp1.b"], counts))
             feat = tensor.linear(h, store[f"s1.r{r}.child.mlp2.w"], store[f"s1.r{r}.child.mlp2.b"], counts)
         if not cfg.no_residual:
-            residual = tensor.gather_rows(self.feats, parent_rows)
+            stacked_rows = np.concatenate([o + np.repeat(rows, 4) for o, rows in zip(tokens.offsets, parent_rows)])
+            residual = tensor.gather_rows(self.feats, stacked_rows)
             feat = residual if feat is None else tensor.add(feat, residual)
         if feat is None:
             feat = tensor.constant(np.zeros((sum(counts), d)))
@@ -367,6 +372,8 @@ def choose_selection(
     use_oracle: bool,
     ratio_rng,
 ) -> tuple[list[TokenKey], str]:
+    """One sample's selected frontier keys and their source; `ratio_rng` is
+    its random_ratio stream (None under every other policy)."""
     frontier = list(frontier)
     n = len(frontier)
     if cfg.policy == "dense":
@@ -422,7 +429,9 @@ def run_stage1_batch(
         with flops.section(f"stage1.r{r}"):
             picks = [
                 choose_selection(
-                    cfg, r, s.frontier, scores[i], targets[i], use_oracle, rng_for(cfg.policy_seed, "ratio", batch_index, i, r)
+                    cfg, r, s.frontier, scores[i], targets[i], use_oracle,
+                    # only random_ratio reads its stream
+                    rng_for(cfg.policy_seed, "ratio", batch_index, i, r) if cfg.policy == "random_ratio" else None,
                 )
                 for i, s in enumerate(run.token_sets)
             ]

@@ -15,7 +15,7 @@ its rows per sample in `segments`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,21 +57,23 @@ def lateral_fuse(current: Tensor, current_set, lateral: Lateral, store: ParamSto
     """Concat the same-scale Stage-1 snapshot and project back to the round
     width. Token correspondence must be exact, sample by sample; the token
     sets may be single sets or `TokenBatch`es."""
-    if [s.keys for s in lateral.token_set.sets] != [s.keys for s in current_set.sets]:
+    if len(lateral.token_set.sets) != len(current_set.sets) or not all(
+        np.array_equal(a.table, b.table) for a, b in zip(lateral.token_set.sets, current_set.sets)
+    ):
         raise ContractError("lateral snapshot does not match the live token set")
     cat = tensor.concat([current, lateral.feats], axis=1)
     return tensor.linear(cat, store[f"{prefix}.w"], store[f"{prefix}.b"], current_set.segments)
 
 
 def _emit(tokens: TokenBatch, feats: Tensor, level: int):
-    levels = tokens.row_levels()
     carried, keys, counts = [], [], []
-    for s, o in zip(tokens.sets, tokens.offsets):
-        lv = levels[o : o + s.n_valid]
-        carried.append(replace(s, keys=tuple(k for k, l in zip(s.keys, lv) if l != level), frontier=()))
-        emit = [k for k, l in zip(s.keys, lv) if l == level]
-        keys.extend(emit)
-        counts.append(len(emit))
+    for s in tokens.sets:
+        emit = s.row_levels() == level
+        carried.append(s.take(np.flatnonzero(~emit)))
+        rows = np.flatnonzero(emit)
+        keys.extend(s.keys_at(rows))
+        counts.append(len(rows))
+    levels = tokens.row_levels()
     emitted = EmittedMap(level, tuple(keys), tensor.gather_rows(feats, np.flatnonzero(levels == level)), tuple(counts))
     return TokenBatch(tuple(carried)), tensor.gather_rows(feats, np.flatnonzero(levels != level)), emitted
 
@@ -140,8 +142,8 @@ def densify_finest(
         for i, s in enumerate(union.sets):
             # this sample's emitted row j is its union row order[j]
             order = np.argsort(-s.row_levels(), kind="stable")
-            keys = tuple(k for em, f in zip(emitted, firsts) for k in em.keys[f[i] : f[i] + em.segments[i]])
-            if keys != tuple(s.keys[j] for j in order):
+            keys = itertools.chain.from_iterable(em.keys[f[i] : f[i] + em.segments[i]] for em, f in zip(emitted, firsts))
+            if tuple(keys) != s.keys_at(order):
                 raise ContractError("emitted maps do not partition the token set")
             emitted_row = np.empty(len(order), dtype=np.intp)
             emitted_row[order] = np.concatenate(

@@ -1,9 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from adaptok import config, geometry, params, scenes, tensor
+from adaptok import boundary, config, geometry, params, scenes, tensor
 from adaptok.tensor import Tensor
 
 
@@ -36,10 +34,60 @@ def grow_random_set(h, w, p, rng):
         sel = [k for k in s.frontier if rng.random() < p]
         selections.append(sel)
         if not sel:
-            s = dataclasses.replace(s, frontier=())
+            s = s.without_frontier()
             continue
         s, _ = s.with_children(sel)
     return s, selections
+
+
+def canonical_rank_oracle(keys):
+    """Per-key canonical rank: lexsort of the Morton code of the doubled
+    patch center, then level, row and col."""
+    lvl, row, col = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    side = 32 >> lvl
+    code = (geometry._part1by1((2 * row + 1) * side) << 1) | geometry._part1by1((2 * col + 1) * side)
+    return np.lexsort((col, row, lvl, code))
+
+
+def with_children_oracle(keys, parents):
+    """Per-key `with_children`: the grown keys, the frontier and `perm`."""
+    merged = list(keys) + [c for p in parents for c in geometry.split(p)]
+    perm = canonical_rank_oracle(merged)
+    grown = tuple(merged[i] for i in perm)
+    return grown, tuple(k for k, i in zip(grown, perm) if i >= len(keys)), perm
+
+
+def finest_cover_oracle(height, width, keys):
+    """Per-key `finest_cover`: paint every token, coarse levels first."""
+    cover = np.full((height, width), -1, dtype=np.int64)
+    for i in np.argsort([k.level for k in keys], kind="stable"):
+        y0, x0, y1, x1 = keys[i].rect()
+        cover[y0:y1, x0:x1] = i
+    return cover
+
+
+def target_scores_oracle(bmap, tokens):
+    """Per-key `target_scores`: boundary pixels of each patch over its area."""
+    scores = []
+    for k in tokens:
+        y0, x0, y1, x1 = k.rect()
+        scores.append(float(bmap[y0:y1, x0:x1].sum()) / ((y1 - y0) * (x1 - x0)))
+    return np.asarray(scores, dtype=np.float64)
+
+
+def cell_majority_oracle(labels, cell=4):
+    """Per-class `cell_majority_labels`: one compare-and-sum pass per class."""
+    h, w = labels.shape
+    blocks = labels.reshape(h // cell, cell, w // cell, cell).transpose(0, 2, 1, 3).reshape(h // cell, w // cell, -1)
+    out = np.full((h // cell, w // cell), boundary.IGNORE, dtype=np.int64)
+    best = np.zeros((h // cell, w // cell), dtype=np.int64)
+    classes = np.unique(labels)
+    for cls in classes[classes != boundary.IGNORE]:
+        count = (blocks == cls).sum(axis=2)
+        wins = count > best
+        out[wins] = cls
+        best[wins] = count[wins]
+    return out
 
 
 def finite_difference(f, t, idx, h=1e-5):

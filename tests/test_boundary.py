@@ -7,6 +7,8 @@ from adaptok import boundary, pnm
 from adaptok.boundary import IGNORE, allocator_loss, boundary_map, target_scores
 from adaptok.geometry import TokenKey, coarse_grid
 
+from conftest import cell_majority_oracle
+
 
 def brute_force_boundary(labels, connectivity):
     h, w = labels.shape
@@ -141,6 +143,45 @@ class TestCellMajority:
         assert boundary.cell_majority_labels(lab)[0, 0] == IGNORE
         lab[0, 0] = 3
         assert boundary.cell_majority_labels(lab)[0, 0] == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid_h=st.integers(1, 4),
+    grid_w=st.integers(1, 4),
+    n_classes=st.integers(1, 4),
+    ignore_frac=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    dtype=st.sampled_from([np.uint16, np.int64]),
+)
+def test_cell_majority_matches_per_class_oracle(seed, grid_h, grid_w, n_classes, ignore_frac, dtype):
+    rng = np.random.default_rng(seed)
+    pool = np.array([0, 1, 2, 5, 300, 65534])
+    classes = rng.choice(pool, size=n_classes, replace=False)
+    lab = classes[rng.integers(0, n_classes, size=(4 * grid_h, 4 * grid_w))]
+    lab[rng.random(lab.shape) < ignore_frac] = IGNORE
+    # forced ties in some cells: 8/8, or 6/6 beside 4 IGNORE pixels, with
+    # the larger id written first
+    for cy in range(grid_h):
+        for cx in range(grid_w):
+            if n_classes > 1 and rng.random() < 0.4:
+                lo, hi = np.sort(rng.choice(classes, size=2, replace=False))
+                n_ignore = int(rng.choice([0, 4]))
+                half = (16 - n_ignore) // 2
+                cell = np.array([hi] * half + [lo] * half + [IGNORE] * n_ignore)
+                lab[4 * cy : 4 * cy + 4, 4 * cx : 4 * cx + 4] = rng.permutation(cell).reshape(4, 4)
+    lab = lab.astype(dtype)
+    got = boundary.cell_majority_labels(lab)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, cell_majority_oracle(lab))
+
+
+def test_target_scores_reject_tokens_past_the_map():
+    bmap = np.zeros((64, 32), dtype=np.uint8)
+    with pytest.raises(ValueError, match="extends past"):
+        target_scores(bmap, [TokenKey(0, 0, 0), TokenKey(0, 0, 1)])
+    with pytest.raises(ValueError, match="extends past"):
+        target_scores(boundary.SummedArea(bmap), coarse_grid(64, 64).table)
 
 
 def test_pgm16_roundtrip(tmp_path, rng):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adaptok import flops, geometry
+from adaptok import boundary, flops, geometry
 from adaptok.errors import ContractError
 from adaptok.geometry import TokenKey, canonical_order, coarse_grid, finest_cover, split
 
-from conftest import grow_random_set
+from conftest import (
+    canonical_rank_oracle,
+    finest_cover_oracle,
+    grow_random_set,
+    target_scores_oracle,
+    with_children_oracle,
+)
 
 
 class TestCoarseGrid:
@@ -212,3 +220,75 @@ def test_pad_and_mask_counts():
     assert padded[0].n_rows == padded[1].n_rows == 8
     assert padded[0].n_valid == 4 and padded[1].n_valid == 8
     assert list(padded[0].pad_levels) == [1] * 4 and not padded[1].pad_levels
+
+
+class TestColumnsAgainstPerKeyOracles:
+    """The token-table implementation against the per-key oracles in
+    conftest, over random allocation traces."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid_h=st.integers(1, 4),
+        grid_w=st.integers(1, 4),
+        p=st.floats(0.0, 1.0),
+    )
+    def test_grown_sets_match(self, seed, grid_h, grid_w, p):
+        rng = np.random.default_rng(seed)
+        h, w = 32 * grid_h, 32 * grid_w
+        final, selections = grow_random_set(h, w, p, rng)
+        coarse = [TokenKey(0, r, c) for r in range(grid_h) for c in range(grid_w)]
+        keys = tuple(coarse[i] for i in canonical_rank_oracle(coarse))
+        s, frontier = coarse_grid(h, w), keys
+        assert s.keys == keys and s.frontier == frontier
+        bmap = (rng.random((h, w)) < rng.random()).astype(np.uint8)
+        for sel in selections:
+            if sel:
+                # parents in any order; perm follows the given order
+                sel = [sel[i] for i in rng.permutation(len(sel))]
+                s, perm = s.with_children(sel)
+                keys, frontier, want_perm = with_children_oracle(keys, sel)
+                assert np.array_equal(perm, want_perm)
+            else:
+                s, frontier = s.without_frontier(), ()
+            assert s.keys == keys
+            assert s.frontier == frontier
+            assert s.row_levels().tolist() == [k.level for k in keys]
+            assert s.counts_per_level() == [sum(k.level == lvl for k in keys) for lvl in range(4)]
+            probe = [keys[i] for i in rng.permutation(len(keys))[: int(rng.integers(1, len(keys) + 1))]]
+            assert s.rows_of(probe).tolist() == [keys.index(k) for k in probe]
+            assert np.array_equal(finest_cover(s), finest_cover_oracle(h, w, keys))
+            want = target_scores_oracle(bmap, frontier)
+            assert np.array_equal(boundary.target_scores(bmap, frontier), want)
+            assert np.array_equal(boundary.target_scores(boundary.SummedArea(bmap), s.table[s.frontier_rows]), want)
+        assert s.keys == final.keys and s.frontier == final.frontier
+        s.validate()
+
+    def test_rows_of_rejects_keys_outside_the_set(self):
+        s = coarse_grid(64, 64)
+        with pytest.raises(ContractError, match="not in the set"):
+            s.rows_of([s.keys[0], TokenKey(1, 0, 0)])
+
+    def test_coarse_grid_is_shared_and_read_only(self):
+        a, b = coarse_grid(64, 96), coarse_grid(64, 96)
+        assert a is b
+        with pytest.raises(ValueError):
+            a.table[0, 0] = 1
+        with pytest.raises(ValueError):
+            a.frontier_rows[0] = 1
+
+    def test_each_coarse_grid_call_charges_its_sort(self):
+        coarse_grid(64, 96)
+        with flops.meter() as m:
+            coarse_grid(64, 96)
+            coarse_grid(64, 96)
+        assert m.total().comparisons == 2 * flops.sort_comparisons(6)
+
+    def test_patches_match_slicing(self, rng):
+        image = rng.random((64, 96, 3))
+        for level in range(4):
+            side = 32 >> level
+            keys = [TokenKey(level, 0, 0), TokenKey(level, 64 // side - 1, 96 // side - 1), TokenKey(level, 1, 2)]
+            got = geometry.patches(image, level, np.array([k.row for k in keys]), np.array([k.col for k in keys]))
+            want = [image[y0:y1, x0:x1].reshape(-1) for y0, x0, y1, x1 in (k.rect() for k in keys)]
+            assert np.array_equal(got, np.stack(want))

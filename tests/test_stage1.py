@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptok import boundary, config, geometry, params, scenes, stage1
+from adaptok import boundary, config, flops, geometry, params, scenes, stage1, train
 from adaptok.errors import ContractError
 from adaptok.params import init_params, load_params, save_params
 from adaptok.stage1 import (
@@ -52,6 +52,19 @@ class TestSelect:
 
 
 class TestCoarseEmbed:
+    def test_every_forward_charges_the_coarse_sort(self, nano_cfg, nano_store, rng):
+        # the coarse grid is built once per extent and then shared, but each
+        # sample of each forward still charges its canonical sort
+        geometry._coarse_grid.cache_clear()
+        images = [rng.random((64, 64, 3)) for _ in range(3)]
+        charged = []
+        for batch in ([images[0]], [images[1]], images):
+            with flops.meter() as m:
+                run_stage1_batch(batch, nano_store, nano_cfg)
+            charged.append(m.counts("stage1.embed").comparisons)
+        per_sample = flops.sort_comparisons(nano_cfg.coarse_tokens)
+        assert charged == [per_sample, per_sample, 3 * per_sample]
+
     def test_tiny_dim_and_count(self):
         cfg = config.tiny(h=256, w=256)
         store = params.ParamStore()
@@ -351,6 +364,26 @@ class TestOracleMixGate:
         store = init_params(cfg, seed=0)
         with pytest.raises(ValueError):
             run_stage1(rng.random((64, 64, 3)), store, cfg, labels=None)
+
+    @pytest.mark.parametrize("policy", ["oracle_mix", "random_ratio"])
+    def test_forward_draws_only_the_streams_its_policy_reads(self, monkeypatch, scene_spec, policy):
+        # oracle_mix reads the per-batch gate; random_ratio reads one stream
+        # per sample and round, keyed by batch index, sample and round
+        cfg = config.nano().with_overrides(policy=policy, oracle_rate=1.0)
+        store = init_params(cfg, seed=0)
+        corpus = scenes.generate_corpus(3, 2, scene_spec)
+        drawn = []
+
+        def spy(seed, *tags):
+            drawn.append(tags)
+            return params.rng_for(seed, *tags)
+
+        monkeypatch.setattr(stage1, "rng_for", spy)
+        train.forward_batch([sc.image for sc in corpus], [sc.labels for sc in corpus], store, cfg, batch_index=4)
+        if policy == "oracle_mix":
+            assert drawn == [("oracle_gate", 4)]
+        else:
+            assert drawn == [("ratio", 4, i, r) for r in (1, 2, 3) for i in (0, 1)]
 
 
 class TestBatchPadding:
