@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor
 from .errors import ContractError
-from .geometry import MixedResolutionTokenSet, TokenBatch
+from .geometry import TokenBatch
 from .params import ParamStore
 from .tensor import Tensor
 
@@ -43,7 +43,7 @@ class ClusterAssignment:
         return np.arange(max(c - 1, 0) * self.cluster_size, min((c + 2) * self.cluster_size, self.n_tokens))
 
 
-def cluster(token_set: MixedResolutionTokenSet | TokenBatch, cluster_size: int) -> ClusterAssignment:
+def cluster(token_set: TokenBatch, cluster_size: int) -> ClusterAssignment:
     """Assignment over the rows of a token set or a `TokenBatch`; in a batch
     the runs restart at every sample's first row."""
     if cluster_size < 1:
@@ -75,7 +75,7 @@ def _block(x, store, prefix, heads, size, key_levels, segments) -> Tensor:
 
 def cluster_attention_block(
     x: Tensor,
-    token_set: MixedResolutionTokenSet | TokenBatch,
+    token_set: TokenBatch,
     assignment: ClusterAssignment,
     store: ParamStore,
     prefix: str,

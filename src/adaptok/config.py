@@ -8,6 +8,8 @@ import json
 from dataclasses import dataclass, fields, replace
 
 POLICIES = ("adaptive", "dense", "random_ratio", "oracle_mix")
+# fields of the allocation policy: none of them shapes a parameter
+POLICY_FIELDS = ("policy", "thresholds", "ratio_schedule", "oracle_rate", "policy_seed")
 ROUNDS = 3  # allocation rounds after the pre-allocation pass
 
 
@@ -108,11 +110,20 @@ class EncoderConfig:
         return cls(**kwargs)
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return _digest(self.to_json_dict())
+
+    def architecture_digest(self) -> str:
+        """Digest of every field but the allocation policy's
+        (`POLICY_FIELDS`): equal for configs that share parameters."""
+        return _digest({k: v for k, v in self.to_json_dict().items() if k not in POLICY_FIELDS})
 
     def with_overrides(self, **kw) -> "EncoderConfig":
         return replace(self, **kw)
+
+
+def _digest(fields: dict) -> str:
+    blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _preset(name, h, w, d1, b1, b2, cluster, classes=6):

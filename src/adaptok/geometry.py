@@ -3,12 +3,13 @@
 Levels 0..3 cover patch sides 32, 16, 8, 4. Tokens at different levels may
 overlap spatially; tokens at one level never do. Canonical token order is
 the Morton (Z-order) code of the patch-center pixel coordinates, with
-(level, row, col) as the tie-break. This module alone decides row order:
-growing a set returns the permutation that carries feature rows along.
+(level, row, col) as the tie-break. This module alone decides row order,
+for one sample and for a stacked batch: growing a batch returns the
+permutation that carries feature rows along.
 
-A token set keeps its tokens as integer columns (level, row, col, order
-key), built once per set; everything that computes on tokens reads these
-columns, and `TokenKey` tuples are only a view of them.
+A batch keeps its tokens as one integer table (level, row, col, order key);
+everything that computes on tokens reads it, and `TokenKey` tuples are
+only a view of it. A single sample's token set is the batch of one.
 """
 
 from __future__ import annotations
@@ -130,24 +131,41 @@ def padded_extent(h: int, w: int) -> tuple[int, int]:
 _NO_ROWS = _readonly(np.zeros(0, dtype=np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class MixedResolutionTokenSet:
-    """All live tokens for one sample, plus padding bookkeeping.
+def segment_views(a, segments) -> list:
+    """Views of consecutive runs of `a`'s rows, `segments[i]` rows each: a
+    stacked array's per-sample parts."""
+    bounds = list(itertools.accumulate(segments, initial=0))
+    return [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    `table` is a read-only (n, 4) int64 array with one row per real token
-    in canonical order; its columns are level, row, col and the order key
-    (`_order_keys`), and row i of any aligned feature matrix is token i.
+
+@dataclass(frozen=True, eq=False)
+class TokenBatch:
+    """The tokens of a batch whose feature rows are stacked in batch order:
+    sample i's rows follow sample i-1's, and row i of any aligned feature
+    matrix is token i. `table` is a read-only (ΣN, 4) int64 array, each
+    sample's block in canonical order; its columns are level, row, col and
+    the order key (`_order_keys`). `segments` counts each sample's rows, and
     `frontier_rows` lists, ascending, the rows of the tokens the last round
     created. `keys` and `frontier` are TokenKey views of the same tokens,
-    made on first use. `pad_levels` describes invalid feature rows appended
-    after them only when a finished Stage-1 sample sits in a padded batch.
-    """
+    made on first use, and `sets` the per-sample token sets. A
+    `MixedResolutionTokenSet` is the batch of one."""
 
     height: int
     width: int
     table: np.ndarray
     frontier_rows: np.ndarray
-    pad_levels: tuple[int, ...] = ()
+    segments: tuple[int, ...]
+
+    @staticmethod
+    def stack(sets) -> "TokenBatch":
+        """The batch of the token sets `sets`, in order."""
+        offsets = itertools.accumulate((s.n_valid for s in sets), initial=0)
+        table = _readonly(np.concatenate([s.table for s in sets]))
+        frontier = _readonly(np.concatenate([o + s.frontier_rows for s, o in zip(sets, offsets)]))
+        return TokenBatch(sets[0].height, sets[0].width, table, frontier, tuple(s.n_valid for s in sets))
+
+    def _with(self, table, frontier_rows, segments) -> "TokenBatch":
+        return TokenBatch(self.height, self.width, table, frontier_rows, segments)
 
     @functools.cached_property
     def keys(self) -> tuple[TokenKey, ...]:
@@ -168,18 +186,103 @@ class MixedResolutionTokenSet:
     def n_valid(self) -> int:
         return len(self.table)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.table) + len(self.pad_levels)
+    def row_levels(self) -> np.ndarray:
+        """Level of each token, in row order (read-only)."""
+        return self.table[:, 0]
+
+    @functools.cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """First row of each sample."""
+        return tuple(itertools.accumulate(self.segments[:-1], initial=0))
+
+    @functools.cached_property
+    def _row_samples(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.segments)), self.segments)
+
+    @functools.cached_property
+    def frontiers(self) -> list[np.ndarray]:
+        """Each sample's frontier, as rows of the batch."""
+        counts = np.bincount(self._row_samples[self.frontier_rows], minlength=len(self.segments))
+        return segment_views(self.frontier_rows, counts.tolist())
+
+    @functools.cached_property
+    def sets(self) -> tuple["MixedResolutionTokenSet", ...]:
+        """Each sample's token set, its rows numbered from 0."""
+        return tuple(
+            MixedResolutionTokenSet(self.height, self.width, self.table[o : o + n], _readonly(f - o))
+            for o, n, f in zip(self.offsets, self.segments, self.frontiers)
+        )
+
+    def level_counts(self) -> np.ndarray:
+        """(samples, levels) token counts."""
+        flat = self._row_samples * (MAX_LEVEL + 1) + self.row_levels()
+        return np.bincount(flat, minlength=len(self.segments) * (MAX_LEVEL + 1)).reshape(-1, MAX_LEVEL + 1)
+
+    def finest_first(self) -> np.ndarray:
+        """Rows ordered finest level first, then by sample, then by row: the
+        order in which Stage 2 emits them, one map per level."""
+        return np.lexsort((np.arange(self.n_valid), self._row_samples, -self.row_levels()))
+
+    def children(self, parent_rows) -> np.ndarray:
+        """Token-table rows of the children of the tokens at `parent_rows`,
+        in `parent_rows` x `split` order."""
+        parents = self.table[parent_rows]
+        if np.any(parents[:, 0] >= MAX_LEVEL):
+            raise ContractError(f"cannot split a level-{MAX_LEVEL} token")
+        kids = parents[:, None, :] * _CHILD_SCALE + _CHILD_OFFSET
+        kids[:, :, 3] += (COARSE_SIDE >> kids[:, :1, 0]) ** 2 * _CHILD_KEY_STEP
+        return kids.reshape(-1, 4)
+
+    def grow(self, parent_rows) -> tuple["TokenBatch", np.ndarray]:
+        """Grow the batch by splitting the tokens at `parent_rows`; their
+        children become the frontier. Also returns `perm`: new row i is row
+        perm[i] of the old rows followed by the children in `parent_rows` x
+        `split` order. Each sample that gains k children is charged the sort
+        of its grown set plus the sort of the children."""
+        parent_rows = np.asarray(parent_rows, dtype=np.intp)
+        kid_samples = np.repeat(self._row_samples[parent_rows], 4)
+        merged = np.concatenate([self.table, self.children(parent_rows)])
+        kids = np.bincount(kid_samples, minlength=len(self.segments)).tolist()
+        segments = tuple(n + k for n, k in zip(self.segments, kids))
+        flops.add_cost(
+            comparisons=sum(flops.sort_comparisons(n) + flops.sort_comparisons(k) for n, k in zip(segments, kids) if k)
+        )
+        perm = np.lexsort((merged[:, 3], np.concatenate([self._row_samples, kid_samples])))
+        grown = self._with(_readonly(merged[perm]), _readonly(np.flatnonzero(perm >= self.n_valid)), segments)
+        return grown, perm
+
+    def take(self, rows) -> "TokenBatch":
+        """The tokens at ascending `rows` (so still canonical), with no
+        frontier."""
+        segments = np.bincount(self._row_samples[rows], minlength=len(self.segments))
+        return self._with(_readonly(self.table[rows]), _NO_ROWS, tuple(segments.tolist()))
+
+    def without_frontier(self) -> "TokenBatch":
+        return self._with(self.table, _NO_ROWS, self.segments)
+
+
+@dataclass(frozen=True, eq=False)
+class MixedResolutionTokenSet(TokenBatch):
+    """All live tokens for one sample, as the batch of one, plus padding
+    bookkeeping: `pad_levels` describes invalid feature rows appended after
+    them only when a finished Stage-1 sample sits in a padded batch."""
+
+    segments: tuple[int] = field(init=False)
+    pad_levels: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "segments", (len(self.table),))
+
+    def _with(self, table, frontier_rows, segments) -> "MixedResolutionTokenSet":
+        return replace(self, table=table, frontier_rows=frontier_rows)
 
     @property
     def sets(self) -> tuple["MixedResolutionTokenSet"]:
-        """The set as a batch of one (see `TokenBatch`)."""
         return (self,)
 
     @property
-    def segments(self) -> tuple[int]:
-        return (self.n_valid,)
+    def n_rows(self) -> int:
+        return len(self.table) + len(self.pad_levels)
 
     def counts_per_level(self) -> list[int]:
         return np.bincount(self.table[:, 0], minlength=MAX_LEVEL + 1).tolist()
@@ -197,46 +300,10 @@ class MixedResolutionTokenSet:
             raise ContractError(f"tokens not in the set: {missing}")
         return rows
 
-    def row_levels(self) -> np.ndarray:
-        """Level of each token, in row order (read-only)."""
-        return self.table[:, 0]
-
-    def children(self, parent_rows) -> np.ndarray:
-        """Token-table rows of the children of the tokens at `parent_rows`,
-        in `parent_rows` x `split` order."""
-        parents = self.table[parent_rows]
-        if np.any(parents[:, 0] >= MAX_LEVEL):
-            raise ContractError(f"cannot split a level-{MAX_LEVEL} token")
-        kids = parents[:, None, :] * _CHILD_SCALE + _CHILD_OFFSET
-        kids[:, :, 3] += (COARSE_SIDE >> kids[:, :1, 0]) ** 2 * _CHILD_KEY_STEP
-        return kids.reshape(-1, 4)
-
-    def grow(self, parent_rows) -> tuple["MixedResolutionTokenSet", np.ndarray]:
-        """Grow the set by splitting the tokens at `parent_rows`; their
-        children become the frontier. Also returns `perm`: new row i is row
-        perm[i] of the old rows followed by the children in `parent_rows` x
-        `split` order."""
-        merged = np.concatenate([self.table, self.children(parent_rows)])
-        n_old, n = self.n_valid, len(merged)
-        flops.add_cost(comparisons=flops.sort_comparisons(n) + flops.sort_comparisons(n - n_old))
-        perm = np.argsort(merged[:, 3], kind="stable")
-        grown = MixedResolutionTokenSet(
-            self.height, self.width, _readonly(merged[perm]), _readonly(np.flatnonzero(perm >= n_old)), self.pad_levels
-        )
-        return grown, perm
-
     def with_children(self, parents) -> tuple["MixedResolutionTokenSet", np.ndarray]:
         """`grow` by splitting the TokenKeys `parents`, each a token of the
         set; `perm` follows `parents` x `split` order."""
         return self.grow(self.rows_of(parents))
-
-    def take(self, rows) -> "MixedResolutionTokenSet":
-        """The tokens at ascending `rows` (so still canonical), with no
-        frontier."""
-        return MixedResolutionTokenSet(self.height, self.width, _readonly(self.table[rows]), _NO_ROWS, self.pad_levels)
-
-    def without_frontier(self) -> "MixedResolutionTokenSet":
-        return replace(self, frontier_rows=_NO_ROWS)
 
     def with_padding(self, pad_levels) -> "MixedResolutionTokenSet":
         return replace(self, pad_levels=self.pad_levels + tuple(pad_levels))
@@ -266,34 +333,6 @@ class MixedResolutionTokenSet:
         order = self.table[:, 3]
         if not np.array_equal(order, _order_keys(*self.table[:, :3].T)) or np.any(np.diff(order) <= 0):
             raise ContractError("keys are not in canonical order")
-
-
-@dataclass(frozen=True)
-class TokenBatch:
-    """The token sets of a batch whose feature rows are stacked in batch
-    order: sample i's rows follow sample i-1's. It offers what a single
-    `MixedResolutionTokenSet` offers as a batch of one: `sets`, `segments`
-    (rows per sample), `n_valid` and `row_levels()`."""
-
-    sets: tuple[MixedResolutionTokenSet, ...]
-    segments: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)  # first row of each sample
-    _levels: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        segments = tuple(s.n_valid for s in self.sets)
-        levels = _readonly(np.concatenate([s.row_levels() for s in self.sets]))
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "offsets", tuple(itertools.accumulate(segments[:-1], initial=0)))
-        object.__setattr__(self, "_levels", levels)
-
-    @property
-    def n_valid(self) -> int:
-        return len(self._levels)
-
-    def row_levels(self) -> np.ndarray:
-        """Level of each stacked row (read-only)."""
-        return self._levels
 
 
 def coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:

@@ -1,5 +1,5 @@
 """Model parameters: named f64 arrays, seeded deterministic init, and a
-little-endian binary container keyed to the config digest.
+little-endian binary container keyed to the architecture digest.
 
 Every parameter's init stream is derived from (seed, name) through a
 counter-style hash, so adding or reordering parameters never shifts the
@@ -186,7 +186,7 @@ def init_params(cfg: EncoderConfig, seed: int) -> ParamStore:
 
 
 def save_params(path, store: ParamStore, cfg: EncoderConfig):
-    digest = bytes.fromhex(cfg.digest())
+    digest = bytes.fromhex(cfg.architecture_digest())
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
@@ -205,19 +205,21 @@ def save_params(path, store: ParamStore, cfg: EncoderConfig):
 
 
 class _Reader:
-    """Cursor over a container's bytes; running short is a ValueError that
-    names the file and what was being read."""
+    """Cursor over the bytes of a container (`noun` names its kind); running
+    short or stopping short of the end is a ValueError that names the file
+    and what was being read."""
 
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob: bytes, path, noun: str = "parameter container"):
         self.blob = blob
         self.path = path
+        self.noun = noun
         self.pos = 0
 
     def skip(self, n: int, what: str) -> int:
         """Step over n bytes; returns their offset."""
         if self.pos + n > len(self.blob):
             raise ValueError(
-                f"{self.path}: truncated parameter container: {what} needs {n} bytes at offset {self.pos}, "
+                f"{self.path}: truncated {self.noun}: {what} needs {n} bytes at offset {self.pos}, "
                 f"{len(self.blob) - self.pos} left"
             )
         self.pos += n
@@ -230,12 +232,19 @@ class _Reader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def finish(self, what: str):
+        """Check that no bytes follow what was read, `what` describing it."""
+        if self.pos != len(self.blob):
+            raise ValueError(f"{self.path}: {self.noun} has {len(self.blob) - self.pos} trailing bytes {what}")
+
 
 def load_params(path, cfg: EncoderConfig) -> ParamStore:
-    """Read a container built for `cfg`; raises ValueError naming the file
-    and the cause (and the parameter) for a bad magic or version, a config
-    mismatch, a truncated file, trailing bytes or non-finite values. Values
-    are copied from the file's bytes straight into the arena."""
+    """Read a container built for `cfg`'s architecture; raises ValueError
+    naming the file and the cause (and the parameter) for a bad magic or
+    version, an architecture mismatch, a truncated file, trailing bytes or
+    non-finite values. Containers keyed to the full config digest, as
+    written before the architecture digest, still load. Values are copied
+    from the file's bytes straight into the arena."""
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     if r.blob[:8] != MAGIC:
@@ -245,7 +254,7 @@ def load_params(path, cfg: EncoderConfig) -> ParamStore:
     if version != VERSION:
         raise ValueError(f"{path}: unsupported container version {version}")
     digest = r.take(32, "config digest")
-    if digest != bytes.fromhex(cfg.digest()):
+    if digest not in (bytes.fromhex(cfg.architecture_digest()), bytes.fromhex(cfg.digest())):
         raise ValueError(f"{path}: parameter container was built for a different config")
     (count,) = r.unpack("<I", "parameter count")
     specs = []
@@ -258,10 +267,7 @@ def load_params(path, cfg: EncoderConfig) -> ParamStore:
         lo = r.skip(8 * n, f"values of parameter {name}")
         values = np.frombuffer(r.blob, dtype="<f8", count=n, offset=lo).reshape(shape)
         specs.append((name, shape, lambda out, values=values: np.copyto(out, values)))
-    if r.pos != len(r.blob):
-        raise ValueError(
-            f"{path}: parameter container has {len(r.blob) - r.pos} trailing bytes after {count} parameters"
-        )
+    r.finish(f"after {count} parameters")
     store = ParamStore(specs)
     if not np.isfinite(store.flat).all():
         name = next(name for name, t in store.items() if not np.isfinite(t.data).all())

@@ -19,8 +19,6 @@ batch.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -74,7 +72,7 @@ class AllocationTrace:
 
 @dataclass
 class Lateral:
-    token_set: MixedResolutionTokenSet | TokenBatch  # a TokenBatch when stacked
+    token_set: TokenBatch  # one sample's set, or the stacked batch
     feats: Tensor
 
 
@@ -96,7 +94,7 @@ class Stage1Output:
         if token_set.pad_levels:
             token_set = replace(token_set, pad_levels=())
             feats = tensor.gather_rows(feats, np.arange(token_set.n_valid))
-        return Stage1Batch(TokenBatch((token_set,)), feats, self.laterals, self.score_tensors, [self])
+        return Stage1Batch(token_set, feats, self.laterals, self.score_tensors, [self])
 
 
 @dataclass
@@ -130,33 +128,29 @@ def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor,
     scored = [r for r, st in enumerate(s1.score_tensors) if st is not None]
     if not scored:
         return None
-    # row of sample i's first score of round r in the concatenated tensors
-    first, base = {}, 0
-    for r in scored:
-        for i, out in enumerate(s1):
-            first[i, r] = base
-            base += out.trace.rounds[r].candidate_count
-    rows, targets, counts, ids = [], [], [], []
+    # the sample of each row of the concatenated score tensors
+    counts = [[out.trace.rounds[r].candidate_count for out in s1] for r in scored]
+    owner = np.concatenate([np.repeat(np.arange(len(s1)), c) for c in counts])
+    rows, targets, ids = [], [], []
     for i in range(len(s1)) if samples is None else samples:
-        recs = [(r, s1[i].trace.rounds[r]) for r in scored]
-        recs = [(r, rec) for r, rec in recs if rec.targets is not None and rec.candidate_count]
-        if recs:
-            rows.extend(np.arange(first[i, r], first[i, r] + rec.candidate_count) for r, rec in recs)
-            targets.extend(rec.targets for _, rec in recs)
-            counts.append(sum(rec.candidate_count for _, rec in recs))
+        mine, theirs = np.flatnonzero(owner == i), [s1[i].trace.rounds[r].targets for r in scored]
+        if len(mine) and all(t is not None for t in theirs):
+            rows.append(mine)
+            targets.extend(theirs)
             ids.append(i)
     if not ids:
         return None
     preds = [s1.score_tensors[r] for r in scored]
     pred = tensor.gather_rows(tensor.concat(preds) if len(preds) > 1 else preds[0], np.concatenate(rows))
     target = tensor.constant(np.concatenate(targets).reshape(-1, 1))
-    return tensor.mse(pred, target, counts), ids
+    return tensor.mse(pred, target, [len(mine) for mine in rows]), ids
 
 
 class Stage1Run:
     """Lockstep round state for a batch on one stacked feature matrix;
-    `run_stage1_batch` drives the hooks. Row-wise ops run once per batch;
-    per-sample lists (token sets, round records) follow batch order."""
+    `run_stage1_batch` drives the hooks. Row-wise ops run once per batch
+    and the tokens are one `TokenBatch`; the per-sample round records
+    follow batch order."""
 
     def __init__(self, images, store: ParamStore, cfg: EncoderConfig, labels_list=None):
         labels_list = [None] * len(images) if labels_list is None else list(labels_list)
@@ -185,23 +179,16 @@ class Stage1Run:
         self.rounds: list[list[RoundRecord]] = [[] for _ in self.images]
         self.score_tensors: list[Tensor | None] = [None] * ROUNDS
 
-    @property
-    def token_sets(self) -> tuple[MixedResolutionTokenSet, ...]:
-        return self.tokens.sets
-
     # -- pre-allocation ----------------------------------------------------
 
     def begin(self):
         cfg, store = self.cfg, self.store
         grid_w = cfg.input_w // geometry.COARSE_SIDE
         with flops.section("stage1.embed"):
-            self.tokens = TokenBatch(tuple(geometry.coarse_grid(cfg.input_h, cfg.input_w) for _ in self.images))
-            patches, pos_idx = [], []
-            for image, token_set in zip(self.images, self.tokens.sets):
-                _, row, col = token_set.table[:, :3].T
-                patches.append(geometry.patches(image, 0, row, col))
-                pos_idx.append(row * grid_w + col)
-            pos_idx = np.concatenate(pos_idx)
+            grids = [geometry.coarse_grid(cfg.input_h, cfg.input_w) for _ in self.images]
+            self.tokens = TokenBatch.stack(grids)
+            patches = [geometry.patches(image, 0, g.table[:, 1], g.table[:, 2]) for image, g in zip(self.images, grids)]
+            pos_idx = self.tokens.table[:, 1] * grid_w + self.tokens.table[:, 2]
             segments = self.tokens.segments
             x = tensor.linear(tensor.constant(np.concatenate(patches)), store["s1.embed.w"], store["s1.embed.b"], segments)
             self.feats = tensor.add(x, tensor.gather_rows(store["s1.embed.pos"], pos_idx))
@@ -222,94 +209,75 @@ class Stage1Run:
     def score_round(self, r: int) -> list[np.ndarray]:
         """Scores of every sample's frontier, in frontier order."""
         tokens = self.tokens
-        rows = np.concatenate([o + s.frontier_rows for s, o in zip(tokens.sets, tokens.offsets)])
-        counts = [len(s.frontier_rows) for s in tokens.sets]
-        if not len(rows):
+        counts = [len(rows) for rows in tokens.frontiers]
+        if not len(tokens.frontier_rows):
             return [np.zeros(0) for _ in counts]
         with flops.section(f"stage1.r{r}"):
             store = self.store
-            g = tensor.gather_rows(self.feats, rows)
+            g = tensor.gather_rows(self.feats, tokens.frontier_rows)
             h = tensor.gelu(tensor.linear(g, store[f"s1.r{r}.score1.w"], store[f"s1.r{r}.score1.b"], counts))
             s = tensor.sigmoid(tensor.linear(h, store[f"s1.r{r}.score2.w"], store[f"s1.r{r}.score2.b"], counts))
         self.score_tensors[r - 1] = s
-        bounds = list(itertools.accumulate(counts, initial=0))
-        return [s.data[lo:hi, 0].copy() for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return [a.copy() for a in geometry.segment_views(s.data[:, 0], counts)]
 
     def targets_round(self) -> list[np.ndarray | None]:
         return [
-            None if counts is None else boundary.target_scores(counts, s.table[s.frontier_rows])
-            for counts, s in zip(self.boundary_counts, self.token_sets)
+            None if counts is None else boundary.target_scores(counts, self.tokens.table[rows])
+            for counts, rows in zip(self.boundary_counts, self.tokens.frontiers)
         ]
 
     def allocate_round(self, r: int, picks, scores, targets):
-        """Split every sample's selection; `picks` holds one (selected keys,
-        selection source) pair per sample, as `choose_selection` returns."""
+        """Split every sample's selection; `picks` holds one (selected
+        frontier positions, selection source) pair per sample, as
+        `choose_selection` returns."""
+        tokens = self.tokens
         parent_rows = []
-        for i, ((selected, source), s) in enumerate(zip(picks, self.token_sets)):
-            selected = tuple(selected)
+        for i, ((picked, source), frontier_rows) in enumerate(zip(picks, tokens.frontiers)):
+            picked = np.asarray(picked, dtype=np.intp)
+            if np.any((picked < 0) | (picked >= len(frontier_rows))):
+                raise ContractError(f"selection {picked.tolist()} outside round-{r} frontier of {len(frontier_rows)}")
+            frontier = tokens.keys_at(frontier_rows)
             self.rounds[i].append(
                 RoundRecord(
                     round_index=r,
-                    frontier=s.frontier,
-                    candidate_count=len(s.frontier),
+                    frontier=frontier,
+                    candidate_count=len(frontier),
                     scores=np.asarray(scores[i], dtype=np.float64),
                     targets=None if targets[i] is None else np.asarray(targets[i], dtype=np.float64),
-                    selected=selected,
-                    selected_count=len(selected),
+                    selected=tuple(frontier[j] for j in picked.tolist()),
+                    selected_count=len(picked),
                     selection_source=source,
                 )
             )
-            if len(set(selected)) != len(selected):
-                repeated = sorted(k for k, c in Counter(selected).items() if c > 1)
-                raise ContractError(f"round-{r} selection names a parent more than once: {repeated}")
-            row_of = dict(zip(s.frontier, s.frontier_rows.tolist()))
-            not_frontier = {k for k in selected if k not in row_of}
-            if not_frontier:
-                raise ContractError(f"selection outside the round-{r} frontier: {not_frontier}")
-            parent_rows.append(np.array([row_of[k] for k in selected], dtype=np.intp))
-        if not any(len(rows) for rows in parent_rows):
-            self.tokens = TokenBatch(tuple(s.without_frontier() for s in self.token_sets))
+            parent_rows.append(frontier_rows[picked])
+        counts = [4 * len(rows) for rows in parent_rows]
+        parent_rows = np.concatenate(parent_rows)
+        uses = np.bincount(parent_rows, minlength=tokens.n_valid)
+        if uses.max() > 1:
+            raise ContractError(f"round-{r} selection names a parent more than once: {list(tokens.keys_at(uses > 1))}")
+        if not len(parent_rows):
+            self.tokens = tokens.without_frontier()
             return
         with flops.section(f"stage1.r{r}"):
-            tokens = self.tokens
-            merged = tensor.concat([self.feats, self._child_features(r, parent_rows)], axis=0)
-            # sample i's grown rows: its old rows, then its children, which
-            # follow every old row in `merged`
-            child_row, perm, grown = tokens.n_valid, [], []
-            for s, o, rows in zip(tokens.sets, tokens.offsets, parent_rows):
-                if not len(rows):
-                    grown.append(s.without_frontier())
-                    perm.append(o + np.arange(s.n_valid))
-                    continue
-                s_new, p = s.grow(rows)
-                perm.append(np.where(p < s.n_valid, o + p, child_row + p - s.n_valid))
-                child_row += 4 * len(rows)
-                grown.append(s_new)
-            self.tokens = TokenBatch(tuple(grown))
-            self.feats = tensor.gather_rows(merged, np.concatenate(perm))
+            merged = tensor.concat([self.feats, self._child_features(r, parent_rows, counts)], axis=0)
+            self.tokens, perm = tokens.grow(parent_rows)
+            self.feats = tensor.gather_rows(merged, perm)
 
-    def _child_features(self, r: int, parent_rows) -> Tensor:
-        """Features of every sample's children, in sample, `parent_rows` x
-        `split` order."""
+    def _child_features(self, r: int, parent_rows: np.ndarray, counts) -> Tensor:
+        """Features of the children of the tokens at `parent_rows`, in
+        `parent_rows` x `split` order; `counts` are each sample's children."""
         cfg, store = self.cfg, self.store
         d = cfg.stage1_dims[r]
-        tokens = self.tokens
-        counts = [4 * len(rows) for rows in parent_rows]
-        slot_idx = np.tile(np.arange(4), sum(counts) // 4)
+        slot_idx = np.tile(np.arange(4), len(parent_rows))
         feat = None
         if not cfg.no_aux_image:
-            pix = []
-            for image, s, rows in zip(self.images, tokens.sets, parent_rows):
-                if len(rows):
-                    _, row, col, _ = s.children(rows).T
-                    pix.append(geometry.patches(image, r, row, col))
-            pix = np.concatenate(pix)
+            kids = geometry.segment_views(self.tokens.children(parent_rows), counts)
+            pix = np.concatenate([geometry.patches(image, r, k[:, 1], k[:, 2]) for image, k in zip(self.images, kids)])
             t = tensor.linear(tensor.constant(pix), store[f"s1.r{r}.child.pix.w"], store[f"s1.r{r}.child.pix.b"], counts)
             h = tensor.gelu(tensor.linear(t, store[f"s1.r{r}.child.mlp1.w"], store[f"s1.r{r}.child.mlp1.b"], counts))
             feat = tensor.linear(h, store[f"s1.r{r}.child.mlp2.w"], store[f"s1.r{r}.child.mlp2.b"], counts)
         if not cfg.no_residual:
-            stacked_rows = np.concatenate([o + np.repeat(rows, 4) for o, rows in zip(tokens.offsets, parent_rows)])
-            residual = tensor.gather_rows(self.feats, stacked_rows)
+            residual = tensor.gather_rows(self.feats, np.repeat(parent_rows, 4))
             feat = residual if feat is None else tensor.add(feat, residual)
         if feat is None:
             feat = tensor.constant(np.zeros((sum(counts), d)))
@@ -335,60 +303,51 @@ class Stage1Run:
     def output(self) -> Stage1Batch:
         """The stacked batch, with per-sample outputs padded per level to the
         batch maximum (zero feature rows), so `n_rows` is equal across it."""
-        tokens = self.tokens
+        views = geometry.segment_views
+        laterals = {}  # per name, each sample's lateral
+        for name, lat in self.laterals.items():
+            rows = views(lat.feats.data, lat.token_set.segments)
+            laterals[name] = [Lateral(s, Tensor(x)) for s, x in zip(lat.token_set.sets, rows)]
+        # per round, each sample's scores (None where it scored nothing)
+        scores = [
+            [None] * len(self.rounds)
+            if st is None
+            else [Tensor(x) if len(x) else None for x in views(st.data, [rs[r].candidate_count for rs in self.rounds])]
+            for r, st in enumerate(self.score_tensors)
+        ]
         outputs = []
-        for i, padded in enumerate(pad_and_mask(tokens.sets)):
-            feats = _sample_rows(self.feats, tokens, i)
+        padded_sets = pad_and_mask(self.tokens.sets)
+        for i, (padded, feats) in enumerate(zip(padded_sets, views(self.feats.data, self.tokens.segments))):
             if padded.n_rows > padded.n_valid:
-                zeros = np.zeros((padded.n_rows - padded.n_valid, feats.shape[1]))
-                feats = np.concatenate([feats, zeros])
-            laterals = {
-                name: Lateral(lat.token_set.sets[i], Tensor(_sample_rows(lat.feats, lat.token_set, i)))
-                for name, lat in self.laterals.items()
-            }
-            scores = []
-            for st, rec in zip(self.score_tensors, self.rounds[i]):
-                if st is None or not rec.candidate_count:
-                    scores.append(None)
-                    continue
-                lo = sum(rounds[rec.round_index - 1].candidate_count for rounds in self.rounds[:i])
-                scores.append(Tensor(st.data[lo : lo + rec.candidate_count]))
-            outputs.append(Stage1Output(padded, Tensor(feats), AllocationTrace(self.rounds[i]), laterals, scores))
-        return Stage1Batch(tokens, self.feats, self.laterals, self.score_tensors, outputs)
-
-
-def _sample_rows(feats: Tensor, tokens: TokenBatch, i: int) -> np.ndarray:
-    """Sample i's rows of a stacked feature tensor (a view)."""
-    lo = tokens.offsets[i]
-    return feats.data[lo : lo + tokens.segments[i]]
+                feats = np.concatenate([feats, np.zeros((padded.n_rows - padded.n_valid, feats.shape[1]))])
+            own = {name: lat[i] for name, lat in laterals.items()}
+            trace = AllocationTrace(self.rounds[i])
+            outputs.append(Stage1Output(padded, Tensor(feats), trace, own, [s[i] for s in scores]))
+        return Stage1Batch(self.tokens, self.feats, self.laterals, self.score_tensors, outputs)
 
 
 def choose_selection(
     cfg: EncoderConfig,
     r: int,
-    frontier,
+    n: int,
     scores: np.ndarray,
     targets,
     use_oracle: bool,
     ratio_rng,
-) -> tuple[list[TokenKey], str]:
-    """One sample's selected frontier keys and their source; `ratio_rng` is
-    its random_ratio stream (None under every other policy)."""
-    frontier = list(frontier)
-    n = len(frontier)
+) -> tuple[np.ndarray, str]:
+    """Positions, ascending, of one sample's selected tokens in its frontier
+    of `n`, and their source; `ratio_rng` is its random_ratio stream (None
+    under every other policy)."""
     if cfg.policy == "dense":
-        return frontier, "dense"
+        return np.arange(n), "dense"
     if cfg.policy == "random_ratio":
         k = int(np.floor(cfg.ratio_schedule[r - 1] * n + 0.5))
-        idx = np.sort(ratio_rng.choice(n, size=k, replace=False)) if k else np.zeros(0, np.intp)
-        return [frontier[i] for i in idx], "random"
+        return (np.sort(ratio_rng.choice(n, size=k, replace=False)) if k else np.zeros(0, np.intp)), "random"
     if use_oracle:
         if targets is None:
             raise ValueError("oracle_mix selection needs a label map")
-        idx, _ = select(targets, cfg.thresholds[r - 1])
-        return [frontier[i] for i in idx], "oracle"
-    idx, _ = select(scores, cfg.thresholds[r - 1])
-    return [frontier[i] for i in idx], "predicted"
+        return select(targets, cfg.thresholds[r - 1])[0], "oracle"
+    return select(scores, cfg.thresholds[r - 1])[0], "predicted"
 
 
 def run_stage1(
@@ -429,11 +388,11 @@ def run_stage1_batch(
         with flops.section(f"stage1.r{r}"):
             picks = [
                 choose_selection(
-                    cfg, r, s.frontier, scores[i], targets[i], use_oracle,
+                    cfg, r, len(rows), scores[i], targets[i], use_oracle,
                     # only random_ratio reads its stream
                     rng_for(cfg.policy_seed, "ratio", batch_index, i, r) if cfg.policy == "random_ratio" else None,
                 )
-                for i, s in enumerate(run.token_sets)
+                for i, rows in enumerate(run.tokens.frontiers)
             ]
         run.allocate_round(r, picks, scores, targets)
         run.attend_round(r)
@@ -444,15 +403,6 @@ def run_stage1_batch(
 
 def pad_and_mask(token_sets) -> list[MixedResolutionTokenSet]:
     """Pad finished token sets per level to the batch maximum."""
-    sets = list(token_sets)
-    max_per_level = [0] * (geometry.MAX_LEVEL + 1)
-    for s in sets:
-        for lvl, c in enumerate(s.counts_per_level()):
-            max_per_level[lvl] = max(max_per_level[lvl], c)
-    padded = []
-    for s in sets:
-        pads = []
-        for lvl, c in enumerate(s.counts_per_level()):
-            pads.extend([lvl] * (max_per_level[lvl] - c))
-        padded.append(s.with_padding(pads))
-    return padded
+    counts = np.array([s.counts_per_level() for s in token_sets])
+    pads = counts.max(axis=0) - counts
+    return [s.with_padding(np.repeat(np.arange(len(p)), p).tolist()) for s, p in zip(token_sets, pads)]

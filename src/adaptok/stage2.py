@@ -14,7 +14,6 @@ its rows per sample in `segments`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import clusterattn, flops, geometry, tensor
 from .config import EncoderConfig
 from .errors import ContractError
-from .geometry import MixedResolutionTokenSet, TokenBatch, TokenKey
+from .geometry import TokenBatch, TokenKey
 from .params import ParamStore
 from .stage1 import Lateral, Stage1Batch, Stage1Output
 from .tensor import Tensor
@@ -33,9 +32,16 @@ _LATERAL_FOR_ROUND = {2: "alloc2", 3: "alloc1", 4: "pre"}
 @dataclass
 class EmittedMap:
     level: int
-    keys: tuple[TokenKey, ...]
-    feats: Tensor  # row j belongs to keys[j]
-    segments: tuple[int, ...]  # rows per sample, in batch order
+    tokens: TokenBatch  # the emitted tokens, in batch order
+    feats: Tensor  # row j belongs to token j
+
+    @property
+    def keys(self) -> tuple[TokenKey, ...]:
+        return self.tokens.keys
+
+    @property
+    def segments(self) -> tuple[int, ...]:
+        return self.tokens.segments
 
 
 @dataclass
@@ -47,35 +53,27 @@ class Stage2Output:
         """Sample i's maps, as detached row views."""
         emitted = {}
         for level, em in self.emitted.items():
-            lo = sum(em.segments[:i])
-            hi = lo + em.segments[i]
-            emitted[level] = EmittedMap(level, em.keys[lo:hi], Tensor(em.feats.data[lo:hi]), (hi - lo,))
+            lo = em.tokens.offsets[i]
+            emitted[level] = EmittedMap(level, em.tokens.sets[i], Tensor(em.feats.data[lo : lo + em.segments[i]]))
         return Stage2Output(emitted, self.blocks_applied)
 
 
-def lateral_fuse(current: Tensor, current_set, lateral: Lateral, store: ParamStore, prefix: str) -> Tensor:
+def lateral_fuse(current: Tensor, current_set: TokenBatch, lateral: Lateral, store: ParamStore, prefix: str) -> Tensor:
     """Concat the same-scale Stage-1 snapshot and project back to the round
-    width. Token correspondence must be exact, sample by sample; the token
-    sets may be single sets or `TokenBatch`es."""
-    if len(lateral.token_set.sets) != len(current_set.sets) or not all(
-        np.array_equal(a.table, b.table) for a, b in zip(lateral.token_set.sets, current_set.sets)
-    ):
+    width. Token correspondence must be exact, sample by sample."""
+    lat = lateral.token_set
+    if lat.segments != current_set.segments or not np.array_equal(lat.table, current_set.table):
         raise ContractError("lateral snapshot does not match the live token set")
     cat = tensor.concat([current, lateral.feats], axis=1)
     return tensor.linear(cat, store[f"{prefix}.w"], store[f"{prefix}.b"], current_set.segments)
 
 
 def _emit(tokens: TokenBatch, feats: Tensor, level: int):
-    carried, keys, counts = [], [], []
-    for s in tokens.sets:
-        emit = s.row_levels() == level
-        carried.append(s.take(np.flatnonzero(~emit)))
-        rows = np.flatnonzero(emit)
-        keys.extend(s.keys_at(rows))
-        counts.append(len(rows))
-    levels = tokens.row_levels()
-    emitted = EmittedMap(level, tuple(keys), tensor.gather_rows(feats, np.flatnonzero(levels == level)), tuple(counts))
-    return TokenBatch(tuple(carried)), tensor.gather_rows(feats, np.flatnonzero(levels != level)), emitted
+    """Split off the tokens of `level` as its map; the rest carry on."""
+    emit = tokens.row_levels() == level
+    out, kept = np.flatnonzero(emit), np.flatnonzero(~emit)
+    emitted = EmittedMap(level, tokens.take(out), tensor.gather_rows(feats, out))
+    return tokens.take(kept), tensor.gather_rows(feats, kept), emitted
 
 
 def run_stage2(s1out: Stage1Output | Stage1Batch, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
@@ -122,39 +120,30 @@ def run_stage1_only_refine(s1out: Stage1Output | Stage1Batch, store: ParamStore,
 
 
 def densify_finest(
-    union: MixedResolutionTokenSet | TokenBatch,
-    s2out: Stage2Output,
-    store: ParamStore,
-    cfg: EncoderConfig,
+    union: TokenBatch, s2out: Stage2Output, store: ParamStore, cfg: EncoderConfig
 ) -> tuple[Tensor, np.ndarray]:
     """Dense (H/4 * W/4, d) grid per sample, stacked in batch order: per
     cell, the finest covering token's feature (aligned to the finest
     emission width) plus a learned per-cell position embedding. Also returns
     the per-cell token index into that sample's union keys, stacked alike."""
     emitted = [s2out.emitted[level] for level in (3, 2, 1, 0)]
-    # the maps hold the union rows level by level, finest first, and within
-    # a level sample by sample in canonical order: sample i's rows of map j
-    # start at bases[j] + firsts[j][i] in their concatenation
-    bases = list(itertools.accumulate((len(em.keys) for em in emitted[:-1]), initial=0))
-    firsts = [list(itertools.accumulate(em.segments[:-1], initial=0)) for em in emitted]
     with flops.section("densify"):
+        # the maps hold the union's rows finest level first, then by sample
+        order = union.finest_first()
+        per_level = union.level_counts()[:, ::-1].T
+        if [em.segments for em in emitted] != [tuple(c) for c in per_level.tolist()] or not np.array_equal(
+            np.concatenate([em.tokens.table for em in emitted]), union.table[order]
+        ):
+            raise ContractError("emitted maps do not partition the token set")
+        emitted_row = np.empty(len(order), dtype=np.intp)  # of each union row
+        emitted_row[order] = np.arange(len(order))
         cell_tokens, cell_rows = [], []
-        for i, s in enumerate(union.sets):
-            # this sample's emitted row j is its union row order[j]
-            order = np.argsort(-s.row_levels(), kind="stable")
-            keys = itertools.chain.from_iterable(em.keys[f[i] : f[i] + em.segments[i]] for em, f in zip(emitted, firsts))
-            if tuple(keys) != s.keys_at(order):
-                raise ContractError("emitted maps do not partition the token set")
-            emitted_row = np.empty(len(order), dtype=np.intp)
-            emitted_row[order] = np.concatenate(
-                [np.arange(b + f[i], b + f[i] + em.segments[i]) for b, f, em in zip(bases, firsts, emitted)]
-            )
-            cover = geometry.finest_cover(s)
+        for s, rows in zip(union.sets, geometry.segment_views(emitted_row, union.segments)):
             # token rectangles are unions of 4x4 cells, so the cover is
             # constant within each cell; sampling the corner pixel is exact
-            cell_token = cover[::4, ::4].reshape(-1)
+            cell_token = geometry.finest_cover(s)[::4, ::4].reshape(-1)
             cell_tokens.append(cell_token)
-            cell_rows.append(emitted_row[cell_token])
+            cell_rows.append(rows[cell_token])
         prefix = "s1x" if cfg.stage1_only else "dens"
         parts = []
         for em in emitted:

@@ -57,6 +57,25 @@ def with_children_oracle(keys, parents):
     return grown, tuple(k for k, i in zip(grown, perm) if i >= len(keys)), perm
 
 
+def batch_grow_oracle(sets, parent_rows):
+    """Per-set `grow`s composed into one stacked batch: sample i's grown rows
+    are its old rows, offset to where they sit in the batch, and its
+    children, which follow every old row. `parent_rows` holds each sample's
+    parents as rows of its own set. Returns the grown sets and `perm`."""
+    child_row, offset, perm, grown = sum(s.n_valid for s in sets), 0, [], []
+    for s, rows in zip(sets, parent_rows):
+        if not len(rows):
+            grown.append(s.without_frontier())
+            perm.append(offset + np.arange(s.n_valid))
+        else:
+            s_new, p = s.grow(rows)
+            perm.append(np.where(p < s.n_valid, offset + p, child_row + p - s.n_valid))
+            child_row += 4 * len(rows)
+            grown.append(s_new)
+        offset += s.n_valid
+    return grown, np.concatenate(perm)
+
+
 def finest_cover_oracle(height, width, keys):
     """Per-key `finest_cover`: paint every token, coarse levels first."""
     cover = np.full((height, width), -1, dtype=np.int64)

@@ -8,6 +8,7 @@ from adaptok.errors import ContractError
 from adaptok.geometry import TokenKey, canonical_order, coarse_grid, finest_cover, split
 
 from conftest import (
+    batch_grow_oracle,
     canonical_rank_oracle,
     finest_cover_oracle,
     grow_random_set,
@@ -208,6 +209,48 @@ class TestFinestCover:
         c2 = finest_cover(s)
         assert c1.min() >= 0
         assert np.array_equal(c1, c2)
+
+
+class TestTokenBatch:
+    """The stacked batch against its samples' sets, over random batches of
+    1-8 samples and three rounds; some samples split nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), grid_h=st.integers(1, 3), grid_w=st.integers(1, 3))
+    def test_grow_matches_composed_set_grows(self, seed, n, grid_h, grid_w):
+        rng = np.random.default_rng(seed)
+        sets = [coarse_grid(32 * grid_h, 32 * grid_w)] * n
+        batch = geometry.TokenBatch.stack(sets)
+        for _ in range(3):
+            local = [s.frontier_rows[rng.permutation(len(s.frontier_rows))] for s in sets]
+            local = [rows[: int(rng.integers(0, len(rows) + 1))] if rng.random() < 0.7 else rows[:0] for rows in local]
+            with flops.meter() as want_cost:
+                sets, want_perm = batch_grow_oracle(sets, local)
+            with flops.meter() as cost:
+                batch, perm = batch.grow(np.concatenate([o + rows for o, rows in zip(batch.offsets, local)]))
+            assert np.array_equal(perm, want_perm)
+            assert np.array_equal(batch.table, np.concatenate([s.table for s in sets]))
+            assert batch.segments == tuple(s.n_valid for s in sets)
+            want_frontier = [o + s.frontier_rows for o, s in zip(batch.offsets, sets)]
+            assert np.array_equal(batch.frontier_rows, np.concatenate(want_frontier))
+            assert batch.frontier == tuple(k for s in sets for k in s.frontier)
+            comparisons = sum(
+                flops.sort_comparisons(s.n_valid) + flops.sort_comparisons(4 * len(rows))
+                for s, rows in zip(sets, local)
+                if len(rows)
+            )
+            assert cost.total().comparisons == want_cost.total().comparisons == comparisons
+            for got, want in zip(batch.sets, sets):
+                assert np.array_equal(got.table, want.table) and np.array_equal(got.frontier_rows, want.frontier_rows)
+        # take keeps ascending rows per sample, emission order is level-major
+        rows = np.flatnonzero(rng.random(batch.n_valid) < 0.5)
+        taken = batch.take(rows)
+        assert taken.keys == batch.keys_at(rows) and not len(taken.frontier_rows)
+        assert taken.segments == tuple(int(np.sum((rows >= o) & (rows < o + m))) for o, m in zip(batch.offsets, batch.segments))
+        order = batch.finest_first()
+        samples = np.repeat(np.arange(n), batch.segments)
+        assert sorted(order.tolist()) == list(range(batch.n_valid))
+        assert [(-batch.table[i, 0], samples[i], i) for i in order] == sorted((-batch.table[i, 0], samples[i], i) for i in order)
 
 
 def test_pad_and_mask_counts():

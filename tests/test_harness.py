@@ -373,6 +373,16 @@ class TestCli:
         data = json.loads((tmp_path / "fl" / "flops.json").read_text())
         assert {r["policy"] for r in data} == {"adaptive", "dense"}
 
+    def test_random_ratio_container_serves_other_policies(self, tmp_path):
+        # the README recipe: train under random_ratio, then evaluate and
+        # meter the container adaptively, also at another τ
+        run_dir = tmp_path / "run"
+        params_path = str(run_dir / "params.bin")
+        assert self.run("train", "--policy", "random_ratio", "--steps", "3", "--count", "4", "--batch", "2", "--out", str(run_dir)) == 0
+        assert self.run("eval", "--params", params_path, "--count", "2", "--out", str(tmp_path / "ev")) == 0
+        assert self.run("eval", "--params", params_path, "--tau", "0.01,0.02,0.04", "--count", "2", "--out", str(tmp_path / "ev_tau")) == 0
+        assert self.run("flops", "--params", params_path, "--count", "2") == 0
+
     def test_tau_and_policy_flags(self, tmp_path):
         out = tmp_path / "ev"
         assert (

@@ -87,7 +87,7 @@ class TestCoarseEmbed:
         run.begin()
         grid_w = 64 // 32
         pos = store0["s1.embed.pos"].data
-        for i, k in enumerate(run.token_sets[0].keys):
+        for i, k in enumerate(run.tokens.sets[0].keys):
             assert np.array_equal(run.feats.data[i], pos[k.row * grid_w + k.col])
 
     def test_embed_matches_matmul_oracle(self, nano_cfg, rng):
@@ -100,7 +100,7 @@ class TestCoarseEmbed:
         w = store["s1.embed.w"].data
         b = store["s1.embed.b"].data
         pos = store["s1.embed.pos"].data
-        for i, k in enumerate(run.token_sets[0].keys):
+        for i, k in enumerate(run.tokens.sets[0].keys):
             y0, x0, y1, x1 = k.rect()
             expect = img[y0:y1, x0:x1].reshape(-1) @ w + b + pos[k.row * grid_w + k.col]
             assert np.max(np.abs(run.feats.data[i] - expect)) < 1e-12
@@ -114,7 +114,7 @@ class TestPreAllocationVit:
         run = stage1.Stage1Run([img], store, cfg)
         run.begin()
         w = store["s1.embed.w"].data
-        k0 = run.token_sets[0].keys[0]
+        k0 = run.tokens.sets[0].keys[0]
         y0, x0, y1, x1 = k0.rect()
         expect = img[y0:y1, x0:x1].reshape(-1) @ w + store["s1.embed.b"].data
         expect = expect + store["s1.embed.pos"].data[k0.row * 2 + k0.col]
@@ -206,15 +206,15 @@ class TestAllocate:
         run.begin()
         run.enter_round(1)
         (scores,) = run.score_round(1)
-        parent = run.token_sets[0].frontier[0]
-        parent_row = run.token_sets[0].rows_of([parent])[0]
+        parent = run.tokens.sets[0].frontier[0]
+        parent_row = run.tokens.sets[0].rows_of([parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
-        run.allocate_round(1, [([parent], "predicted")], [scores], [None])
+        run.allocate_round(1, [([0], "predicted")], [scores], [None])
         scale = store["s1.r1.scale_emb"].data
         slots = store["s1.r1.slot_emb"].data
         kids = geometry.split(parent)
         for slot, kid in enumerate(kids):
-            row = run.token_sets[0].keys.index(kid)
+            row = run.tokens.sets[0].keys.index(kid)
             expect = parent_feat + scale + slots[slot]
             assert np.max(np.abs(run.feats.data[row] - expect)) < 1e-12
 
@@ -225,17 +225,17 @@ class TestAllocate:
         run.begin()
         run.enter_round(1)
         (scores,) = run.score_round(1)
-        parent = run.token_sets[0].frontier[0]
-        parent_row = run.token_sets[0].rows_of([parent])[0]
+        parent = run.tokens.sets[0].frontier[0]
+        parent_row = run.tokens.sets[0].rows_of([parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
-        run.allocate_round(1, [([parent], "predicted")], [scores], [None])
+        run.allocate_round(1, [([0], "predicted")], [scores], [None])
         slots = store["s1.r1.slot_emb"].data
         kids = geometry.split(parent)
         # subtracting the per-slot embedding and the shared residual leaves
         # only the per-child pixel path
         leftovers = []
         for slot, kid in enumerate(kids):
-            row = run.token_sets[0].keys.index(kid)
+            row = run.tokens.sets[0].keys.index(kid)
             leftovers.append(run.feats.data[row] - slots[slot] - parent_feat - store["s1.r1.scale_emb"].data)
         # recompute pixel path by hand for child 0
         y0, x0, y1, x1 = kids[0].rect()
@@ -261,18 +261,19 @@ class TestAllocate:
         run.begin()
         run.enter_round(1)
         (scores,) = run.score_round(1)
-        with pytest.raises(ContractError):
-            run.allocate_round(1, [([geometry.TokenKey(2, 0, 0)], "predicted")], [scores], [None])
-
+        # selections are positions in the frontier of 4 coarse tokens
+        for outside in (4, -1):
+            with pytest.raises(ContractError, match="outside round-1 frontier"):
+                run.allocate_round(1, [([0, outside], "predicted")], [scores], [None])
 
     def test_selection_naming_a_parent_twice_rejected(self, nano_cfg, nano_store, rng):
         run = stage1.Stage1Run([rng.random((64, 64, 3))], nano_store, nano_cfg)
         run.begin()
         run.enter_round(1)
         (scores,) = run.score_round(1)
-        parent = run.token_sets[0].frontier[0]
+        parent = run.tokens.sets[0].frontier[0]
         with pytest.raises(ContractError, match=f"more than once.*{re.escape(repr(parent))}"):
-            run.allocate_round(1, [([parent, parent], "predicted")], [scores], [None])
+            run.allocate_round(1, [([0, 0], "predicted")], [scores], [None])
 
 
 class TestPolicies:
@@ -450,8 +451,12 @@ class TestParamContainer:
     def test_digest_mismatch_rejected(self, tmp_path, nano_cfg, nano_store):
         path = tmp_path / "params.bin"
         save_params(path, nano_store, nano_cfg)
-        other = nano_cfg.with_overrides(policy="dense")
-        with pytest.raises(ValueError):
+        # the container is keyed to the architecture: another cluster size or
+        # class count is rejected, another allocation policy or τ is not
+        for other in (nano_cfg.with_overrides(cluster_size=4), config.nano(classes=5)):
+            with pytest.raises(ValueError, match="different config"):
+                load_params(path, other)
+        for other in (nano_cfg.with_overrides(policy="dense"), nano_cfg.with_overrides(thresholds=(0.01, 0.02, 0.04))):
             load_params(path, other)
 
     def test_truncated_container_rejected(self, tmp_path, nano_cfg, nano_store):

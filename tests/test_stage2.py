@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -243,12 +244,13 @@ class TestDensify:
         assert np.all(cell_token >= 0)
 
     def test_emitted_keys_must_partition_the_union(self, forward_parts, nano_cfg, nano_store):
-        # equal counts are not enough: reordered or duplicated keys are rejected
+        # equal counts are not enough: reordered or duplicated tokens are rejected
         _, s1out, s2out = forward_parts
         em = s2out.emitted[0]
-        rotated = dataclasses.replace(em, keys=em.keys[1:] + em.keys[:1])
-        duplicated = dataclasses.replace(em, keys=em.keys[:-1] + em.keys[:1])
-        for bad in (rotated, duplicated):
+        rotated = np.roll(em.tokens.table, 1, axis=0)
+        duplicated = np.concatenate([em.tokens.table[:-1], em.tokens.table[:1]])
+        for table in (rotated, duplicated):
+            bad = dataclasses.replace(em, tokens=dataclasses.replace(em.tokens, table=table))
             emitted = {**s2out.emitted, 0: bad}
             with pytest.raises(ContractError):
                 densify_finest(s1out.token_set, dataclasses.replace(s2out, emitted=emitted), nano_store, nano_cfg)
@@ -287,3 +289,25 @@ def test_feature_export_roundtrip(tmp_path, forward_parts):
         keys, feats = back[lvl]
         assert keys == list(s2out.emitted[lvl].keys)
         assert np.array_equal(feats, s2out.emitted[lvl].feats.data)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda b: b[:-5], "truncated feature container"),
+        (lambda b: b[:-100], "truncated feature container"),
+        (lambda b: b + b"\0\0", "feature container has 2 trailing bytes"),
+        (lambda b: b"ADTKPAR1" + b[8:], "not an emitted-features container"),
+        (lambda b: b[:8] + struct.pack("<I", 2) + b[12:], "unsupported feature container version 2"),
+    ],
+    ids=["cut-5", "cut-100", "trailing-2", "bad-magic", "bad-version"],
+)
+def test_malformed_feature_container_rejected(tmp_path, forward_parts, corrupt, message):
+    from adaptok.export import load_emitted_maps, save_emitted_maps
+
+    path = tmp_path / "features.bin"
+    save_emitted_maps(path, forward_parts[2])
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=message) as err:
+        load_emitted_maps(path)
+    assert str(path) in str(err.value)
