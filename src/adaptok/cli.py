@@ -110,6 +110,8 @@ def cmd_eval(args) -> int:
 def cmd_flops(args) -> int:
     cfg = _load_cfg(args)
     corpus, _ = _corpus(args, cfg)
+    if not corpus:
+        raise ValueError("corpus is empty: the FLOPs comparison needs at least one scene")
     store = load_params(args.params, cfg) if args.params else init_params(cfg, args.seed)
     rows = []
     for policy in args.policies.split(","):

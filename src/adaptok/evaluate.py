@@ -67,6 +67,8 @@ def evaluate(
 ) -> dict:
     """Run the model over `scenes`; returns (and optionally writes) the
     manifest. Two calls with identical inputs produce identical bytes."""
+    if not len(scenes):
+        raise ValueError("corpus is empty: evaluation needs at least one scene")
     conf = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
     flop_totals, mse_parts, level_counts = [], [], []
     auc_scores, auc_positive = [], []

@@ -27,19 +27,16 @@ from .errors import ContractError
 MAX_LEVEL = 3
 PATCH_SIDES = (32, 16, 8, 4)
 COARSE_SIDE = 32
-# Child q = 2*dy + dx of a token, in `split` order, as token-table
-# arithmetic: level + 1, row 2*row + dy, col 2*col + dx, and the order key
-# (`_order_keys`) plus 1 for the level bits plus 4*(4q - 9) child patch
-# areas. With corner (y0, x0) and side s = 2h, the doubled center
+# Child q = 2*dy + dx of a token (its four children in row-major order), as
+# token-table arithmetic: level + 1, row 2*row + dy, col 2*col + dx, and the
+# order key (`_order_keys`) plus 1 for the level bits plus 4*(4q - 9) child
+# patch areas. With corner (y0, x0) and side s = 2h, the doubled center
 # (2*y0 + s, 2*x0 + s) has Morton code 4*M(y0, x0) + 3*s^2, because the bits
 # do not overlap, and child q's corner has code M(y0, x0) + q*h^2; so the
 # child's code is the parent's plus (4q - 9)*h^2.
 _CHILD_SCALE = np.array([1, 2, 2, 1])
 _CHILD_OFFSET = np.array([[1, 0, 0, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]])
 _CHILD_KEY_STEP = 4 * (4 * np.arange(4) - 9)
-# index of each level's first token in `_all_keys`, in coarse-grid sizes;
-# the last entry counts every level
-_LEVEL_FIRST = (4 ** np.arange(MAX_LEVEL + 2) - 1) // 3
 
 
 class TokenKey(NamedTuple):
@@ -51,28 +48,10 @@ class TokenKey(NamedTuple):
     def patch_side(self) -> int:
         return COARSE_SIDE >> self.level
 
-    def parent(self) -> "TokenKey":
-        if self.level == 0:
-            raise ContractError("level-0 token has no parent")
-        return TokenKey(self.level - 1, self.row // 2, self.col // 2)
-
     def rect(self) -> tuple[int, int, int, int]:
         """(y0, x0, y1, x1) pixel bounds, half-open."""
         s = self.patch_side
         return self.row * s, self.col * s, (self.row + 1) * s, (self.col + 1) * s
-
-
-def split(parent: TokenKey) -> tuple[TokenKey, TokenKey, TokenKey, TokenKey]:
-    """The four level+1 children tiling the parent's rectangle."""
-    if parent.level >= MAX_LEVEL:
-        raise ContractError(f"cannot split a level-{MAX_LEVEL} token")
-    lvl, r, c = parent.level + 1, 2 * parent.row, 2 * parent.col
-    return (
-        TokenKey(lvl, r, c),
-        TokenKey(lvl, r, c + 1),
-        TokenKey(lvl, r + 1, c),
-        TokenKey(lvl, r + 1, c + 1),
-    )
 
 
 def _part1by1(v: np.ndarray) -> np.ndarray:
@@ -104,6 +83,11 @@ def key_columns(tokens) -> np.ndarray:
     if isinstance(tokens, np.ndarray):
         return tokens[:, :3]
     return np.fromiter(itertools.chain.from_iterable(tokens), dtype=np.int64).reshape(-1, 3)
+
+
+def table_keys(table: np.ndarray) -> tuple[TokenKey, ...]:
+    """TokenKey views of token-table rows."""
+    return tuple(map(TokenKey._make, table[:, :3].tolist()))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -176,11 +160,8 @@ class TokenBatch:
         return self.keys_at(self.frontier_rows)
 
     def keys_at(self, rows) -> tuple[TokenKey, ...]:
-        """TokenKeys of the tokens at `rows` (shared objects, see `_all_keys`)."""
-        level, row, col = self.table[rows, :3].T
-        w0 = self.width // COARSE_SIDE
-        index = (self.height // COARSE_SIDE) * w0 * _LEVEL_FIRST[level] + ((row * w0) << level) + col
-        return tuple(_all_keys(self.height, self.width)[index].tolist())
+        """TokenKeys of the tokens at `rows`."""
+        return table_keys(self.table[rows])
 
     @property
     def n_valid(self) -> int:
@@ -225,7 +206,7 @@ class TokenBatch:
 
     def children(self, parent_rows) -> np.ndarray:
         """Token-table rows of the children of the tokens at `parent_rows`,
-        in `parent_rows` x `split` order."""
+        in `parent_rows` x child order (q = 2*dy + dx)."""
         parents = self.table[parent_rows]
         if np.any(parents[:, 0] >= MAX_LEVEL):
             raise ContractError(f"cannot split a level-{MAX_LEVEL} token")
@@ -237,7 +218,7 @@ class TokenBatch:
         """Grow the batch by splitting the tokens at `parent_rows`; their
         children become the frontier. Also returns `perm`: new row i is row
         perm[i] of the old rows followed by the children in `parent_rows` x
-        `split` order. Each sample that gains k children is charged the sort
+        child order. Each sample that gains k children is charged the sort
         of its grown set plus the sort of the children."""
         parent_rows = np.asarray(parent_rows, dtype=np.intp)
         kid_samples = np.repeat(self._row_samples[parent_rows], 4)
@@ -287,52 +268,8 @@ class MixedResolutionTokenSet(TokenBatch):
     def counts_per_level(self) -> list[int]:
         return np.bincount(self.table[:, 0], minlength=MAX_LEVEL + 1).tolist()
 
-    def rows_of(self, keys) -> np.ndarray:
-        """Row of each key; ContractError for a key not in the set."""
-        cols = key_columns(keys)
-        want = _order_keys(*cols.T)
-        order = self.table[:, 3]
-        rows = np.searchsorted(order, want)
-        found = rows < len(order)
-        found[found] = order[rows[found]] == want[found]
-        if not found.all():
-            missing = [TokenKey._make(k) for k in cols[~found].tolist()]
-            raise ContractError(f"tokens not in the set: {missing}")
-        return rows
-
-    def with_children(self, parents) -> tuple["MixedResolutionTokenSet", np.ndarray]:
-        """`grow` by splitting the TokenKeys `parents`, each a token of the
-        set; `perm` follows `parents` x `split` order."""
-        return self.grow(self.rows_of(parents))
-
     def with_padding(self, pad_levels) -> "MixedResolutionTokenSet":
         return replace(self, pad_levels=self.pad_levels + tuple(pad_levels))
-
-    def validate(self):
-        """Check structural invariants; raises ContractError on violation."""
-        seen = set(self.keys)
-        if len(seen) != len(self.keys):
-            raise ContractError("duplicate token keys")
-        n0 = (self.height // COARSE_SIDE) * (self.width // COARSE_SIDE)
-        if self.counts_per_level()[0] != n0:
-            raise ContractError("level-0 tokens do not tile the image")
-        for k in self.keys:
-            side = k.patch_side
-            if not (0 <= k.row < self.height // side and 0 <= k.col < self.width // side):
-                raise ContractError(f"token {k} out of bounds")
-            if k.level > 0 and k.parent() not in seen:
-                raise ContractError(f"token {k} is missing its parent")
-        # all-or-none sibling groups
-        by_parent: dict[TokenKey, int] = {}
-        for k in self.keys:
-            if k.level > 0:
-                by_parent[k.parent()] = by_parent.get(k.parent(), 0) + 1
-        for p, n in by_parent.items():
-            if n != 4:
-                raise ContractError(f"parent {p} has {n} children, expected 4")
-        order = self.table[:, 3]
-        if not np.array_equal(order, _order_keys(*self.table[:, :3].T)) or np.any(np.diff(order) <= 0):
-            raise ContractError("keys are not in canonical order")
 
 
 def coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
@@ -354,20 +291,6 @@ def _coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
     table = np.stack([level, row, col, _order_keys(level, row, col)], axis=1)
     table = _readonly(table[np.argsort(table[:, 3], kind="stable")])
     return MixedResolutionTokenSet(h, w, table, _readonly(np.arange(len(table))))
-
-
-@functools.lru_cache(maxsize=16)
-def _all_keys(h: int, w: int) -> np.ndarray:
-    """Every TokenKey an h x w image can hold, as one object array: level by
-    level, each level row-major, so `keys_at` turns columns into keys
-    without building a tuple per token."""
-    keys = (
-        TokenKey(level, row, col)
-        for level in range(MAX_LEVEL + 1)
-        for row in range((h // COARSE_SIDE) << level)
-        for col in range((w // COARSE_SIDE) << level)
-    )
-    return np.fromiter(keys, dtype=object, count=(h // COARSE_SIDE) * (w // COARSE_SIDE) * int(_LEVEL_FIRST[-1]))
 
 
 def patches(image: np.ndarray, level: int, row, col) -> np.ndarray:

@@ -132,11 +132,14 @@ def load_corpus_dir(path, shape: tuple[int, int]) -> list[SyntheticScene]:
     """Read back image/label pairs written by save_corpus (or any PPM/PGM
     pairs following the same naming). Ragged sizes are padded to the token
     grid, which must come to `shape`, the config's (H, W); a pair that
-    does not raises ValueError naming its file."""
+    does not raises ValueError naming its file, as does a directory with no
+    .ppm image."""
     import os
 
     scenes = []
     names = sorted(n for n in os.listdir(path) if n.endswith(".ppm"))
+    if not names:
+        raise ValueError(f"corpus is empty: {path} holds no .ppm image")
     for n in names:
         file = os.path.join(path, n)
         img = pnm.read_ppm8(file).astype(np.float64) / 255.0

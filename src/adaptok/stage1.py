@@ -12,9 +12,9 @@ A batch runs its rounds in lockstep on one stacked feature matrix: sample
 i's rows follow sample i-1's, so every row-wise op is one tape node per
 batch. GEMMs run once per sample segment and attention windows stay inside
 their sample, so each row is computed exactly as in a solo run. Only the
-allocation decisions are made per sample. The per-sample outputs are padded
-per level to the batch maximum; Stage 2 consumes the stacked, unpadded
-batch.
+allocation decisions are made per sample. The result stays stacked, and
+Stage 2 consumes it unpadded; a sample's output, padded per level to the
+batch maximum, is made only when the batch is indexed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import boundary, clusterattn, flops, geometry, tensor
 from .config import ROUNDS, EncoderConfig
 from .errors import ContractError
-from .geometry import MixedResolutionTokenSet, TokenBatch, TokenKey
+from .geometry import MixedResolutionTokenSet, TokenBatch, TokenKey, table_keys
 from .params import ParamStore, rng_for
 from .tensor import Tensor
 
@@ -52,14 +52,31 @@ def oracle_mix_gate(rate: float, seed: int, batch_index: int) -> bool:
 
 @dataclass
 class RoundRecord:
+    """One sample's allocation round: the token-table rows of the frontier
+    it scored, and the positions in that frontier of the tokens it split."""
+
     round_index: int
-    frontier: tuple[TokenKey, ...]
-    candidate_count: int
+    frontier_table: np.ndarray
+    picked: np.ndarray
     scores: np.ndarray
     targets: np.ndarray | None
-    selected: tuple[TokenKey, ...]
-    selected_count: int
     selection_source: str  # predicted | oracle | random | dense
+
+    @property
+    def frontier(self) -> tuple[TokenKey, ...]:
+        return table_keys(self.frontier_table)
+
+    @property
+    def selected(self) -> tuple[TokenKey, ...]:
+        return table_keys(self.frontier_table[self.picked])
+
+    @property
+    def candidate_count(self) -> int:
+        return len(self.frontier_table)
+
+    @property
+    def selected_count(self) -> int:
+        return len(self.picked)
 
 
 @dataclass
@@ -78,9 +95,9 @@ class Lateral:
 
 @dataclass
 class Stage1Output:
-    """One sample's Stage-1 result. From a batch its tensors are detached
-    views of the sample's rows (the padded `feats` a copy); `stacked()`
-    turns it into the batch of one that Stage 2 takes."""
+    """One sample's Stage-1 result, made by indexing a `Stage1Batch`: its
+    tensors are detached views of the sample's rows (the padded `feats` a
+    copy). `stacked()` turns it into the batch of one that Stage 2 takes."""
 
     token_set: MixedResolutionTokenSet
     feats: Tensor  # rows from token_set.n_valid on: zero batch padding
@@ -94,27 +111,50 @@ class Stage1Output:
         if token_set.pad_levels:
             token_set = replace(token_set, pad_levels=())
             feats = tensor.gather_rows(feats, np.arange(token_set.n_valid))
-        return Stage1Batch(token_set, feats, self.laterals, self.score_tensors, [self])
+        return Stage1Batch(token_set, feats, self.laterals, self.score_tensors, [self.trace])
 
 
 @dataclass
 class Stage1Batch(Sequence):
     """A batch's Stage-1 result, stacked: sample i's rows follow sample
-    i-1's in `feats`, in every lateral and, per round, in `score_tensors`.
-    Indexing yields the per-sample outputs, padded per level to the batch
-    maximum."""
+    i-1's in `feats`, in every lateral and, per round, in `score_tensors`;
+    `traces` holds each sample's allocation trace. Indexing builds that
+    sample's `Stage1Output`, padded per level to the batch maximum with zero
+    feature rows, so `n_rows` is equal across the batch."""
 
     tokens: TokenBatch
     feats: Tensor
     laterals: dict[str, Lateral]
     score_tensors: list[Tensor | None]  # per round, each sample's frontier rows
-    outputs: list[Stage1Output]
+    traces: list[AllocationTrace]
 
-    def __getitem__(self, i):
-        return self.outputs[i]
+    def __getitem__(self, i: int) -> Stage1Output:
+        if not -len(self) <= i < len(self):
+            raise IndexError(i)
+        i %= len(self)
+
+        def own(a, segments):  # sample i's rows of a stacked array
+            lo = sum(segments[:i])
+            return a[lo : lo + segments[i]]
+
+        counts = self.tokens.level_counts()
+        pads = counts.max(axis=0) - counts[i]
+        token_set = self.tokens.sets[i].with_padding(np.repeat(np.arange(len(pads)), pads).tolist())
+        feats = own(self.feats.data, self.tokens.segments)
+        if pads.any():
+            feats = np.concatenate([feats, np.zeros((pads.sum(), feats.shape[1]))])
+        laterals = {
+            name: Lateral(lat.token_set.sets[i], Tensor(own(lat.feats.data, lat.token_set.segments)))
+            for name, lat in self.laterals.items()
+        }
+        scores = []
+        for r, st in enumerate(self.score_tensors):
+            frontiers = [t.rounds[r].candidate_count for t in self.traces]
+            scores.append(None if st is None or not frontiers[i] else Tensor(own(st.data, frontiers)))
+        return Stage1Output(token_set, Tensor(feats), self.traces[i], laterals, scores)
 
     def __len__(self) -> int:
-        return len(self.outputs)
+        return len(self.traces)
 
     def stacked(self) -> "Stage1Batch":
         return self
@@ -129,11 +169,11 @@ def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor,
     if not scored:
         return None
     # the sample of each row of the concatenated score tensors
-    counts = [[out.trace.rounds[r].candidate_count for out in s1] for r in scored]
+    counts = [[t.rounds[r].candidate_count for t in s1.traces] for r in scored]
     owner = np.concatenate([np.repeat(np.arange(len(s1)), c) for c in counts])
     rows, targets, ids = [], [], []
     for i in range(len(s1)) if samples is None else samples:
-        mine, theirs = np.flatnonzero(owner == i), [s1[i].trace.rounds[r].targets for r in scored]
+        mine, theirs = np.flatnonzero(owner == i), [s1.traces[i].rounds[r].targets for r in scored]
         if len(mine) and all(t is not None for t in theirs):
             rows.append(mine)
             targets.extend(theirs)
@@ -236,16 +276,13 @@ class Stage1Run:
             picked = np.asarray(picked, dtype=np.intp)
             if np.any((picked < 0) | (picked >= len(frontier_rows))):
                 raise ContractError(f"selection {picked.tolist()} outside round-{r} frontier of {len(frontier_rows)}")
-            frontier = tokens.keys_at(frontier_rows)
             self.rounds[i].append(
                 RoundRecord(
                     round_index=r,
-                    frontier=frontier,
-                    candidate_count=len(frontier),
+                    frontier_table=tokens.table[frontier_rows],
+                    picked=picked,
                     scores=np.asarray(scores[i], dtype=np.float64),
                     targets=None if targets[i] is None else np.asarray(targets[i], dtype=np.float64),
-                    selected=tuple(frontier[j] for j in picked.tolist()),
-                    selected_count=len(picked),
                     selection_source=source,
                 )
             )
@@ -265,7 +302,7 @@ class Stage1Run:
 
     def _child_features(self, r: int, parent_rows: np.ndarray, counts) -> Tensor:
         """Features of the children of the tokens at `parent_rows`, in
-        `parent_rows` x `split` order; `counts` are each sample's children."""
+        `parent_rows` x child order; `counts` are each sample's children."""
         cfg, store = self.cfg, self.store
         d = cfg.stage1_dims[r]
         slot_idx = np.tile(np.arange(4), len(parent_rows))
@@ -301,29 +338,8 @@ class Stage1Run:
         self.laterals[name] = Lateral(self.tokens, self.feats)
 
     def output(self) -> Stage1Batch:
-        """The stacked batch, with per-sample outputs padded per level to the
-        batch maximum (zero feature rows), so `n_rows` is equal across it."""
-        views = geometry.segment_views
-        laterals = {}  # per name, each sample's lateral
-        for name, lat in self.laterals.items():
-            rows = views(lat.feats.data, lat.token_set.segments)
-            laterals[name] = [Lateral(s, Tensor(x)) for s, x in zip(lat.token_set.sets, rows)]
-        # per round, each sample's scores (None where it scored nothing)
-        scores = [
-            [None] * len(self.rounds)
-            if st is None
-            else [Tensor(x) if len(x) else None for x in views(st.data, [rs[r].candidate_count for rs in self.rounds])]
-            for r, st in enumerate(self.score_tensors)
-        ]
-        outputs = []
-        padded_sets = pad_and_mask(self.tokens.sets)
-        for i, (padded, feats) in enumerate(zip(padded_sets, views(self.feats.data, self.tokens.segments))):
-            if padded.n_rows > padded.n_valid:
-                feats = np.concatenate([feats, np.zeros((padded.n_rows - padded.n_valid, feats.shape[1]))])
-            own = {name: lat[i] for name, lat in laterals.items()}
-            trace = AllocationTrace(self.rounds[i])
-            outputs.append(Stage1Output(padded, Tensor(feats), trace, own, [s[i] for s in scores]))
-        return Stage1Batch(self.tokens, self.feats, self.laterals, self.score_tensors, outputs)
+        traces = [AllocationTrace(rounds) for rounds in self.rounds]
+        return Stage1Batch(self.tokens, self.feats, self.laterals, self.score_tensors, traces)
 
 
 def choose_selection(
@@ -371,11 +387,11 @@ def run_stage1_batch(
     batch_index: int = 0,
 ) -> Stage1Batch:
     """Batch forward: all samples run their rounds in lockstep on one stacked
-    feature tensor, and every per-sample output is padded per level to the
-    batch maximum with zero, invalid feature rows, so `n_rows` is equal
-    across the batch. Sample i draws its random_ratio selections from stream
-    i; its first `n_valid` rows equal a solo run's whenever the selection
-    does not depend on i."""
+    feature tensor. Indexing the result builds a sample's output, padded per
+    level to the batch maximum with zero, invalid feature rows, so `n_rows`
+    is equal across the batch. Sample i draws its random_ratio selections
+    from stream i; its first `n_valid` rows equal a solo run's whenever the
+    selection does not depend on i."""
     run = Stage1Run(images, store, cfg, labels_list)
     use_oracle = cfg.policy == "oracle_mix" and oracle_mix_gate(cfg.oracle_rate, cfg.policy_seed, batch_index)
     if use_oracle and any(labels is None for labels in run.labels):
@@ -400,9 +416,3 @@ def run_stage1_batch(
             run.snapshot(f"alloc{r}")
     return run.output()
 
-
-def pad_and_mask(token_sets) -> list[MixedResolutionTokenSet]:
-    """Pad finished token sets per level to the batch maximum."""
-    counts = np.array([s.counts_per_level() for s in token_sets])
-    pads = counts.max(axis=0) - counts
-    return [s.with_padding(np.repeat(np.arange(len(p)), p).tolist()) for s, p in zip(token_sets, pads)]

@@ -213,6 +213,8 @@ def train(
     gradient stops being finite."""
     if cfg.policy not in ("adaptive", "dense", "oracle_mix", "random_ratio"):
         raise ValueError(f"unsupported training policy {cfg.policy}")
+    if not len(corpus):
+        raise ValueError("corpus is empty: training needs at least one scene")
     opt = Adam(store, lr=lr)
     history = []
     n = len(corpus)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from adaptok import boundary, config, geometry, params, scenes, tensor
+from adaptok.errors import ContractError
+from adaptok.geometry import TokenKey
 from adaptok.tensor import Tensor
 
 
@@ -25,6 +27,69 @@ def scene_spec():
     return scenes.SceneSpec()
 
 
+def split(parent):
+    """The four level+1 children tiling the parent's rectangle, row-major:
+    the child order of `TokenBatch.children`."""
+    if parent.level >= geometry.MAX_LEVEL:
+        raise ContractError(f"cannot split a level-{geometry.MAX_LEVEL} token")
+    lvl, r, c = parent.level + 1, 2 * parent.row, 2 * parent.col
+    return (TokenKey(lvl, r, c), TokenKey(lvl, r, c + 1), TokenKey(lvl, r + 1, c), TokenKey(lvl, r + 1, c + 1))
+
+
+def parent_of(key):
+    if key.level == 0:
+        raise ContractError("level-0 token has no parent")
+    return TokenKey(key.level - 1, key.row // 2, key.col // 2)
+
+
+def rows_of(s, keys):
+    """Row of each key in the set `s`; ContractError for a key not in it."""
+    cols = geometry.key_columns(keys)
+    want = geometry._order_keys(*cols.T)
+    order = s.table[:, 3]
+    rows = np.searchsorted(order, want)
+    found = rows < len(order)
+    found[found] = order[rows[found]] == want[found]
+    if not found.all():
+        missing = [TokenKey._make(k) for k in cols[~found].tolist()]
+        raise ContractError(f"tokens not in the set: {missing}")
+    return rows
+
+
+def with_children(s, parents):
+    """`s.grow` by splitting the TokenKeys `parents`, each a token of `s`;
+    `perm` follows `parents` x `split` order."""
+    return s.grow(rows_of(s, parents))
+
+
+def validate(s):
+    """Check a token set's structural invariants; ContractError on a
+    violation."""
+    seen = set(s.keys)
+    if len(seen) != len(s.keys):
+        raise ContractError("duplicate token keys")
+    n0 = (s.height // geometry.COARSE_SIDE) * (s.width // geometry.COARSE_SIDE)
+    if s.counts_per_level()[0] != n0:
+        raise ContractError("level-0 tokens do not tile the image")
+    for k in s.keys:
+        side = k.patch_side
+        if not (0 <= k.row < s.height // side and 0 <= k.col < s.width // side):
+            raise ContractError(f"token {k} out of bounds")
+        if k.level > 0 and parent_of(k) not in seen:
+            raise ContractError(f"token {k} is missing its parent")
+    # all-or-none sibling groups
+    by_parent: dict[TokenKey, int] = {}
+    for k in s.keys:
+        if k.level > 0:
+            by_parent[parent_of(k)] = by_parent.get(parent_of(k), 0) + 1
+    for p, n in by_parent.items():
+        if n != 4:
+            raise ContractError(f"parent {p} has {n} children, expected 4")
+    order = s.table[:, 3]
+    if not np.array_equal(order, geometry._order_keys(*s.table[:, :3].T)) or np.any(np.diff(order) <= 0):
+        raise ContractError("keys are not in canonical order")
+
+
 def grow_random_set(h, w, p, rng):
     """Random allocation trace over pure geometry: each frontier token is
     selected with probability p per round."""
@@ -36,7 +101,7 @@ def grow_random_set(h, w, p, rng):
         if not sel:
             s = s.without_frontier()
             continue
-        s, _ = s.with_children(sel)
+        s, _ = with_children(s, sel)
     return s, selections
 
 
@@ -51,7 +116,7 @@ def canonical_rank_oracle(keys):
 
 def with_children_oracle(keys, parents):
     """Per-key `with_children`: the grown keys, the frontier and `perm`."""
-    merged = list(keys) + [c for p in parents for c in geometry.split(p)]
+    merged = list(keys) + [c for p in parents for c in split(p)]
     perm = canonical_rank_oracle(merged)
     grown = tuple(merged[i] for i in perm)
     return grown, tuple(k for k, i in zip(grown, perm) if i >= len(keys)), perm

@@ -7,7 +7,7 @@ from adaptok.errors import ContractError
 from adaptok.geometry import coarse_grid
 from adaptok.tensor import Tensor
 
-from conftest import grow_random_set
+from conftest import grow_random_set, parent_of, split, with_children
 
 
 def make_block_store(d, seed=0, key_scale=True):
@@ -67,11 +67,11 @@ class TestClusterAssignment:
             s, _ = grow_random_set(64, 64, float(rng.uniform(0.2, 1.0)), rng)
             keyset = set(s.keys)
             pos = {k: i for i, k in enumerate(s.keys)}
-            parents = {k.parent() for k in s.keys if k.level > 0}
+            parents = {parent_of(k) for k in s.keys if k.level > 0}
             for p in parents:
-                sibs = geometry.split(p)
+                sibs = split(p)
                 if any(
-                    sb.level < geometry.MAX_LEVEL and geometry.split(sb)[0] in keyset
+                    sb.level < geometry.MAX_LEVEL and split(sb)[0] in keyset
                     for sb in sibs
                 ):
                     continue
@@ -162,12 +162,12 @@ class TestClusterAttentionBlock:
         # a fine token's output must react to a coarse neighbor's feature
         s = coarse_grid(64, 64)
         parent = s.frontier[0]
-        s, _ = s.with_children([parent])
+        s, _ = with_children(s, [parent])
         d = 8
         store = make_block_store(d, seed=3)
         x = rng.standard_normal((s.n_valid, d))
         a = cluster(s, 8)
-        fine_row = s.keys.index(geometry.split(parent)[0])
+        fine_row = s.keys.index(split(parent)[0])
         coarse_row = next(i for i, k in enumerate(s.keys) if k.level == 0)
         assert coarse_row in set(a.neighborhood(a.cluster_of(fine_row)).tolist())
         out = cluster_attention_block(Tensor(x), s, a, store, "blk", heads=1)
@@ -181,7 +181,7 @@ class TestClusterAttentionBlock:
 def test_key_scale_embedding_distinguishes_levels(rng):
     # same feature content at different levels yields different attention
     s = coarse_grid(64, 64)
-    s, _ = s.with_children([s.frontier[0]])
+    s, _ = with_children(s, [s.frontier[0]])
     d = 8
     store = make_block_store(d, seed=5)
     x = Tensor(rng.standard_normal((s.n_valid, d)))

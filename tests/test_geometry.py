@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 
 from adaptok import boundary, flops, geometry
 from adaptok.errors import ContractError
-from adaptok.geometry import TokenKey, canonical_order, coarse_grid, finest_cover, split
+from adaptok.geometry import TokenKey, canonical_order, coarse_grid, finest_cover
 
 from conftest import (
     batch_grow_oracle,
     canonical_rank_oracle,
     finest_cover_oracle,
     grow_random_set,
+    parent_of,
+    rows_of,
+    split,
     target_scores_oracle,
+    validate,
+    with_children,
     with_children_oracle,
 )
 
@@ -62,7 +67,7 @@ class TestSplit:
         with pytest.raises(ContractError):
             split(TokenKey(3, 0, 0))
         with pytest.raises(ContractError):
-            TokenKey(0, 0, 0).parent()
+            parent_of(TokenKey(0, 0, 0))
 
 
 class TestCanonicalOrder:
@@ -107,34 +112,34 @@ class TestMixedSet:
     def test_with_children_structure(self, rng):
         old = coarse_grid(64, 64)
         parents = [old.frontier[2], old.frontier[0]]
-        s, perm = old.with_children(parents)
+        s, perm = with_children(old, parents)
         kids = [c for p in parents for c in split(p)]
         assert len(kids) == 8
         assert s.frontier == tuple(canonical_order(kids))
         # perm indexes the old rows followed by the children in parents x split order
         assert s.keys == tuple((list(old.keys) + kids)[i] for i in perm)
-        s.validate()
+        validate(s)
 
     def test_with_children_perm_and_cost(self, rng):
         for _ in range(20):
             old, _ = grow_random_set(64, 64, float(rng.uniform(0.2, 0.8)), rng)
-            split_already = {k.parent() for k in old.keys if k.level}
+            split_already = {parent_of(k) for k in old.keys if k.level}
             cand = [k for k in old.keys if k.level < 3 and k not in split_already]
             parents = [cand[i] for i in rng.permutation(len(cand))[: int(rng.integers(1, len(cand) + 1))]]
             with flops.meter() as m:
-                s, perm = old.with_children(parents)
+                s, perm = with_children(old, parents)
             merged = list(old.keys) + [c for p in parents for c in split(p)]
             assert s.keys == tuple(canonical_order(merged))
             assert sorted(perm.tolist()) == list(range(len(merged)))
             assert [merged[i] for i in perm] == list(s.keys)
-            s.validate()
+            validate(s)
             n = len(merged)
             assert m.total().comparisons == flops.sort_comparisons(n) + flops.sort_comparisons(n - old.n_valid)
 
     def test_sibling_completeness_and_counts(self, rng):
         for _ in range(25):
             s, selections = grow_random_set(64, 64, 0.5, rng)
-            s.validate()
+            validate(s)
             counts = s.counts_per_level()
             for lvl, sel in enumerate(selections, start=1):
                 assert counts[lvl] == 4 * len(sel)
@@ -190,7 +195,7 @@ class TestFinestCover:
     def test_one_split_parent(self):
         s = coarse_grid(64, 64)
         parent = s.frontier[1]
-        s, _ = s.with_children([parent])
+        s, _ = with_children(s, [parent])
         cover = finest_cover(s)
         y0, x0, y1, x1 = parent.rect()
         inside = cover[y0:y1, x0:x1]
@@ -253,18 +258,6 @@ class TestTokenBatch:
         assert [(-batch.table[i, 0], samples[i], i) for i in order] == sorted((-batch.table[i, 0], samples[i], i) for i in order)
 
 
-def test_pad_and_mask_counts():
-    from adaptok.stage1 import pad_and_mask
-
-    a = coarse_grid(64, 64)
-    b, _ = coarse_grid(64, 64).with_children([a.frontier[0]])
-    # counts per level: a = [4,0,...], b = [4,4,...]
-    padded = pad_and_mask([a, b])
-    assert padded[0].n_rows == padded[1].n_rows == 8
-    assert padded[0].n_valid == 4 and padded[1].n_valid == 8
-    assert list(padded[0].pad_levels) == [1] * 4 and not padded[1].pad_levels
-
-
 class TestColumnsAgainstPerKeyOracles:
     """The token-table implementation against the per-key oracles in
     conftest, over random allocation traces."""
@@ -289,7 +282,7 @@ class TestColumnsAgainstPerKeyOracles:
             if sel:
                 # parents in any order; perm follows the given order
                 sel = [sel[i] for i in rng.permutation(len(sel))]
-                s, perm = s.with_children(sel)
+                s, perm = with_children(s, sel)
                 keys, frontier, want_perm = with_children_oracle(keys, sel)
                 assert np.array_equal(perm, want_perm)
             else:
@@ -299,18 +292,18 @@ class TestColumnsAgainstPerKeyOracles:
             assert s.row_levels().tolist() == [k.level for k in keys]
             assert s.counts_per_level() == [sum(k.level == lvl for k in keys) for lvl in range(4)]
             probe = [keys[i] for i in rng.permutation(len(keys))[: int(rng.integers(1, len(keys) + 1))]]
-            assert s.rows_of(probe).tolist() == [keys.index(k) for k in probe]
+            assert rows_of(s, probe).tolist() == [keys.index(k) for k in probe]
             assert np.array_equal(finest_cover(s), finest_cover_oracle(h, w, keys))
             want = target_scores_oracle(bmap, frontier)
             assert np.array_equal(boundary.target_scores(bmap, frontier), want)
             assert np.array_equal(boundary.target_scores(boundary.SummedArea(bmap), s.table[s.frontier_rows]), want)
         assert s.keys == final.keys and s.frontier == final.frontier
-        s.validate()
+        validate(s)
 
     def test_rows_of_rejects_keys_outside_the_set(self):
         s = coarse_grid(64, 64)
         with pytest.raises(ContractError, match="not in the set"):
-            s.rows_of([s.keys[0], TokenKey(1, 0, 0)])
+            rows_of(s, [s.keys[0], TokenKey(1, 0, 0)])
 
     def test_coarse_grid_is_shared_and_read_only(self):
         a, b = coarse_grid(64, 96), coarse_grid(64, 96)

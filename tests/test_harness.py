@@ -450,6 +450,17 @@ class TestCli:
         assert record["error"] == "ValueError"
         assert cause in record["message"] and "scene_00000.ppm" in record["message"]
 
+    @pytest.mark.parametrize("corpus", ["empty_dir", "count_0"])
+    @pytest.mark.parametrize("command", ["train", "eval", "flops"])
+    def test_empty_corpus_rejected(self, tmp_path, capsys, command, corpus):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        source = ["--corpus-dir", str(empty)] if corpus == "empty_dir" else ["--count", "0"]
+        record = self.error_record(capsys, command, *source, "--out", str(tmp_path / "out"))
+        assert record["error"] == "ValueError" and "corpus is empty" in record["message"]
+        assert (str(empty) in record["message"]) == (corpus == "empty_dir")
+        assert not (tmp_path / "out").exists()
+
     def test_truncated_pnm_rejected(self, tmp_path, capsys):
         pnm.write_ppm8(tmp_path / "scene_00000.ppm", np.zeros((64, 64, 3)))
         pnm.write_pgm16(tmp_path / "scene_00000.pgm", np.zeros((64, 64), dtype=np.uint16))

@@ -19,6 +19,8 @@ from adaptok.stage1 import (
 from adaptok.stage2 import run_stage2
 from adaptok.tensor import Tensor
 
+from conftest import rows_of, split
+
 
 @pytest.fixture
 def nano_scene(scene_spec):
@@ -207,12 +209,12 @@ class TestAllocate:
         run.enter_round(1)
         (scores,) = run.score_round(1)
         parent = run.tokens.sets[0].frontier[0]
-        parent_row = run.tokens.sets[0].rows_of([parent])[0]
+        parent_row = rows_of(run.tokens.sets[0], [parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
         run.allocate_round(1, [([0], "predicted")], [scores], [None])
         scale = store["s1.r1.scale_emb"].data
         slots = store["s1.r1.slot_emb"].data
-        kids = geometry.split(parent)
+        kids = split(parent)
         for slot, kid in enumerate(kids):
             row = run.tokens.sets[0].keys.index(kid)
             expect = parent_feat + scale + slots[slot]
@@ -226,11 +228,11 @@ class TestAllocate:
         run.enter_round(1)
         (scores,) = run.score_round(1)
         parent = run.tokens.sets[0].frontier[0]
-        parent_row = run.tokens.sets[0].rows_of([parent])[0]
+        parent_row = rows_of(run.tokens.sets[0], [parent])[0]
         parent_feat = run.feats.data[parent_row].copy()
         run.allocate_round(1, [([0], "predicted")], [scores], [None])
         slots = store["s1.r1.slot_emb"].data
-        kids = geometry.split(parent)
+        kids = split(parent)
         # subtracting the per-slot embedding and the shared residual leaves
         # only the per-child pixel path
         leftovers = []
@@ -302,7 +304,7 @@ class TestPolicies:
             if prev_frontier is not None:
                 assert set(rec.frontier) == set(prev_frontier)
             assert all(k.level == rec.round_index - 1 for k in rec.frontier)
-            prev_frontier = [c for p in rec.selected for c in geometry.split(p)]
+            prev_frontier = [c for p in rec.selected for c in split(p)]
 
     def test_budget_ordering(self, rng):
         cfg_a = config.nano()
@@ -408,6 +410,34 @@ class TestBatchPadding:
             assert out.token_set.keys == solo.token_set.keys
             assert np.array_equal(out.feats.data[:n], solo.feats.data)
             assert not out.feats.data[n:].any()
+
+    def test_pad_rows_make_up_each_level_to_the_batch_max(self, scene_spec):
+        _, _, _, batch = self.oracle_batch(scene_spec)
+        counts = np.array([o.token_set.counts_per_level() for o in batch])
+        assert counts.tolist() == [[4, 0, 0, 0], [4, 8, 16, 44], [4, 8, 24, 48]]
+        # each sample's pad rows, by ascending level, are its deficit
+        # against the batch maximum [4, 8, 24, 48] at that level
+        want = [[1] * 8 + [2] * 24 + [3] * 48, [2] * 8 + [3] * 4, []]
+        assert [list(o.token_set.pad_levels) for o in batch] == want
+        assert len({o.token_set.n_rows for o in batch}) == 1
+
+    def test_train_step_builds_no_per_sample_output(self, monkeypatch, nano_cfg, scene_spec):
+        # per-sample outputs are made only when a batch is indexed, and a
+        # train step indexes none
+        built = []
+        init = stage1.Stage1Output.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(stage1.Stage1Output, "__init__", counting_init)
+        corpus = scenes.generate_corpus(3, 4, scene_spec)
+        train.train(nano_cfg, init_params(nano_cfg, seed=0), corpus, steps=1, batch_size=4, log=None)
+        assert built == []
+        batch = run_stage1_batch([sc.image for sc in corpus[:2]], init_params(nano_cfg, seed=0), nano_cfg)
+        assert len(batch) == 2 and built == []
+        assert batch[-1] is built[0]
 
     def test_padding_neutrality_with_perturbation(self, scene_spec):
         cfg, store, _, batch = self.oracle_batch(scene_spec)

@@ -10,6 +10,8 @@ from adaptok.stage1 import Lateral, run_stage1, run_stage1_batch
 from adaptok.stage2 import densify_finest, head_logits, lateral_fuse, run_stage2
 from adaptok.tensor import Tensor
 
+from conftest import with_children
+
 
 @pytest.fixture
 def forward_parts(nano_cfg, nano_store, rng):
@@ -57,7 +59,7 @@ class TestLateralFuse:
         store = params.ParamStore()
         params._linear(store, 0, "fuse", 2 * d, d)
         ts = geometry.coarse_grid(64, 64)
-        other, _ = ts.with_children([ts.frontier[0]])
+        other, _ = with_children(ts, [ts.frontier[0]])
         with pytest.raises(ContractError):
             lateral_fuse(Tensor(rng.standard_normal((4, d))), ts, Lateral(other, Tensor(np.zeros((20, d)))), store, "fuse")
 
