@@ -9,64 +9,76 @@ scale and thresholds of order 1e-2 are comparable across rounds.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import geometry
 
 IGNORE = 65535
+CELL = 4  # side of a head cell, in pixels
 
 _OFFSETS4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _OFFSETS8 = _OFFSETS4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def boundary_map(labels: np.ndarray, connectivity: int = 4) -> np.ndarray:
-    """Binary (uint8) boundary map. Border pixels compare only against
-    in-bounds neighbors."""
+    """Binary (uint8) boundary map of an (H, W) label map, or of each map of
+    an (S, H, W) stack. Border pixels compare only against in-bounds
+    neighbors."""
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     lab = np.asarray(labels)
-    if lab.ndim != 2:
-        raise ValueError("label map must be 2-D")
-    h, w = lab.shape
+    if lab.ndim not in (2, 3):
+        raise ValueError("label map must be 2-D, or a 3-D stack of maps")
+    h, w = lab.shape[-2:]
     valid = lab != IGNORE
-    out = np.zeros((h, w), dtype=bool)
+    out = np.zeros(lab.shape, dtype=bool)
     offsets = _OFFSETS4 if connectivity == 4 else _OFFSETS8
     for dy, dx in offsets:
         ys = slice(max(dy, 0), h + min(dy, 0))
         xs = slice(max(dx, 0), w + min(dx, 0))
         ys_n = slice(max(-dy, 0), h + min(-dy, 0))
         xs_n = slice(max(-dx, 0), w + min(-dx, 0))
-        differs = lab[ys, xs] != lab[ys_n, xs_n]
-        out[ys, xs] |= differs & valid[ys, xs] & valid[ys_n, xs_n]
+        differs = lab[..., ys, xs] != lab[..., ys_n, xs_n]
+        out[..., ys, xs] |= differs & valid[..., ys, xs] & valid[..., ys_n, xs_n]
     return out.astype(np.uint8)
 
 
 class SummedArea:
-    """Exact boundary-pixel count of any rectangle of one boundary map, from
-    its (H+1, W+1) summed-area table: entry (y, x) counts the boundary
-    pixels above and left of pixel (y, x)."""
+    """Exact boundary-pixel count of any rectangle of an (H, W) boundary map,
+    or of any map of an (S, H, W) stack, from the (S, H+1, W+1) summed-area
+    table (S = 1 for one map): entry (s, y, x) counts the boundary pixels of
+    map s above and left of pixel (y, x)."""
 
     def __init__(self, bmap: np.ndarray):
         bmap = np.asarray(bmap)
-        if bmap.ndim != 2:
-            raise ValueError("boundary map must be 2-D")
-        h, w = self.shape = bmap.shape
-        self.table = np.zeros((h + 1, w + 1), dtype=np.int64)
-        np.cumsum(bmap, axis=0, dtype=np.int64, out=self.table[1:, 1:])
-        np.cumsum(self.table[1:, 1:], axis=1, out=self.table[1:, 1:])
+        if bmap.ndim not in (2, 3):
+            raise ValueError("boundary map must be 2-D, or a 3-D stack of maps")
+        self.stacked = bmap.ndim == 3
+        bmap = bmap.reshape((-1,) + bmap.shape[-2:])
+        s, h, w = bmap.shape
+        self.shape = (h, w)
+        self.table = np.zeros((s, h + 1, w + 1), dtype=np.int64)
+        np.cumsum(bmap, axis=1, dtype=np.int64, out=self.table[:, 1:, 1:])
+        np.cumsum(self.table[:, 1:, 1:], axis=2, out=self.table[:, 1:, 1:])
 
-    def count(self, y0, x0, y1, x1) -> np.ndarray:
-        """Boundary pixels in each half-open rectangle [y0, y1) x [x0, x1)."""
+    def count(self, y0, x0, y1, x1, sample=0) -> np.ndarray:
+        """Boundary pixels in each half-open rectangle [y0, y1) x [x0, x1)
+        of map `sample`."""
         t = self.table
-        return t[y1, x1] - t[y0, x1] - t[y1, x0] + t[y0, x0]
+        return t[sample, y1, x1] - t[sample, y0, x1] - t[sample, y1, x0] + t[sample, y0, x0]
 
 
-def target_scores(bmap, tokens) -> np.ndarray:
+def target_scores(bmap, tokens, samples=None) -> np.ndarray:
     """Per-token boundary-pixel fraction, in the order of `tokens`: TokenKeys,
     or token-table rows (`MixedResolutionTokenSet.table`). `bmap` is a
     boundary map, or its `SummedArea` when many token lists score against
-    one map."""
+    one map; for an (S, H, W) stack of maps, `samples[i]` is the map that
+    token i lies on."""
     counts = bmap if isinstance(bmap, SummedArea) else SummedArea(bmap)
+    if counts.stacked and samples is None:
+        raise ValueError("a stack of boundary maps needs each token's sample")
     h, w = counts.shape
     cols = geometry.key_columns(tokens)
     level, row, col = cols.T
@@ -77,7 +89,7 @@ def target_scores(bmap, tokens) -> np.ndarray:
         outside = (y0 < 0) | (x0 < 0) | (y1 > h) | (x1 > w)
         k = geometry.TokenKey._make(cols[np.argmax(outside)].tolist())
         raise ValueError(f"token {k} extends past the {h}x{w} boundary map")
-    return counts.count(y0, x0, y1, x1) / (side * side)
+    return counts.count(y0, x0, y1, x1, 0 if samples is None else samples) / (side * side)
 
 
 def allocator_loss(pred, target) -> float:
@@ -92,18 +104,19 @@ def allocator_loss(pred, target) -> float:
     return float(np.mean(d * d))
 
 
-def cell_majority_labels(labels: np.ndarray, cell: int = 4) -> np.ndarray:
-    """Downsample a label map to cell resolution by majority vote.
+def cell_majority_labels(labels: np.ndarray, cell: int = CELL) -> np.ndarray:
+    """Downsample an (H, W) label map, or each map of an (S, H, W) stack, to
+    cell resolution by majority vote.
 
     IGNORE pixels never vote; ties go to the smallest class id; a cell with
     only IGNORE pixels stays IGNORE. Class ids are non-negative; the vote
     count takes memory in proportion to the largest one.
     """
     lab = np.asarray(labels)
-    h, w = lab.shape
+    *lead, h, w = lab.shape
     if h % cell or w % cell:
         raise ValueError(f"label map {h}x{w} not divisible by cell size {cell}")
-    flat = lab.reshape(h // cell, cell, w // cell, cell).transpose(0, 2, 1, 3).reshape(-1)
+    flat = lab.reshape(*lead, h // cell, cell, w // cell, cell).swapaxes(-3, -2).reshape(-1)
     voters = np.flatnonzero(flat != IGNORE)
     label = flat[voters]
     # one vote count per (cell, class): column 0 is IGNORE, which no pixel
@@ -112,8 +125,45 @@ def cell_majority_labels(labels: np.ndarray, cell: int = 4) -> np.ndarray:
     present = np.bincount(label) > 0
     classes = np.concatenate([[IGNORE], np.flatnonzero(present)])
     slots = voters // (cell * cell) * len(classes) + np.cumsum(present)[label]
-    counts = np.bincount(slots, minlength=(h // cell) * (w // cell) * len(classes))
-    return classes[counts.reshape(-1, len(classes)).argmax(axis=1)].reshape(h // cell, w // cell)
+    counts = np.bincount(slots, minlength=flat.size // (cell * cell) * len(classes))
+    return classes[counts.reshape(-1, len(classes)).argmax(axis=1)].reshape(*lead, h // cell, w // cell)
+
+
+@dataclass(frozen=True)
+class LabelTables:
+    """What a forward reads of its samples' label maps, stacked in sample
+    order: each one's boundary map (`bmaps`, (S, H, W) uint8) and
+    cell-majority labels (`cells`, (S, H/CELL, W/CELL)). An unlabelled
+    sample has the rows of an all-IGNORE map, which has no boundary pixel
+    and no labelled cell, and `labelled` False."""
+
+    bmaps: np.ndarray
+    cells: np.ndarray
+    labelled: np.ndarray
+
+    @staticmethod
+    def build(labels_list, shape: tuple[int, int], connectivity: int = 4, chunk: int | None = None) -> "LabelTables":
+        """Tables of `labels_list` (None for an unlabelled sample), each map
+        of `shape`, derived `chunk` maps at a time (default: all at once) by
+        whole-stack ops."""
+        shape = tuple(shape)
+        for i, labels in enumerate(labels_list):
+            if labels is not None and np.shape(labels) != shape:
+                raise ValueError(f"label map {i} is {np.shape(labels)}; the image is {shape}")
+        n = len(labels_list)
+        bmaps = np.empty((n,) + shape, dtype=np.uint8)
+        cells = np.empty((n, shape[0] // CELL, shape[1] // CELL), dtype=np.int64)
+        chunk = max(chunk or n, 1)
+        for lo in range(0, n, chunk):
+            part = labels_list[lo : lo + chunk]
+            stack = np.stack([np.full(shape, IGNORE) if labels is None else labels for labels in part])
+            bmaps[lo : lo + len(part)] = boundary_map(stack, connectivity)
+            cells[lo : lo + len(part)] = cell_majority_labels(stack)
+        return LabelTables(bmaps, cells, np.array([labels is not None for labels in labels_list], dtype=bool))
+
+    def take(self, idx) -> "LabelTables":
+        """The tables of the samples at `idx`, in that order."""
+        return LabelTables(self.bmaps[idx], self.cells[idx], self.labelled[idx])
 
 
 def pad_labels(labels: np.ndarray, h: int, w: int) -> np.ndarray:

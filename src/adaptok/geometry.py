@@ -177,13 +177,14 @@ class TokenBatch:
         return tuple(itertools.accumulate(self.segments[:-1], initial=0))
 
     @functools.cached_property
-    def _row_samples(self) -> np.ndarray:
+    def row_samples(self) -> np.ndarray:
+        """Sample of each token, in row order."""
         return np.repeat(np.arange(len(self.segments)), self.segments)
 
     @functools.cached_property
     def frontiers(self) -> list[np.ndarray]:
         """Each sample's frontier, as rows of the batch."""
-        counts = np.bincount(self._row_samples[self.frontier_rows], minlength=len(self.segments))
+        counts = np.bincount(self.row_samples[self.frontier_rows], minlength=len(self.segments))
         return segment_views(self.frontier_rows, counts.tolist())
 
     @functools.cached_property
@@ -196,13 +197,13 @@ class TokenBatch:
 
     def level_counts(self) -> np.ndarray:
         """(samples, levels) token counts."""
-        flat = self._row_samples * (MAX_LEVEL + 1) + self.row_levels()
+        flat = self.row_samples * (MAX_LEVEL + 1) + self.row_levels()
         return np.bincount(flat, minlength=len(self.segments) * (MAX_LEVEL + 1)).reshape(-1, MAX_LEVEL + 1)
 
     def finest_first(self) -> np.ndarray:
         """Rows ordered finest level first, then by sample, then by row: the
         order in which Stage 2 emits them, one map per level."""
-        return np.lexsort((np.arange(self.n_valid), self._row_samples, -self.row_levels()))
+        return np.lexsort((np.arange(self.n_valid), self.row_samples, -self.row_levels()))
 
     def children(self, parent_rows) -> np.ndarray:
         """Token-table rows of the children of the tokens at `parent_rows`,
@@ -221,21 +222,21 @@ class TokenBatch:
         child order. Each sample that gains k children is charged the sort
         of its grown set plus the sort of the children."""
         parent_rows = np.asarray(parent_rows, dtype=np.intp)
-        kid_samples = np.repeat(self._row_samples[parent_rows], 4)
+        kid_samples = np.repeat(self.row_samples[parent_rows], 4)
         merged = np.concatenate([self.table, self.children(parent_rows)])
         kids = np.bincount(kid_samples, minlength=len(self.segments)).tolist()
         segments = tuple(n + k for n, k in zip(self.segments, kids))
         flops.add_cost(
             comparisons=sum(flops.sort_comparisons(n) + flops.sort_comparisons(k) for n, k in zip(segments, kids) if k)
         )
-        perm = np.lexsort((merged[:, 3], np.concatenate([self._row_samples, kid_samples])))
+        perm = np.lexsort((merged[:, 3], np.concatenate([self.row_samples, kid_samples])))
         grown = self._with(_readonly(merged[perm]), _readonly(np.flatnonzero(perm >= self.n_valid)), segments)
         return grown, perm
 
     def take(self, rows) -> "TokenBatch":
         """The tokens at ascending `rows` (so still canonical), with no
         frontier."""
-        segments = np.bincount(self._row_samples[rows], minlength=len(self.segments))
+        segments = np.bincount(self.row_samples[rows], minlength=len(self.segments))
         return self._with(_readonly(self.table[rows]), _NO_ROWS, tuple(segments.tolist()))
 
     def without_frontier(self) -> "TokenBatch":
@@ -304,16 +305,22 @@ def patches(image: np.ndarray, level: int, row, col) -> np.ndarray:
     return grid[row, col].reshape(len(row), s * s * c)
 
 
-def finest_cover(token_set: MixedResolutionTokenSet) -> np.ndarray:
-    """Per-pixel index (into token_set.keys) of the deepest covering token."""
-    h, w = token_set.height, token_set.width
-    cover = np.full((h, w), -1, dtype=np.int64)
-    level, row, col = token_set.table[:, :3].T
+def finest_cover(tokens: TokenBatch) -> np.ndarray:
+    """Per-pixel index of the deepest covering token, counted from its
+    sample's first row: (H, W) for one sample's `MixedResolutionTokenSet`
+    (an index into its keys), (samples, H, W) for a batch."""
+    h, w = tokens.height, tokens.width
+    samples = len(tokens.segments)
+    cover = np.full((samples, h, w), -1, dtype=np.int64)
+    level, row, col = tokens.table[:, :3].T
+    sample = tokens.row_samples
+    local = np.arange(tokens.n_valid) - np.asarray(tokens.offsets)[sample]
     # coarse levels first, so finer tokens paint over them; tokens of one
     # level never overlap
     for lvl, side in enumerate(PATCH_SIDES):
         rows = np.flatnonzero(level == lvl)
-        cover.reshape(h // side, side, w // side, side)[row[rows], :, col[rows], :] = rows[:, None, None]
+        grid = cover.reshape(samples, h // side, side, w // side, side)
+        grid[sample[rows], row[rows], :, col[rows], :] = local[rows, None, None]
     if np.any(cover < 0):
         raise ContractError("finest_cover: uncovered pixels (bad level-0 tiling)")
-    return cover
+    return cover[0] if isinstance(tokens, MixedResolutionTokenSet) else cover

@@ -10,11 +10,15 @@ top-down refinement stage.
 
 A batch runs its rounds in lockstep on one stacked feature matrix: sample
 i's rows follow sample i-1's, so every row-wise op is one tape node per
-batch. GEMMs run once per sample segment and attention windows stay inside
-their sample, so each row is computed exactly as in a solo run. Only the
-allocation decisions are made per sample. The result stays stacked, and
-Stage 2 consumes it unpadded; a sample's output, padded per level to the
-batch maximum, is made only when the batch is indexed.
+batch. Each sample segment gets its own GEMM (equal-length segments as one
+stacked matmul) and attention windows stay inside their sample, so each
+row is computed exactly as in a solo run. The labels arrive as
+`boundary.LabelTables` (derived once per training run, or per batch when a
+forward is given label maps), and each round scores the whole frontier's
+oracle targets in one gather from the batch's stacked summed-area table.
+Only the allocation decisions are made per sample. The result stays
+stacked, and Stage 2 consumes it unpadded; a sample's output, padded per
+level to the batch maximum, is made only when the batch is indexed.
 """
 
 from __future__ import annotations
@@ -168,22 +172,30 @@ def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor,
     scored = [r for r, st in enumerate(s1.score_tensors) if st is not None]
     if not scored:
         return None
-    # the sample of each row of the concatenated score tensors
-    counts = [[t.rounds[r].candidate_count for t in s1.traces] for r in scored]
-    owner = np.concatenate([np.repeat(np.arange(len(s1)), c) for c in counts])
-    rows, targets, ids = [], [], []
-    for i in range(len(s1)) if samples is None else samples:
-        mine, theirs = np.flatnonzero(owner == i), [s1.traces[i].rounds[r].targets for r in scored]
-        if len(mine) and all(t is not None for t in theirs):
-            rows.append(mine)
-            targets.extend(theirs)
-            ids.append(i)
+    # each sample's rows of the concatenated score tensors, round by round
+    counts = np.array([[t.rounds[r].candidate_count for t in s1.traces] for r in scored])
+    owner = np.repeat(np.tile(np.arange(len(s1)), len(scored)), counts.ravel())
+    rows = geometry.segment_views(np.argsort(owner, kind="stable"), counts.sum(axis=0).tolist())
+    ids = [
+        i
+        for i in (range(len(s1)) if samples is None else samples)
+        if len(rows[i]) and all(s1.traces[i].rounds[r].targets is not None for r in scored)
+    ]
     if not ids:
         return None
     preds = [s1.score_tensors[r] for r in scored]
-    pred = tensor.gather_rows(tensor.concat(preds) if len(preds) > 1 else preds[0], np.concatenate(rows))
-    target = tensor.constant(np.concatenate(targets).reshape(-1, 1))
-    return tensor.mse(pred, target, [len(mine) for mine in rows]), ids
+    pred = tensor.gather_rows(tensor.concat(preds) if len(preds) > 1 else preds[0], np.concatenate([rows[i] for i in ids]))
+    target = np.concatenate([s1.traces[i].rounds[r].targets for i in ids for r in scored])
+    return tensor.mse(pred, tensor.constant(target.reshape(-1, 1)), [len(rows[i]) for i in ids]), ids
+
+
+def label_tables(labels, cfg: EncoderConfig) -> boundary.LabelTables | None:
+    """`labels` as the `LabelTables` a forward reads: a list of label maps
+    (None for an unlabelled sample) is derived here, tables pass through,
+    and None (no labels) stays None."""
+    if labels is None or isinstance(labels, boundary.LabelTables):
+        return labels
+    return boundary.LabelTables.build(list(labels), (cfg.input_h, cfg.input_w), cfg.connectivity)
 
 
 class Stage1Run:
@@ -192,27 +204,25 @@ class Stage1Run:
     and the tokens are one `TokenBatch`; the per-sample round records
     follow batch order."""
 
-    def __init__(self, images, store: ParamStore, cfg: EncoderConfig, labels_list=None):
-        labels_list = [None] * len(images) if labels_list is None else list(labels_list)
+    def __init__(self, images, store: ParamStore, cfg: EncoderConfig, labels=None):
         self.images = []
-        for image, labels in zip(images, labels_list):
+        for image in images:
             image = np.asarray(image, dtype=np.float64)
             if image.shape != (cfg.input_h, cfg.input_w, cfg.channels):
                 raise ValueError(
                     f"image shape {image.shape} does not match config "
                     f"{(cfg.input_h, cfg.input_w, cfg.channels)}"
                 )
-            if labels is not None and labels.shape != (cfg.input_h, cfg.input_w):
-                raise ValueError("label map shape does not match the image")
             self.images.append(image)
         self.store = store
         self.cfg = cfg
-        self.labels = labels_list
-        # one summed-area table per labelled sample scores every round's targets
-        self.boundary_counts = [
-            None if labels is None else boundary.SummedArea(boundary.boundary_map(labels, cfg.connectivity))
-            for labels in labels_list
-        ]
+        self.tables = label_tables(labels, cfg)
+        want = (len(self.images), cfg.input_h, cfg.input_w)
+        if self.tables is not None and self.tables.bmaps.shape != want:
+            raise ValueError(f"label tables of shape {self.tables.bmaps.shape} for images {want}")
+        # one summed-area table over the batch's stacked boundary maps scores
+        # every round's targets
+        self.boundary_counts = None if self.tables is None else boundary.SummedArea(self.tables.bmaps)
         self.tokens: TokenBatch | None = None
         self.feats: Tensor | None = None  # every sample's rows, stacked
         self.laterals: dict[str, Lateral] = {}
@@ -261,10 +271,15 @@ class Stage1Run:
         return [a.copy() for a in geometry.segment_views(s.data[:, 0], counts)]
 
     def targets_round(self) -> list[np.ndarray | None]:
-        return [
-            None if counts is None else boundary.target_scores(counts, self.tokens.table[rows])
-            for counts, rows in zip(self.boundary_counts, self.tokens.frontiers)
-        ]
+        """Targets of every sample's frontier, in frontier order (None for an
+        unlabelled sample), scored in one gather from the batch's table."""
+        tokens = self.tokens
+        if self.boundary_counts is None:
+            return [None] * len(self.images)
+        rows = tokens.frontier_rows
+        scores = boundary.target_scores(self.boundary_counts, tokens.table[rows], tokens.row_samples[rows])
+        parts = geometry.segment_views(scores, [len(f) for f in tokens.frontiers])
+        return [part if labelled else None for part, labelled in zip(parts, self.tables.labelled)]
 
     def allocate_round(self, r: int, picks, scores, targets):
         """Split every sample's selection; `picks` holds one (selected
@@ -389,12 +404,13 @@ def run_stage1_batch(
     """Batch forward: all samples run their rounds in lockstep on one stacked
     feature tensor. Indexing the result builds a sample's output, padded per
     level to the batch maximum with zero, invalid feature rows, so `n_rows`
-    is equal across the batch. Sample i draws its random_ratio selections
-    from stream i; its first `n_valid` rows equal a solo run's whenever the
-    selection does not depend on i."""
+    is equal across the batch. `labels_list` holds each sample's label map
+    (None when unlabelled) or is their `LabelTables`. Sample i draws its
+    random_ratio selections from stream i; its first `n_valid` rows equal a
+    solo run's whenever the selection does not depend on i."""
     run = Stage1Run(images, store, cfg, labels_list)
     use_oracle = cfg.policy == "oracle_mix" and oracle_mix_gate(cfg.oracle_rate, cfg.policy_seed, batch_index)
-    if use_oracle and any(labels is None for labels in run.labels):
+    if use_oracle and (run.tables is None or not run.tables.labelled.all()):
         raise ValueError("policy=oracle_mix selected the oracle for this batch but labels are missing")
     run.begin()
     for r in range(1, ROUNDS + 1):

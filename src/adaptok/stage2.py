@@ -137,13 +137,12 @@ def densify_finest(
             raise ContractError("emitted maps do not partition the token set")
         emitted_row = np.empty(len(order), dtype=np.intp)  # of each union row
         emitted_row[order] = np.arange(len(order))
-        cell_tokens, cell_rows = [], []
-        for s, rows in zip(union.sets, geometry.segment_views(emitted_row, union.segments)):
-            # token rectangles are unions of 4x4 cells, so the cover is
-            # constant within each cell; sampling the corner pixel is exact
-            cell_token = geometry.finest_cover(s)[::4, ::4].reshape(-1)
-            cell_tokens.append(cell_token)
-            cell_rows.append(rows[cell_token])
+        # token rectangles are unions of 4x4 cells, so the cover is constant
+        # within each cell; sampling the corner pixel is exact
+        samples = len(union.segments)
+        cover = geometry.finest_cover(union).reshape(samples, union.height, union.width)
+        cell_token = cover[:, ::4, ::4].reshape(samples, -1)
+        cell_rows = emitted_row[cell_token + np.asarray(union.offsets)[:, None]]
         prefix = "s1x" if cfg.stage1_only else "dens"
         parts = []
         for em in emitted:
@@ -152,11 +151,11 @@ def densify_finest(
                 pfx = f"{prefix}.align{em.level}"
                 feats = tensor.linear(feats, store[f"{pfx}.w"], store[f"{pfx}.b"], em.segments)
             parts.append(feats)
-        dense = tensor.gather_rows(tensor.concat(parts, axis=0), np.concatenate(cell_rows))
+        dense = tensor.gather_rows(tensor.concat(parts, axis=0), cell_rows.reshape(-1))
         pos = store["dens.pos"]
-        cells = np.tile(np.arange(pos.data.shape[0]), len(cell_rows))
+        cells = np.tile(np.arange(pos.data.shape[0]), samples)
         dense = tensor.add(dense, tensor.gather_rows(pos, cells))
-    return dense, np.concatenate(cell_tokens)
+    return dense, cell_token.reshape(-1)
 
 
 def head_logits(dense: Tensor, store: ParamStore, segments=None) -> Tensor:

@@ -198,11 +198,37 @@ def _bounds(segments, n: int) -> list[int]:
     return bounds
 
 
+def _segment_matmul(xd: np.ndarray, wd: np.ndarray, segments) -> np.ndarray:
+    """xd @ wd, one GEMM per row segment, each segment's rows getting the
+    result they would get alone (BLAS rounds a row differently when the
+    row count changes). Segments of one length run as one `np.matmul` over
+    a (G, L, k) stack, which makes the 2-D product's BLAS call once per
+    stacked matrix: a reshape view when every segment has that length,
+    gathered rows otherwise."""
+    bounds = _bounds(segments, xd.shape[0])
+    if len(bounds) == 2:
+        return xd @ wd
+    firsts: dict[int, list[int]] = {}  # segment length -> first rows
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi > lo:
+            firsts.setdefault(hi - lo, []).append(lo)
+    if len(firsts) == 1:
+        ((size, lo),) = firsts.items()
+        return np.matmul(xd.reshape(len(lo), size, xd.shape[1]), wd).reshape(xd.shape[0], -1)
+    y = np.empty((xd.shape[0], wd.shape[1]))
+    for size, lo in firsts.items():
+        if len(lo) == 1:
+            y[lo[0] : lo[0] + size] = xd[lo[0] : lo[0] + size] @ wd
+        else:
+            rows = np.add.outer(lo, np.arange(size))
+            y[rows] = np.matmul(xd[rows], wd)
+    return y
+
+
 def linear(x, w, b, segments=None) -> Tensor:
-    """x @ w + b over row segments (per-sample blocks of a stacked batch):
-    one GEMM per segment, so each row gets the result its sample would get
-    alone (BLAS rounds a row differently when the row count changes). Costs
-    what matmul plus a bias add cost."""
+    """x @ w + b over row segments (per-sample blocks of a stacked batch),
+    each row computed as its sample alone computes it (`_segment_matmul`).
+    Costs what matmul plus a bias add cost."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"linear shapes {x.data.shape} @ {w.data.shape}")
@@ -211,14 +237,7 @@ def linear(x, w, b, segments=None) -> Tensor:
     (m, k), n = x.data.shape, w.data.shape[1]
     flops.add_cost(macs=m * k * n, scalar_ops=m * n)
     xd, wd = x.data, w.data
-    bounds = _bounds(segments, m)
-    if len(bounds) == 2:
-        y = xd @ wd
-    else:
-        y = np.empty((m, n))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                y[lo:hi] = xd[lo:hi] @ wd
+    y = _segment_matmul(xd, wd, segments)
     y += b.data
     out = Tensor(y)
 
@@ -410,10 +429,11 @@ def _window_layout(segments: tuple, size: int):
     block of a round: (rows, groups, live pairs, softmax scalar ops).
 
     Each group is one window layout (run length L, runs per window span):
-    the (start, rows, first slot) of each of its segments, its run count,
-    the (runs, span*L) key rows, n for a dead key, and a (runs, 1, 1,
-    span*L) additive key bias, 0 on live keys and -inf on dead ones. The
-    arrays are read-only: every caller of one layout shares them.
+    L, span, the (runs*L,) query rows (row i of each run slot, n for an
+    empty slot past a segment's end), its run count, the (runs, span*L) key
+    rows, n for a dead key, and a (runs, 1, 1, span*L) additive key bias, 0
+    on live keys and -inf on dead ones. The arrays are read-only: every
+    caller of one layout shares them.
     """
     n = sum(segments)
     bounds = _bounds(segments, n)
@@ -426,23 +446,22 @@ def _window_layout(segments: tuple, size: int):
     pairs = soft = 0
     for (length, span), members in layouts.items():
         lead = length if span == 3 else 0  # rows of a window ahead of its run
-        places, qlive, kidx, runs = [], [], [], 0
+        kidx = []
         for start, m in members:
             first = np.arange(-(-m // length))[:, None] * length
-            places.append((start, m, runs * length))
-            runs += len(first)
-            qlive.append(first + np.arange(length) < m)
             kpos = first - lead + np.arange(span * length)
             kidx.append(np.where((kpos >= 0) & (kpos < m), start + kpos, n))
-        qlive, kidx = np.concatenate(qlive), np.concatenate(kidx)
+        kidx = np.concatenate(kidx)
+        # a run's own rows are its window's middle keys
+        qidx = np.ascontiguousarray(kidx[:, lead : lead + length]).reshape(-1)
         klive = kidx < n
-        per_row = qlive * klive.sum(axis=-1, keepdims=True)
+        per_row = (qidx < n).reshape(-1, length) * klive.sum(axis=-1, keepdims=True)
         pairs += int(per_row.sum())
         soft += int(np.maximum(4 * per_row - 1, 0).sum())
         bias = np.where(klive, 0.0, -np.inf)[:, None, None, :]
-        kidx.setflags(write=False)
-        bias.setflags(write=False)
-        groups.append((length, span, tuple(places), runs, kidx, bias))
+        for a in (qidx, kidx, bias):
+            a.setflags(write=False)
+        groups.append((length, span, qidx, len(kidx), kidx, bias))
     return n, tuple(groups), pairs, soft
 
 
@@ -481,47 +500,44 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     def merge_heads(a):  # inverse of split_heads, flattened to rows
         return a.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    def frame(a, places, length, runs):  # each segment's rows into the first slots of its runs
-        framed = np.zeros((runs * length, d))
-        for start, m, slot in places:
-            framed[slot : slot + m] = a[start : start + m]
+    def frame(a, qidx, runs, length):  # rows into their run slots; empty slots are zero
+        framed = np.take(a, qidx, axis=0, mode="clip")
+        framed[qidx == n] = 0.0
         return framed.reshape(runs, length, d)
 
-    zero = np.zeros((1, d))  # row n of the key and value operands: the dead slot
+    # row n of the key and value operands is the zero row, a dead key; the
+    # rows of every group go back by the same index, its empty query slots
+    # all landing on row n, which is dropped
+    zero = np.zeros((1, d))
     kx, vx = np.concatenate([k.data, zero]), np.concatenate([v.data, zero])
     c = 1.0 / math.sqrt(hd)
-    out = np.empty((n, d))
+    out = np.empty((n + 1, d))
     groups = []
-    for length, span, places, runs, kidx, bias in layout:
-        qs = split_heads(frame(q.data, places, length, runs))
+    for length, span, qidx, runs, kidx, bias in layout:
+        qs = split_heads(frame(q.data, qidx, runs, length))
         ks, vs = split_heads(kx[kidx]), split_heads(vx[kidx])
         # the softmax runs in place in the logits' buffer, which the vjp
         # keeps as p; every query slot, the tail's empty ones included,
-        # keeps at least one live key, so no softmax row is empty; empty
-        # slots are dropped
+        # keeps at least one live key, so no softmax row is empty
         p = np.matmul(qs, ks.transpose(0, 1, 3, 2))
         p *= c
         p += bias
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        merged = merge_heads(np.matmul(p, vs))
-        for start, m, slot in places:
-            out[start : start + m] = merged[slot : slot + m]
-        groups.append((length, span, places, runs, kidx, qs, ks, vs, p))
+        out[qidx] = merge_heads(np.matmul(p, vs))
+        groups.append((length, span, qidx, runs, kidx, qs, ks, vs, p))
     flops.add_cost(macs=heads * 2 * pairs * hd, scalar_ops=heads * (pairs + soft), comparisons=heads * pairs)
-    out = Tensor(out)
+    out = Tensor(out[:n])
 
     def vjp(g):
-        dq = np.empty((n, d))
+        dq = np.empty((n + 1, d))
         dk, dv = np.zeros((n + 1, d)), np.zeros((n + 1, d))
-        for length, span, places, runs, kidx, qs, ks, vs, p in groups:
-            gs = split_heads(frame(g, places, length, runs))
+        for length, span, qidx, runs, kidx, qs, ks, vs, p in groups:
+            gs = split_heads(frame(g, qidx, runs, length))
             dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
             dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-            dqm = merge_heads(np.matmul(dz, ks))
-            for start, m, slot in places:
-                dq[start : start + m] = dqm[slot : slot + m]
+            dq[qidx] = merge_heads(np.matmul(dz, ks))
             dkw = merge_heads(np.matmul(dz.transpose(0, 1, 3, 2), qs)).reshape(-1, span, length, d)
             dvw = merge_heads(np.matmul(p.transpose(0, 1, 3, 2), gs)).reshape(-1, span, length, d)
             # within one window offset every live key row appears once, so a
@@ -530,7 +546,7 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
                 rows = kidx[:, o * length : (o + 1) * length].reshape(-1)
                 dk[rows] += dkw[:, o].reshape(-1, d)
                 dv[rows] += dvw[:, o].reshape(-1, d)
-        return dq, dk[:n], dv[:n]
+        return dq[:n], dk[:n], dv[:n]
 
     _record(out, (q, k, v), vjp)
     return out

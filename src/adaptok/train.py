@@ -35,7 +35,8 @@ class ForwardResult:
 @dataclass
 class BatchForward(Sequence):
     """One forward over a batch, stacked: sample i's cells follow sample
-    i-1's in `dense`, `logits` and `cell_token`. Indexing yields per-sample
+    i-1's in `dense`, `logits` and `cell_token`, and `labels` holds its
+    label tables (None without labels). Indexing yields per-sample
     ForwardResults, made on access (a result refers to its batch, so the
     batch keeps none: no reference cycle holds a step's tape alive)."""
 
@@ -44,7 +45,7 @@ class BatchForward(Sequence):
     dense: Tensor
     logits: Tensor
     cell_token: np.ndarray
-    cell_labels: list[np.ndarray | None]
+    labels: boundary.LabelTables | None
 
     def __len__(self) -> int:
         return len(self.s1)
@@ -55,13 +56,14 @@ class BatchForward(Sequence):
         i %= len(self)
         cells = len(self.cell_token) // len(self)
         rows = slice(i * cells, (i + 1) * cells)
+        labelled = self.labels is not None and self.labels.labelled[i]
         return ForwardResult(
             self.s1[i],
             self.s2out.sample(i),
             Tensor(self.dense.data[rows]),
             Tensor(self.logits.data[rows]),
             self.cell_token[rows],
-            self.cell_labels[i],
+            self.labels.cells[i] if labelled else None,
             self,
             i,
         )
@@ -73,41 +75,40 @@ def forward_full(image, store, cfg, labels=None, *, batch_index: int = 0) -> For
 
 
 def forward_batch(images, labels_list, store, cfg, *, batch_index: int = 0) -> BatchForward:
+    """A batch in one stacked forward; `labels_list` holds each sample's
+    label map (None when unlabelled) or is their `LabelTables`."""
     return _forward(images, labels_list, store, cfg, batch_index)
 
 
 def _forward(images, labels_list, store, cfg, batch_index: int) -> BatchForward:
     # both entry points call this, not each other, so a wrapper around
     # either one sees each forward once
-    s1 = stage1.run_stage1_batch(images, store, cfg, labels_list, batch_index=batch_index)
+    tables = stage1.label_tables(labels_list, cfg)
+    s1 = stage1.run_stage1_batch(images, store, cfg, tables, batch_index=batch_index)
     refine = stage2.run_stage1_only_refine if cfg.stage1_only else stage2.run_stage2
     s2out = refine(s1, store, cfg)
     dense, cell_token = stage2.densify_finest(s1.tokens, s2out, store, cfg)
     logits = stage2.head_logits(dense, store, (cfg.head_cells,) * len(s1))
-    labels_list = [None] * len(s1) if labels_list is None else labels_list
-    cell_labels = [None if lab is None else boundary.cell_majority_labels(lab) for lab in labels_list]
-    return BatchForward(s1, s2out, dense, logits, cell_token, cell_labels)
+    return BatchForward(s1, s2out, dense, logits, cell_token, tables)
 
 
 def head_cross_entropy(batch: BatchForward, samples=None) -> tuple[Tensor, list[int]] | None:
     """Per-sample cross entropy of the head over labelled cells, for those
     of `samples` (default: all) with any; also their indices."""
-    cells = len(batch.cell_token) // len(batch)
-    rows, labels, counts, ids = [], [], [], []
-    for i in range(len(batch)) if samples is None else samples:
-        if batch.cell_labels[i] is None:
-            continue
-        lab = batch.cell_labels[i].reshape(-1)
-        valid = np.flatnonzero(lab != IGNORE)
-        if valid.size:
-            rows.append(i * cells + valid)
-            labels.append(lab[valid])
-            counts.append(valid.size)
-            ids.append(i)
-    if not ids:
+    tables = batch.labels
+    if tables is None:
         return None
-    picked = tensor.gather_rows(batch.logits, np.concatenate(rows))
-    return tensor.softmax_cross_entropy(picked, np.concatenate(labels), counts), ids
+    chosen = np.arange(len(batch)) if samples is None else np.asarray(samples, dtype=np.intp)
+    lab = tables.cells[chosen].reshape(len(chosen), -1)
+    valid = (lab != IGNORE) & tables.labelled[chosen, None]
+    counts = valid.sum(axis=1)
+    kept = counts > 0
+    if not kept.any():
+        return None
+    # each chosen sample's labelled cells, in order, at its rows of the batch
+    rows = (chosen[:, None] * lab.shape[1] + np.arange(lab.shape[1]))[valid]
+    picked = tensor.gather_rows(batch.logits, rows)
+    return tensor.softmax_cross_entropy(picked, lab[valid], counts[kept].tolist()), chosen[kept].tolist()
 
 
 def batch_loss(batch: BatchForward, allocator_weight: float = 1.0, samples=None) -> tuple[Tensor | None, list[dict]]:
@@ -209,12 +210,23 @@ def train(
 ) -> list[dict]:
     """Minimize mean per-sample loss over seeded batches, the learning rate
     decaying from `lr` to zero on a half cosine; returns the loss curve.
-    Aborts with a diagnostic, before any update, if the loss or a
-    gradient stops being finite."""
+
+    Before step 0 it checks every scene's image and label shape (a
+    mismatch raises ValueError naming the scene) and derives each scene's
+    boundary map and cell-majority labels once (`LabelTables`,
+    `batch_size` scenes at a time); a step gathers its batch's rows. Aborts
+    with a diagnostic, before any update, if the loss or a gradient stops
+    being finite."""
     if cfg.policy not in ("adaptive", "dense", "oracle_mix", "random_ratio"):
         raise ValueError(f"unsupported training policy {cfg.policy}")
     if not len(corpus):
         raise ValueError("corpus is empty: training needs at least one scene")
+    want = (cfg.input_h, cfg.input_w, cfg.channels)
+    for i, sc in enumerate(corpus):
+        if np.shape(sc.image) != want or (sc.labels is not None and np.shape(sc.labels) != want[:2]):
+            labels = None if sc.labels is None else np.shape(sc.labels)
+            raise ValueError(f"corpus scene {i}: image {np.shape(sc.image)}, label map {labels}; the config takes {want}")
+    tables = boundary.LabelTables.build([sc.labels for sc in corpus], want[:2], cfg.connectivity, batch_size)
     opt = Adam(store, lr=lr)
     history = []
     n = len(corpus)
@@ -222,7 +234,7 @@ def train(
         opt.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / max(steps - 1, 1)))
         idx = rng_for(seed, "batch", step).choice(n, size=min(batch_size, n), replace=False)
         images = [corpus[i].image for i in idx]
-        labels = [corpus[i].labels for i in idx]
+        labels = tables.take(idx)
         with GradTape() as tape:
             batch = forward_batch(images, labels, store, cfg, batch_index=step)
             total, raw = batch_loss(batch, allocator_weight)

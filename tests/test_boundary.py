@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptok import boundary, pnm
+from adaptok import boundary, pnm, scenes
 from adaptok.boundary import IGNORE, allocator_loss, boundary_map, target_scores
 from adaptok.geometry import TokenKey, coarse_grid
 
@@ -174,6 +174,49 @@ def test_cell_majority_matches_per_class_oracle(seed, grid_h, grid_w, n_classes,
     got = boundary.cell_majority_labels(lab)
     assert got.dtype == np.int64
     assert np.array_equal(got, cell_majority_oracle(lab))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_tables_equal_per_sample_maps(connectivity, rng):
+    # a stack of random label maps with IGNORE pixels and one unlabelled
+    # sample, derived two maps at a time
+    h, w = 64, 96
+    labels = [rng.integers(0, 4, size=(h, w)) for _ in range(4)]
+    for lab in labels:
+        lab[rng.random((h, w)) < 0.2] = IGNORE
+    labels[2] = None
+    tables = boundary.LabelTables.build(labels, (h, w), connectivity, chunk=2)
+    assert tables.bmaps.dtype == np.uint8 and tables.labelled.tolist() == [True, True, False, True]
+    # every token of each sample's grid, coarse to fine, scored on the stack
+    keys = [TokenKey(lvl, r, c) for lvl in range(4) for r in range(h >> (5 - lvl)) for c in range(w >> (5 - lvl))]
+    samples = np.repeat(np.arange(4), len(keys))
+    stacked = target_scores(boundary.SummedArea(tables.bmaps), keys * 4, samples).reshape(4, -1)
+    for i, lab in enumerate(labels):
+        if lab is None:
+            assert not tables.bmaps[i].any() and np.all(tables.cells[i] == IGNORE)
+            assert not stacked[i].any()
+            continue
+        bmap = boundary_map(lab, connectivity)
+        assert np.array_equal(tables.bmaps[i], bmap)
+        assert np.array_equal(tables.cells[i], boundary.cell_majority_labels(lab))
+        assert np.array_equal(stacked[i], target_scores(bmap, keys))
+    assert np.array_equal(boundary_map(np.stack([labels[0], labels[1]]), connectivity), tables.bmaps[:2])
+    assert np.array_equal(tables.take([3, 0]).cells, tables.cells[[3, 0]])
+
+
+def test_corpus_tables_take_a_quarter_of_the_label_bytes():
+    # a training run keeps these for its whole corpus: a uint8 map per
+    # scene and labels per 4x4 cell, not an int64 summed-area table
+    corpus = scenes.generate_corpus(0, 8, scenes.SceneSpec())
+    tables = boundary.LabelTables.build([sc.labels for sc in corpus], (64, 64), chunk=3)
+    kept = tables.bmaps.nbytes + tables.cells.nbytes + tables.labelled.nbytes
+    assert kept <= sum(sc.labels.nbytes for sc in corpus) / 4
+
+
+def test_stacked_maps_need_each_tokens_sample():
+    stack = boundary.SummedArea(np.zeros((2, 32, 32), dtype=np.uint8))
+    with pytest.raises(ValueError, match="each token's sample"):
+        target_scores(stack, [TokenKey(0, 0, 0)])
 
 
 def test_target_scores_reject_tokens_past_the_map():

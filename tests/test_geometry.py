@@ -208,6 +208,13 @@ class TestFinestCover:
             s, _ = grow_random_set(64, 64, 0.4, rng)
             assert np.array_equal(finest_cover(s), self.brute_force(s))
 
+    def test_batch_cover_stacks_each_samples_cover(self, rng):
+        sets = [grow_random_set(64, 96, p, rng)[0] for p in (0.0, 0.6, 1.0)]
+        cover = finest_cover(geometry.TokenBatch.stack(sets))
+        assert cover.shape == (3, 64, 96)
+        for got, s in zip(cover, sets):
+            assert np.array_equal(got, finest_cover(s))
+
     def test_total_and_idempotent(self, rng):
         s, _ = grow_random_set(64, 64, 0.5, rng)
         c1 = finest_cover(s)

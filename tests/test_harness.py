@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -190,6 +191,18 @@ class TestTrainingPinned:
         monkeypatch.setattr(train.tensor, "backward", poisoned)
         before = store.flat.copy()
         with pytest.raises(RuntimeError, match=r"training diverged at step 0: non-finite gradient in s2\.r3\.blk0\.q\.w$"):
+            train.train(nano_cfg, store, corpus, steps=2, batch_size=2, seed=0, log=None)
+        assert np.array_equal(store.flat, before)
+
+
+    @pytest.mark.parametrize("bad", ["image", "labels"])
+    def test_mis_shaped_scene_rejected_before_step_0(self, nano_cfg, scene_spec, bad):
+        store = params.init_params(nano_cfg, seed=0)
+        corpus = scenes.generate_corpus(5, 4, scene_spec)
+        sc = corpus[2]
+        corpus[2] = dataclasses.replace(sc, **{bad: getattr(sc, bad)[:32]})
+        before = store.flat.copy()
+        with pytest.raises(ValueError, match=r"^corpus scene 2: "):
             train.train(nano_cfg, store, corpus, steps=2, batch_size=2, seed=0, log=None)
         assert np.array_equal(store.flat, before)
 

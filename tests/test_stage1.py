@@ -362,6 +362,15 @@ class TestOracleMixGate:
         # scorer predictions are still recorded for training
         assert rec.scores.shape == rec.targets.shape
 
+    def test_labels_must_match_the_images(self, nano_cfg, nano_store, rng, scene_spec):
+        sc = scenes.generate_scene(3, scene_spec)
+        images = [rng.random((64, 64, 3))] * 2
+        tables = boundary.LabelTables.build([sc.labels], (64, 64))
+        with pytest.raises(ValueError, match="label tables of shape"):
+            run_stage1_batch(images, nano_store, nano_cfg, tables)
+        with pytest.raises(ValueError, match="label map 1 is"):
+            run_stage1_batch(images, nano_store, nano_cfg, [sc.labels, sc.labels[:32]])
+
     def test_oracle_requires_labels(self, rng):
         cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
         store = init_params(cfg, seed=0)

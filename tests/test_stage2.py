@@ -173,6 +173,26 @@ class TestRunStage2:
             sum(getattr(c, f) for c in solo_counts) for f in ("macs", "scalar_ops", "comparisons")
         )
 
+    def test_dense_batch_equals_solo_forwards(self, scene_spec):
+        # every sample of a dense batch has the same row count, so each
+        # GEMM runs on a reshape view of the stacked rows
+        cfg = config.nano().with_overrides(policy="dense")
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
+        batch = train.forward_batch([s.image for s in sc], [s.labels for s in sc], store, cfg)
+        assert len({fr.s1out.token_set.n_valid for fr in batch}) == 1
+        for fr, s in zip(batch, sc):
+            solo = train.forward_full(s.image, store, cfg, s.labels)
+            assert np.array_equal(fr.logits.data, solo.logits.data)
+            assert np.array_equal(fr.cell_token, solo.cell_token)
+            assert np.array_equal(fr.cell_labels, solo.cell_labels)
+            scores = [t for t in solo.s1out.score_tensors if t is not None]
+            assert len(scores) == 3
+            for got, want in zip(fr.s1out.score_tensors, scores):
+                assert np.array_equal(got.data, want.data)
+            for got, want in zip(fr.s1out.trace.rounds, solo.s1out.trace.rounds):
+                assert np.array_equal(got.targets, want.targets)
+
     def test_sample_loss_is_the_batch_loss_of_one(self, scene_spec):
         # a sample's loss taken on its batch equals its solo loss, and the
         # batch loss is the mean of the per-sample losses

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptok import flops, tensor
+from adaptok import config, flops, params, scenes, tensor, train
 from adaptok.errors import ContractError
 from adaptok.tensor import GradTape, Tensor, backward
 
@@ -341,6 +341,34 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert int(run.stdout) < 500
 
 
+@pytest.fixture(scope="module")
+def forward_gemm_shapes():
+    """(m, k, n) of every per-segment GEMM in a nano train-step forward
+    (batch 8, random_ratio), a nano eval forward (oracle allocation) and
+    the `tiny` 256x256 dense forward, each also at m = 1."""
+    shapes = set()
+    linear = tensor.linear
+
+    def recording(x, w, b, segments=None):
+        for m in (x.data.shape[0],) if segments is None else segments:
+            if m:
+                shapes.add((m,) + w.data.shape)
+        return linear(x, w, b, segments)
+
+    tensor.linear = recording
+    try:
+        corpus = scenes.generate_corpus(7, 8, scenes.SceneSpec())
+        nano = config.nano().with_overrides(policy="random_ratio")
+        train.forward_batch([sc.image for sc in corpus], [sc.labels for sc in corpus], params.init_params(nano, 0), nano)
+        nano = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        train.forward_full(corpus[0].image, params.init_params(nano, 0), nano, corpus[0].labels)
+        tiny = config.tiny(256, 256).with_overrides(policy="dense")
+        train.forward_full(np.zeros((256, 256, 3)), params.init_params(tiny, 0), tiny)
+    finally:
+        tensor.linear = linear
+    return sorted(shapes | {(1, k, n) for _, k, n in shapes})
+
+
 class TestLinear:
     def test_segments_equal_separate_calls(self, rng):
         # k = 3072 is the patch embedding's width, where BLAS rounds a row
@@ -355,6 +383,32 @@ class TestLinear:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             expect = tensor.add(tensor.matmul(Tensor(x[lo:hi]), Tensor(w)), Tensor(b))
             assert np.array_equal(out.data[lo:hi], expect.data)
+
+    def test_equal_length_groups_equal_separate_calls(self, rng):
+        # lengths 3 and 5 each repeat, so each runs as one gathered stack;
+        # 1 stands alone, and the empty segment owns no row
+        segments = (3, 5, 0, 3, 5, 5, 1)
+        x = rng.standard_normal((sum(segments), 3072))
+        w, b = rng.standard_normal((3072, 16)), rng.standard_normal(16)
+        out = tensor.linear(Tensor(x), Tensor(w), Tensor(b), segments)
+        bounds = np.cumsum((0,) + segments)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            expect = tensor.add(tensor.matmul(Tensor(x[lo:hi]), Tensor(w)), Tensor(b))
+            assert np.array_equal(out.data[lo:hi], expect.data)
+
+    @pytest.mark.parametrize("stack", [1, 2, 8])
+    def test_stacked_gemm_equals_each_matrix_alone(self, forward_gemm_shapes, stack, rng):
+        # `linear` runs equal-length segments as one np.matmul over a
+        # (stack, m, k) view; numpy makes the 2-D product's BLAS call once
+        # per stacked matrix, so each block must equal its product alone.
+        # This is a property of the numpy/BLAS build, pinned here for every
+        # GEMM shape the forwards use (one GEMM over all rows is not equal)
+        for m, k, n in forward_gemm_shapes:
+            x, w = rng.standard_normal((stack * m, k)), rng.standard_normal((k, n))
+            b = np.zeros(n)
+            out = tensor.linear(Tensor(x), Tensor(w), Tensor(b), (m,) * stack).data
+            for i in range(stack):
+                assert np.array_equal(out[i * m : (i + 1) * m], x[i * m : (i + 1) * m] @ w), (m, k, n, stack)
 
     def test_shapes_checked(self, rng):
         x, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2)))
