@@ -46,16 +46,15 @@ def boundary_map(labels: np.ndarray, connectivity: int = 4) -> np.ndarray:
 
 
 class SummedArea:
-    """Exact boundary-pixel count of any rectangle of an (H, W) boundary map,
-    or of any map of an (S, H, W) stack, from the (S, H+1, W+1) summed-area
-    table (S = 1 for one map): entry (s, y, x) counts the boundary pixels of
-    map s above and left of pixel (y, x)."""
+    """Exact boundary-pixel count of any rectangle of any map of an (S, H, W)
+    stack of boundary maps (an (H, W) map is a stack of one), from the
+    (S, H+1, W+1) summed-area table: entry (s, y, x) counts the boundary
+    pixels of map s above and left of pixel (y, x)."""
 
     def __init__(self, bmap: np.ndarray):
         bmap = np.asarray(bmap)
         if bmap.ndim not in (2, 3):
             raise ValueError("boundary map must be 2-D, or a 3-D stack of maps")
-        self.stacked = bmap.ndim == 3
         bmap = bmap.reshape((-1,) + bmap.shape[-2:])
         s, h, w = bmap.shape
         self.shape = (h, w)
@@ -63,7 +62,7 @@ class SummedArea:
         np.cumsum(bmap, axis=1, dtype=np.int64, out=self.table[:, 1:, 1:])
         np.cumsum(self.table[:, 1:, 1:], axis=2, out=self.table[:, 1:, 1:])
 
-    def count(self, y0, x0, y1, x1, sample=0) -> np.ndarray:
+    def count(self, sample, y0, x0, y1, x1) -> np.ndarray:
         """Boundary pixels in each half-open rectangle [y0, y1) x [x0, x1)
         of map `sample`."""
         t = self.table
@@ -77,8 +76,10 @@ def target_scores(bmap, tokens, samples=None) -> np.ndarray:
     one map; for an (S, H, W) stack of maps, `samples[i]` is the map that
     token i lies on."""
     counts = bmap if isinstance(bmap, SummedArea) else SummedArea(bmap)
-    if counts.stacked and samples is None:
-        raise ValueError("a stack of boundary maps needs each token's sample")
+    if samples is None:
+        if len(counts.table) > 1:
+            raise ValueError("a stack of boundary maps needs each token's sample")
+        samples = 0
     h, w = counts.shape
     cols = geometry.key_columns(tokens)
     level, row, col = cols.T
@@ -89,7 +90,7 @@ def target_scores(bmap, tokens, samples=None) -> np.ndarray:
         outside = (y0 < 0) | (x0 < 0) | (y1 > h) | (x1 > w)
         k = geometry.TokenKey._make(cols[np.argmax(outside)].tolist())
         raise ValueError(f"token {k} extends past the {h}x{w} boundary map")
-    return counts.count(y0, x0, y1, x1, 0 if samples is None else samples) / (side * side)
+    return counts.count(samples, y0, x0, y1, x1) / (side * side)
 
 
 def allocator_loss(pred, target) -> float:
@@ -149,7 +150,7 @@ class LabelTables:
         shape = tuple(shape)
         for i, labels in enumerate(labels_list):
             if labels is not None and np.shape(labels) != shape:
-                raise ValueError(f"label map {i} is {np.shape(labels)}; the image is {shape}")
+                raise ValueError(f"label map {i} is {np.shape(labels)}; the config takes {shape}")
         n = len(labels_list)
         bmaps = np.empty((n,) + shape, dtype=np.uint8)
         cells = np.empty((n, shape[0] // CELL, shape[1] // CELL), dtype=np.int64)

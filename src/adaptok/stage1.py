@@ -189,6 +189,20 @@ def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor,
     return tensor.mse(pred, tensor.constant(target.reshape(-1, 1)), [len(rows[i]) for i in ids]), ids
 
 
+def checked_images(images, cfg: EncoderConfig) -> list[np.ndarray]:
+    """`images` as float64 arrays; ValueError if one's shape is not the
+    config's."""
+    out = []
+    for image in images:
+        image = np.asarray(image, dtype=np.float64)
+        if image.shape != (cfg.input_h, cfg.input_w, cfg.channels):
+            raise ValueError(
+                f"image shape {image.shape} does not match config {(cfg.input_h, cfg.input_w, cfg.channels)}"
+            )
+        out.append(image)
+    return out
+
+
 def label_tables(labels, cfg: EncoderConfig) -> boundary.LabelTables | None:
     """`labels` as the `LabelTables` a forward reads: a list of label maps
     (None for an unlabelled sample) is derived here, tables pass through,
@@ -205,15 +219,7 @@ class Stage1Run:
     follow batch order."""
 
     def __init__(self, images, store: ParamStore, cfg: EncoderConfig, labels=None):
-        self.images = []
-        for image in images:
-            image = np.asarray(image, dtype=np.float64)
-            if image.shape != (cfg.input_h, cfg.input_w, cfg.channels):
-                raise ValueError(
-                    f"image shape {image.shape} does not match config "
-                    f"{(cfg.input_h, cfg.input_w, cfg.channels)}"
-                )
-            self.images.append(image)
+        self.images = checked_images(images, cfg)
         self.store = store
         self.cfg = cfg
         self.tables = label_tables(labels, cfg)

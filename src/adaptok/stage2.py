@@ -140,8 +140,7 @@ def densify_finest(
         # token rectangles are unions of 4x4 cells, so the cover is constant
         # within each cell; sampling the corner pixel is exact
         samples = len(union.segments)
-        cover = geometry.finest_cover(union).reshape(samples, union.height, union.width)
-        cell_token = cover[:, ::4, ::4].reshape(samples, -1)
+        cell_token = geometry.finest_cover(union)[..., ::4, ::4].reshape(samples, -1)
         cell_rows = emitted_row[cell_token + np.asarray(union.offsets)[:, None]]
         prefix = "s1x" if cfg.stage1_only else "dens"
         parts = []

@@ -199,29 +199,21 @@ def _bounds(segments, n: int) -> list[int]:
 
 
 def _segment_matmul(xd: np.ndarray, wd: np.ndarray, segments) -> np.ndarray:
-    """xd @ wd, one GEMM per row segment, each segment's rows getting the
+    """xd @ wd, one GEMM per row segment, so each segment's rows get the
     result they would get alone (BLAS rounds a row differently when the
-    row count changes). Segments of one length run as one `np.matmul` over
-    a (G, L, k) stack, which makes the 2-D product's BLAS call once per
-    stacked matrix: a reshape view when every segment has that length,
-    gathered rows otherwise."""
+    row count changes). When every non-empty segment has one length L (a
+    single segment included), they run as one `np.matmul` over a (G, L, k)
+    reshape view, which makes the 2-D product's BLAS call once per stacked
+    matrix; otherwise each segment is its own 2-D product."""
     bounds = _bounds(segments, xd.shape[0])
-    if len(bounds) == 2:
-        return xd @ wd
-    firsts: dict[int, list[int]] = {}  # segment length -> first rows
+    sizes = {hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo}
+    if len(sizes) == 1:
+        (size,) = sizes
+        return np.matmul(xd.reshape(-1, size, xd.shape[1]), wd).reshape(xd.shape[0], -1)
+    y = np.empty((xd.shape[0], wd.shape[1]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            firsts.setdefault(hi - lo, []).append(lo)
-    if len(firsts) == 1:
-        ((size, lo),) = firsts.items()
-        return np.matmul(xd.reshape(len(lo), size, xd.shape[1]), wd).reshape(xd.shape[0], -1)
-    y = np.empty((xd.shape[0], wd.shape[1]))
-    for size, lo in firsts.items():
-        if len(lo) == 1:
-            y[lo[0] : lo[0] + size] = xd[lo[0] : lo[0] + size] @ wd
-        else:
-            rows = np.add.outer(lo, np.arange(size))
-            y[rows] = np.matmul(xd[rows], wd)
+            y[lo:hi] = xd[lo:hi] @ wd
     return y
 
 

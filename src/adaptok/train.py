@@ -82,7 +82,9 @@ def forward_batch(images, labels_list, store, cfg, *, batch_index: int = 0) -> B
 
 def _forward(images, labels_list, store, cfg, batch_index: int) -> BatchForward:
     # both entry points call this, not each other, so a wrapper around
-    # either one sees each forward once
+    # either one sees each forward once; a mis-sized image is named before
+    # its label map
+    images = stage1.checked_images(images, cfg)
     tables = stage1.label_tables(labels_list, cfg)
     s1 = stage1.run_stage1_batch(images, store, cfg, tables, batch_index=batch_index)
     refine = stage2.run_stage1_only_refine if cfg.stage1_only else stage2.run_stage2

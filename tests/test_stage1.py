@@ -371,6 +371,13 @@ class TestOracleMixGate:
         with pytest.raises(ValueError, match="label map 1 is"):
             run_stage1_batch(images, nano_store, nano_cfg, [sc.labels, sc.labels[:32]])
 
+    def test_mis_sized_image_is_named_before_its_labels(self, nano_cfg, nano_store, rng):
+        # a 128x128 scene on a 64x64 config: the image is at fault, though
+        # its label map matches it
+        image, labels = rng.random((128, 128, 3)), np.zeros((128, 128), dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape("image shape (128, 128, 3) does not match config (64, 64, 3)")):
+            train.forward_full(image, nano_store, nano_cfg, labels)
+
     def test_oracle_requires_labels(self, rng):
         cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
         store = init_params(cfg, seed=0)

@@ -384,22 +384,10 @@ class TestLinear:
             expect = tensor.add(tensor.matmul(Tensor(x[lo:hi]), Tensor(w)), Tensor(b))
             assert np.array_equal(out.data[lo:hi], expect.data)
 
-    def test_equal_length_groups_equal_separate_calls(self, rng):
-        # lengths 3 and 5 each repeat, so each runs as one gathered stack;
-        # 1 stands alone, and the empty segment owns no row
-        segments = (3, 5, 0, 3, 5, 5, 1)
-        x = rng.standard_normal((sum(segments), 3072))
-        w, b = rng.standard_normal((3072, 16)), rng.standard_normal(16)
-        out = tensor.linear(Tensor(x), Tensor(w), Tensor(b), segments)
-        bounds = np.cumsum((0,) + segments)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            expect = tensor.add(tensor.matmul(Tensor(x[lo:hi]), Tensor(w)), Tensor(b))
-            assert np.array_equal(out.data[lo:hi], expect.data)
-
     @pytest.mark.parametrize("stack", [1, 2, 8])
     def test_stacked_gemm_equals_each_matrix_alone(self, forward_gemm_shapes, stack, rng):
-        # `linear` runs equal-length segments as one np.matmul over a
-        # (stack, m, k) view; numpy makes the 2-D product's BLAS call once
+        # `linear` runs equal-length segments, or a single one, as one
+        # np.matmul over a (stack, m, k) view; numpy makes the 2-D product's BLAS call once
         # per stacked matrix, so each block must equal its product alone.
         # This is a property of the numpy/BLAS build, pinned here for every
         # GEMM shape the forwards use (one GEMM over all rows is not equal)
