@@ -10,8 +10,8 @@ top-down refinement stage.
 
 A batch runs its rounds in lockstep on one stacked feature matrix: sample
 i's rows follow sample i-1's, so every row-wise op is one tape node per
-batch. Each sample segment gets its own GEMM (equal-length segments as one
-stacked matmul) and attention windows stay inside their sample, so each
+batch. Each sample segment gets its own GEMM (segments of one length as
+one stacked matmul) and attention windows stay inside their sample, so each
 row is computed exactly as in a solo run. The labels arrive as
 `boundary.LabelTables` (derived once per training run, or per batch when a
 forward is given label maps), and each round scores the whole frontier's

@@ -201,11 +201,14 @@ def _bounds(segments, n: int) -> list[int]:
 def _segment_matmul(xd: np.ndarray, wd: np.ndarray, segments) -> np.ndarray:
     """xd @ wd, one GEMM per row segment, so each segment's rows get the
     result they would get alone (BLAS rounds a row differently when the
-    row count changes). When every non-empty segment has one length L (a
-    single segment included), they run as one `np.matmul` over a (G, L, k)
-    reshape view, which makes the 2-D product's BLAS call once per stacked
-    matrix; otherwise each segment is its own 2-D product."""
+    row count changes). When every non-empty segment has one length L,
+    they run as one `np.matmul` over a (G, L, k) reshape view, which makes
+    the 2-D product's BLAS call once per stacked matrix; otherwise each
+    segment is its own 2-D product. A single segment skips the grouping: it
+    costs a few microseconds a call, and a batch of one makes every call."""
     bounds = _bounds(segments, xd.shape[0])
+    if len(bounds) == 2:
+        return xd @ wd
     sizes = {hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo}
     if len(sizes) == 1:
         (size,) = sizes

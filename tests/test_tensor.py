@@ -386,8 +386,8 @@ class TestLinear:
 
     @pytest.mark.parametrize("stack", [1, 2, 8])
     def test_stacked_gemm_equals_each_matrix_alone(self, forward_gemm_shapes, stack, rng):
-        # `linear` runs equal-length segments, or a single one, as one
-        # np.matmul over a (stack, m, k) view; numpy makes the 2-D product's BLAS call once
+        # `linear` runs equal-length segments as one np.matmul over a
+        # (stack, m, k) view; numpy makes the 2-D product's BLAS call once
         # per stacked matrix, so each block must equal its product alone.
         # This is a property of the numpy/BLAS build, pinned here for every
         # GEMM shape the forwards use (one GEMM over all rows is not equal)
