@@ -71,7 +71,7 @@ class SummedArea:
 
 def target_scores(bmap, tokens, samples=None) -> np.ndarray:
     """Per-token boundary-pixel fraction, in the order of `tokens`: TokenKeys,
-    or token-table rows (`MixedResolutionTokenSet.table`). `bmap` is a
+    or token-table rows (`TokenBatch.table`). `bmap` is a
     boundary map, or its `SummedArea` when many token lists score against
     one map; for an (S, H, W) stack of maps, `samples[i]` is the map that
     token i lies on."""

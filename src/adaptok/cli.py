@@ -193,11 +193,14 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _add_common(p, with_policy=True):
+def _add_common(p, *, model=True, policy=True):
+    """--config and --out; with `model`, the flags of a command that builds
+    a model: --seed, --tau, --oracle-rate and, with `policy`, --policy."""
     p.add_argument("--config", default="nano", help="preset name or JSON path")
-    p.add_argument("--seed", type=int, default=0)
-    if with_policy:
-        p.add_argument("--policy", choices=("adaptive", "dense", "random_ratio", "oracle_mix"))
+    if model:
+        p.add_argument("--seed", type=int, default=0)
+        if policy:
+            p.add_argument("--policy", choices=("adaptive", "dense", "random_ratio", "oracle_mix"))
         p.add_argument("--tau", help="comma-separated thresholds, e.g. 0.005,0.01,0.02")
         p.add_argument("--oracle-rate", dest="oracle_rate", type=float)
     p.add_argument("--out", help="output directory")
@@ -217,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="synthesize an image/label corpus")
-    _add_common(p)
+    _add_common(p, model=False)
     _add_corpus(p)
     p.set_defaults(func=cmd_gen)
 
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("flops", help="per-policy compute comparison")
-    _add_common(p)
+    _add_common(p, policy=False)
     _add_corpus(p)
     p.add_argument("--params")
     p.add_argument("--policies", default="adaptive,dense")

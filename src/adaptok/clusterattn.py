@@ -44,8 +44,8 @@ class ClusterAssignment:
 
 
 def cluster(token_set: TokenBatch, cluster_size: int) -> ClusterAssignment:
-    """Assignment over the rows of a token set or a `TokenBatch`; in a batch
-    the runs restart at every sample's first row."""
+    """Assignment over the rows of a `TokenBatch`; in a batch of several
+    samples the runs restart at every sample's first row."""
     if cluster_size < 1:
         raise ValueError("cluster_size must be >= 1")
     return ClusterAssignment(n_tokens=token_set.n_valid, cluster_size=cluster_size)
@@ -82,8 +82,8 @@ def cluster_attention_block(
     heads: int,
 ) -> Tensor:
     """Pre-norm block with attention restricted to cluster neighborhoods.
-    `token_set` is one sample's set or the `TokenBatch` whose rows x stacks;
-    no neighborhood crosses a sample."""
+    `token_set` is the `TokenBatch` whose rows x stacks, one sample or
+    many; no neighborhood crosses a sample."""
     if not x.data.shape[0] == token_set.n_valid == assignment.n_tokens:
         raise ContractError(
             f"{x.data.shape[0]} feature rows, {token_set.n_valid} tokens and a cluster "
@@ -92,12 +92,8 @@ def cluster_attention_block(
     return _block(x, store, prefix, heads, assignment.cluster_size, token_set.row_levels(), token_set.segments)
 
 
-def vit_block(x: Tensor, valid_rows: np.ndarray, store: ParamStore, prefix: str, heads: int, segments=None) -> Tensor:
+def vit_block(x: Tensor, store: ParamStore, prefix: str, heads: int, segments=None) -> Tensor:
     """Plain pre-norm ViT block: full self-attention within each row
-    segment (one per stacked sample; None is all rows of x), whose rows
-    `valid_rows` must list as 0..n-1."""
-    n = x.data.shape[0]
-    if not np.array_equal(valid_rows, np.arange(n)):
-        raise ContractError("vit_block valid rows must be every row of x, in order")
-    segments = (n,) if segments is None else tuple(segments)
+    segment (one per stacked sample; None is all rows of x)."""
+    segments = (x.data.shape[0],) if segments is None else tuple(segments)
     return _block(x, store, prefix, heads, max(max(segments, default=0), 1), None, segments)

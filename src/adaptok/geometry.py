@@ -9,14 +9,15 @@ permutation that carries feature rows along.
 
 A batch keeps its tokens as one integer table (level, row, col, order key);
 everything that computes on tokens reads it, and `TokenKey` tuples are
-only a view of it. A single sample's token set is the batch of one.
+only a view of it. `TokenBatch` is the one token type: a single sample's
+token set, `coarse_grid`'s included, is the batch of one.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,7 +80,7 @@ def _order_keys(level, row, col) -> np.ndarray:
 
 def key_columns(tokens) -> np.ndarray:
     """(n, 3) int64 (level, row, col) of an iterable of TokenKeys, or the
-    first three columns of token-table rows (`MixedResolutionTokenSet.table`)."""
+    first three columns of token-table rows (`TokenBatch.table`)."""
     if isinstance(tokens, np.ndarray):
         return tokens[:, :3]
     return np.fromiter(itertools.chain.from_iterable(tokens), dtype=np.int64).reshape(-1, 3)
@@ -131,14 +132,17 @@ class TokenBatch:
     the order key (`_order_keys`). `segments` counts each sample's rows, and
     `frontier_rows` lists, ascending, the rows of the tokens the last round
     created. `keys` and `frontier` are TokenKey views of the same tokens,
-    made on first use, and `sets` the per-sample token sets. A
-    `MixedResolutionTokenSet` is the batch of one."""
+    made on first use, and `sets` the per-sample token sets, each a batch
+    of one. `pad_levels` gives the level of each zero feature row appended
+    after a sample's tokens when it sits in a padded Stage-1 batch; such
+    padding is only ever set on a one-sample set."""
 
     height: int
     width: int
     table: np.ndarray
     frontier_rows: np.ndarray
     segments: tuple[int, ...]
+    pad_levels: tuple[int, ...] = ()
 
     @staticmethod
     def stack(sets) -> "TokenBatch":
@@ -167,6 +171,11 @@ class TokenBatch:
     def n_valid(self) -> int:
         return len(self.table)
 
+    @property
+    def n_rows(self) -> int:
+        """Feature rows: the tokens, then the padding."""
+        return len(self.table) + len(self.pad_levels)
+
     def row_levels(self) -> np.ndarray:
         """Level of each token, in row order (read-only)."""
         return self.table[:, 0]
@@ -188,10 +197,10 @@ class TokenBatch:
         return segment_views(self.frontier_rows, counts.tolist())
 
     @functools.cached_property
-    def sets(self) -> tuple["MixedResolutionTokenSet", ...]:
+    def sets(self) -> tuple["TokenBatch", ...]:
         """Each sample's token set, its rows numbered from 0."""
         return tuple(
-            MixedResolutionTokenSet(self.height, self.width, self.table[o : o + n], _readonly(f - o))
+            TokenBatch(self.height, self.width, self.table[o : o + n], _readonly(f - o), (n,))
             for o, n, f in zip(self.offsets, self.segments, self.frontiers)
         )
 
@@ -199,6 +208,10 @@ class TokenBatch:
         """(samples, levels) token counts."""
         flat = self.row_samples * (MAX_LEVEL + 1) + self.row_levels()
         return np.bincount(flat, minlength=len(self.segments) * (MAX_LEVEL + 1)).reshape(-1, MAX_LEVEL + 1)
+
+    def counts_per_level(self) -> list[int]:
+        """Token counts per level over the whole batch."""
+        return np.bincount(self.row_levels(), minlength=MAX_LEVEL + 1).tolist()
 
     def finest_first(self) -> np.ndarray:
         """Rows ordered finest level first, then by sample, then by row: the
@@ -243,37 +256,7 @@ class TokenBatch:
         return self._with(self.table, _NO_ROWS, self.segments)
 
 
-@dataclass(frozen=True, eq=False)
-class MixedResolutionTokenSet(TokenBatch):
-    """All live tokens for one sample, as the batch of one, plus padding
-    bookkeeping: `pad_levels` describes invalid feature rows appended after
-    them only when a finished Stage-1 sample sits in a padded batch."""
-
-    segments: tuple[int] = field(init=False)
-    pad_levels: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "segments", (len(self.table),))
-
-    def _with(self, table, frontier_rows, segments) -> "MixedResolutionTokenSet":
-        return replace(self, table=table, frontier_rows=frontier_rows)
-
-    @property
-    def sets(self) -> tuple["MixedResolutionTokenSet"]:
-        return (self,)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.table) + len(self.pad_levels)
-
-    def counts_per_level(self) -> list[int]:
-        return np.bincount(self.table[:, 0], minlength=MAX_LEVEL + 1).tolist()
-
-    def with_padding(self, pad_levels) -> "MixedResolutionTokenSet":
-        return replace(self, pad_levels=self.pad_levels + tuple(pad_levels))
-
-
-def coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
+def coarse_grid(h: int, w: int) -> TokenBatch:
     """The initial token set: one level-0 token per 32x32 patch. The set is
     built once per extent and shared; each call charges its sort."""
     if h % COARSE_SIDE or w % COARSE_SIDE:
@@ -286,12 +269,12 @@ def coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
 
 
 @functools.lru_cache(maxsize=16)
-def _coarse_grid(h: int, w: int) -> MixedResolutionTokenSet:
+def _coarse_grid(h: int, w: int) -> TokenBatch:
     row, col = np.divmod(np.arange((h // COARSE_SIDE) * (w // COARSE_SIDE)), w // COARSE_SIDE)
     level = np.zeros_like(row)
     table = np.stack([level, row, col, _order_keys(level, row, col)], axis=1)
     table = _readonly(table[np.argsort(table[:, 3], kind="stable")])
-    return MixedResolutionTokenSet(h, w, table, _readonly(np.arange(len(table))))
+    return TokenBatch(h, w, table, _readonly(np.arange(len(table))), (len(table),))
 
 
 def patches(image: np.ndarray, level: int, row, col) -> np.ndarray:
@@ -306,9 +289,9 @@ def patches(image: np.ndarray, level: int, row, col) -> np.ndarray:
 
 
 def finest_cover(tokens: TokenBatch) -> np.ndarray:
-    """Per-pixel index of the deepest covering token, counted from its
-    sample's first row: (H, W) for one sample's `MixedResolutionTokenSet`
-    (an index into its keys), (samples, H, W) for a batch."""
+    """(samples, H, W): per pixel, the index of the deepest covering token,
+    counted from its sample's first row (an index into that sample's
+    keys)."""
     h, w = tokens.height, tokens.width
     samples = len(tokens.segments)
     cover = np.full((samples, h, w), -1, dtype=np.int64)
@@ -323,4 +306,4 @@ def finest_cover(tokens: TokenBatch) -> np.ndarray:
         grid[sample[rows], row[rows], :, col[rows], :] = local[rows, None, None]
     if np.any(cover < 0):
         raise ContractError("finest_cover: uncovered pixels (bad level-0 tiling)")
-    return cover[0] if isinstance(tokens, MixedResolutionTokenSet) else cover
+    return cover

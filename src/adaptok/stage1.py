@@ -31,7 +31,7 @@ import numpy as np
 from . import boundary, clusterattn, flops, geometry, tensor
 from .config import ROUNDS, EncoderConfig
 from .errors import ContractError
-from .geometry import MixedResolutionTokenSet, TokenBatch, TokenKey, table_keys
+from .geometry import TokenBatch, TokenKey, table_keys
 from .params import ParamStore, rng_for
 from .tensor import Tensor
 
@@ -93,7 +93,7 @@ class AllocationTrace:
 
 @dataclass
 class Lateral:
-    token_set: TokenBatch  # one sample's set, or the stacked batch
+    token_set: TokenBatch  # the tokens of feats' rows: one sample's, or the batch's
     feats: Tensor
 
 
@@ -103,7 +103,7 @@ class Stage1Output:
     tensors are detached views of the sample's rows (the padded `feats` a
     copy). `stacked()` turns it into the batch of one that Stage 2 takes."""
 
-    token_set: MixedResolutionTokenSet
+    token_set: TokenBatch  # one segment, and `pad_levels` for the padding
     feats: Tensor  # rows from token_set.n_valid on: zero batch padding
     trace: AllocationTrace
     laterals: dict[str, Lateral]
@@ -115,22 +115,25 @@ class Stage1Output:
         if token_set.pad_levels:
             token_set = replace(token_set, pad_levels=())
             feats = tensor.gather_rows(feats, np.arange(token_set.n_valid))
-        return Stage1Batch(token_set, feats, self.laterals, self.score_tensors, [self.trace])
+        return Stage1Batch(token_set, feats, self.laterals, self.score_tensors, [self.trace], None)
 
 
 @dataclass
 class Stage1Batch(Sequence):
     """A batch's Stage-1 result, stacked: sample i's rows follow sample
     i-1's in `feats`, in every lateral and, per round, in `score_tensors`;
-    `traces` holds each sample's allocation trace. Indexing builds that
-    sample's `Stage1Output`, padded per level to the batch maximum with zero
-    feature rows, so `n_rows` is equal across the batch."""
+    `traces` holds each sample's allocation trace and `labels` the tables
+    its rounds scored against (None without labels, and for a sample's
+    `stacked()`). Indexing builds that sample's `Stage1Output`, padded per
+    level to the batch maximum with zero feature rows, so `n_rows` is equal
+    across the batch."""
 
     tokens: TokenBatch
     feats: Tensor
     laterals: dict[str, Lateral]
     score_tensors: list[Tensor | None]  # per round, each sample's frontier rows
     traces: list[AllocationTrace]
+    labels: boundary.LabelTables | None
 
     def __getitem__(self, i: int) -> Stage1Output:
         if not -len(self) <= i < len(self):
@@ -143,7 +146,7 @@ class Stage1Batch(Sequence):
 
         counts = self.tokens.level_counts()
         pads = counts.max(axis=0) - counts[i]
-        token_set = self.tokens.sets[i].with_padding(np.repeat(np.arange(len(pads)), pads).tolist())
+        token_set = replace(self.tokens.sets[i], pad_levels=tuple(np.repeat(np.arange(len(pads)), pads).tolist()))
         feats = own(self.feats.data, self.tokens.segments)
         if pads.any():
             feats = np.concatenate([feats, np.zeros((pads.sum(), feats.shape[1]))])
@@ -189,29 +192,6 @@ def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor,
     return tensor.mse(pred, tensor.constant(target.reshape(-1, 1)), [len(rows[i]) for i in ids]), ids
 
 
-def checked_images(images, cfg: EncoderConfig) -> list[np.ndarray]:
-    """`images` as float64 arrays; ValueError if one's shape is not the
-    config's."""
-    out = []
-    for image in images:
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != (cfg.input_h, cfg.input_w, cfg.channels):
-            raise ValueError(
-                f"image shape {image.shape} does not match config {(cfg.input_h, cfg.input_w, cfg.channels)}"
-            )
-        out.append(image)
-    return out
-
-
-def label_tables(labels, cfg: EncoderConfig) -> boundary.LabelTables | None:
-    """`labels` as the `LabelTables` a forward reads: a list of label maps
-    (None for an unlabelled sample) is derived here, tables pass through,
-    and None (no labels) stays None."""
-    if labels is None or isinstance(labels, boundary.LabelTables):
-        return labels
-    return boundary.LabelTables.build(list(labels), (cfg.input_h, cfg.input_w), cfg.connectivity)
-
-
 class Stage1Run:
     """Lockstep round state for a batch on one stacked feature matrix;
     `run_stage1_batch` drives the hooks. Row-wise ops run once per batch
@@ -219,11 +199,21 @@ class Stage1Run:
     follow batch order."""
 
     def __init__(self, images, store: ParamStore, cfg: EncoderConfig, labels=None):
-        self.images = checked_images(images, cfg)
+        """`labels` is a list of label maps (None for an unlabelled sample),
+        their `LabelTables`, or None. Every input is checked here, once per
+        forward: a mis-sized image is named before its label map."""
+        shape = (cfg.input_h, cfg.input_w, cfg.channels)
+        self.images = [np.asarray(image, dtype=np.float64) for image in images]
+        for image in self.images:
+            if image.shape != shape:
+                raise ValueError(f"image shape {image.shape} does not match config {shape}")
         self.store = store
         self.cfg = cfg
-        self.tables = label_tables(labels, cfg)
-        want = (len(self.images), cfg.input_h, cfg.input_w)
+        if labels is None or isinstance(labels, boundary.LabelTables):
+            self.tables = labels
+        else:
+            self.tables = boundary.LabelTables.build(list(labels), shape[:2], cfg.connectivity)
+        want = (len(self.images),) + shape[:2]
         if self.tables is not None and self.tables.bmaps.shape != want:
             raise ValueError(f"label tables of shape {self.tables.bmaps.shape} for images {want}")
         # one summed-area table over the batch's stacked boundary maps scores
@@ -250,9 +240,8 @@ class Stage1Run:
             self.feats = tensor.add(x, tensor.gather_rows(store["s1.embed.pos"], pos_idx))
         with flops.section("stage1.pre"):
             heads = cfg.heads_for(cfg.stage1_dims[0])
-            rows = np.arange(len(pos_idx))
             for i in range(cfg.stage1_blocks[0]):
-                self.feats = clusterattn.vit_block(self.feats, rows, store, f"s1.pre.{i}", heads, segments)
+                self.feats = clusterattn.vit_block(self.feats, store, f"s1.pre.{i}", heads, segments)
         self.snapshot("pre")
 
     # -- allocation round hooks ---------------------------------------------
@@ -360,7 +349,7 @@ class Stage1Run:
 
     def output(self) -> Stage1Batch:
         traces = [AllocationTrace(rounds) for rounds in self.rounds]
-        return Stage1Batch(self.tokens, self.feats, self.laterals, self.score_tensors, traces)
+        return Stage1Batch(self.tokens, self.feats, self.laterals, self.score_tensors, traces, self.tables)
 
 
 def choose_selection(

@@ -96,9 +96,8 @@ def run_stage2(s1out: Stage1Output | Stage1Batch, store: ParamStore, cfg: Encode
                         feats, tokens, assignment, store, f"s2.r{k}.blk{i}", heads
                     )
             else:
-                rows = np.arange(tokens.n_valid)
                 for i in range(n_blocks):
-                    feats = clusterattn.vit_block(feats, rows, store, f"s2.r{k}.blk{i}", heads, tokens.segments)
+                    feats = clusterattn.vit_block(feats, store, f"s2.r{k}.blk{i}", heads, tokens.segments)
             blocks_applied.append(n_blocks)
             tokens, feats, emitted[4 - k] = _emit(tokens, feats, 4 - k)
     return Stage2Output(emitted=emitted, blocks_applied=blocks_applied)

@@ -35,17 +35,21 @@ class ForwardResult:
 @dataclass
 class BatchForward(Sequence):
     """One forward over a batch, stacked: sample i's cells follow sample
-    i-1's in `dense`, `logits` and `cell_token`, and `labels` holds its
-    label tables (None without labels). Indexing yields per-sample
-    ForwardResults, made on access (a result refers to its batch, so the
-    batch keeps none: no reference cycle holds a step's tape alive)."""
+    i-1's in `dense`, `logits` and `cell_token`, and `labels` holds the
+    label tables Stage 1 scored against (None without labels). Indexing
+    yields per-sample ForwardResults, made on access (a result refers to
+    its batch, so the batch keeps none: no reference cycle holds a step's
+    tape alive)."""
 
     s1: Stage1Batch
     s2out: Stage2Output
     dense: Tensor
     logits: Tensor
     cell_token: np.ndarray
-    labels: boundary.LabelTables | None
+
+    @property
+    def labels(self) -> boundary.LabelTables | None:
+        return self.s1.labels
 
     def __len__(self) -> int:
         return len(self.s1)
@@ -82,16 +86,13 @@ def forward_batch(images, labels_list, store, cfg, *, batch_index: int = 0) -> B
 
 def _forward(images, labels_list, store, cfg, batch_index: int) -> BatchForward:
     # both entry points call this, not each other, so a wrapper around
-    # either one sees each forward once; a mis-sized image is named before
-    # its label map
-    images = stage1.checked_images(images, cfg)
-    tables = stage1.label_tables(labels_list, cfg)
-    s1 = stage1.run_stage1_batch(images, store, cfg, tables, batch_index=batch_index)
+    # either one sees each forward once; Stage 1 checks the inputs
+    s1 = stage1.run_stage1_batch(images, store, cfg, labels_list, batch_index=batch_index)
     refine = stage2.run_stage1_only_refine if cfg.stage1_only else stage2.run_stage2
     s2out = refine(s1, store, cfg)
     dense, cell_token = stage2.densify_finest(s1.tokens, s2out, store, cfg)
     logits = stage2.head_logits(dense, store, (cfg.head_cells,) * len(s1))
-    return BatchForward(s1, s2out, dense, logits, cell_token, tables)
+    return BatchForward(s1, s2out, dense, logits, cell_token)
 
 
 def head_cross_entropy(batch: BatchForward, samples=None) -> tuple[Tensor, list[int]] | None:
@@ -218,9 +219,14 @@ def train(
     boundary map and cell-majority labels once (`LabelTables`,
     `batch_size` scenes at a time); a step gathers its batch's rows. Aborts
     with a diagnostic, before any update, if the loss or a gradient stops
-    being finite."""
+    being finite. A `batch_size` below 1 or a non-finite `lr` raises
+    ValueError naming it."""
     if cfg.policy not in ("adaptive", "dense", "oracle_mix", "random_ratio"):
         raise ValueError(f"unsupported training policy {cfg.policy}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if not np.isfinite(lr):
+        raise ValueError(f"lr must be finite, got {lr}")
     if not len(corpus):
         raise ValueError("corpus is empty: training needs at least one scene")
     want = (cfg.input_h, cfg.input_w, cfg.channels)

@@ -155,7 +155,7 @@ def test_criterion_3_quadtree_invariants(rng):
                     parent_cover[y0:y1, x0:x1] = True
                 assert child_cover.max() <= 1  # no same-level overlap
                 assert np.array_equal(child_cover > 0, parent_cover)
-            got = geometry.finest_cover(s)
+            got = geometry.finest_cover(s)[0]
             # independent scan: per-level presence maps, deepest level wins
             level_maps = np.full((4, 64, 64), -1, dtype=np.int64)
             for i, k in enumerate(s.keys):
@@ -279,7 +279,7 @@ def test_criterion_6_cluster_attention_limits(rng):
                 store["blk.key_scale"].data[:] = 0.0
                 big = clusterattn.cluster(s, s.n_valid + int(rng.integers(1, 50)))
                 a = clusterattn.cluster_attention_block(Tensor(x), s, big, store, "blk", heads)
-                b = clusterattn.vit_block(Tensor(x), np.arange(s.n_valid), store, "blk", heads)
+                b = clusterattn.vit_block(Tensor(x), store, "blk", heads)
                 assert np.max(np.abs(a.data - b.data)) <= 1e-12
             else:
                 asg = clusterattn.cluster(s, 8)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,7 @@ class TestClusterAttentionBlock:
         x = Tensor(rng.standard_normal((s.n_valid, d)))
         a = cluster(s, cluster_size=s.n_valid + 5)
         out_cluster = cluster_attention_block(x, s, a, store, "blk", heads=2)
-        out_vit = vit_block(x, np.arange(s.n_valid), store, "blk", heads=2)
+        out_vit = vit_block(x, store, "blk", heads=2)
         assert np.max(np.abs(out_cluster.data - out_vit.data)) < 1e-12
 
     def test_zero_weights_is_identity(self, rng):
@@ -144,19 +146,17 @@ class TestClusterAttentionBlock:
         assert np.array_equal(out1.data, out2.data)
 
     def test_padded_rows_rejected(self, rng):
-        # every row is a real token: padding rows, a stale assignment or a
-        # vit_block row list that skips rows all fail the contract
+        # every row is a real token: padding rows and a stale assignment
+        # both fail the contract
         s, _ = grow_random_set(64, 64, 0.4, rng)
         d = 8
         store = make_block_store(d)
         x_pad = Tensor(rng.standard_normal((s.n_valid + 3, d)))
         with pytest.raises(ContractError):
-            cluster_attention_block(x_pad, s.with_padding([1, 2, 3]), cluster(s, 8), store, "blk", heads=1)
+            cluster_attention_block(x_pad, replace(s, pad_levels=(1, 2, 3)), cluster(s, 8), store, "blk", heads=1)
         x = Tensor(rng.standard_normal((s.n_valid, d)))
         with pytest.raises(ContractError):
             cluster_attention_block(x, s, clusterattn.ClusterAssignment(s.n_valid - 1, 8), store, "blk", heads=1)
-        with pytest.raises(ContractError):
-            vit_block(x_pad, np.arange(s.n_valid), store, "blk", heads=1)
 
     def test_cross_resolution_sensitivity(self, rng):
         # a fine token's output must react to a coarse neighbor's feature

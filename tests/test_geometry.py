@@ -31,6 +31,11 @@ class TestCoarseGrid:
     def test_rectangular(self):
         assert coarse_grid(64, 32).n_valid == 2
 
+    def test_is_a_one_segment_token_batch(self):
+        s = coarse_grid(64, 96)
+        assert type(s) is geometry.TokenBatch
+        assert s.segments == (6,) and s.pad_levels == () and s.n_rows == 6
+
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
             coarse_grid(100, 64)
@@ -187,7 +192,7 @@ class TestFinestCover:
 
     def test_coarse_only(self):
         s = coarse_grid(64, 64)
-        cover = finest_cover(s)
+        cover = finest_cover(s)[0]
         for i, k in enumerate(s.keys):
             y0, x0, y1, x1 = k.rect()
             assert np.all(cover[y0:y1, x0:x1] == i)
@@ -196,7 +201,7 @@ class TestFinestCover:
         s = coarse_grid(64, 64)
         parent = s.frontier[1]
         s, _ = with_children(s, [parent])
-        cover = finest_cover(s)
+        cover = finest_cover(s)[0]
         y0, x0, y1, x1 = parent.rect()
         inside = cover[y0:y1, x0:x1]
         assert {s.keys[i].level for i in np.unique(inside)} == {1}
@@ -206,19 +211,23 @@ class TestFinestCover:
     def test_against_brute_force(self, rng):
         for _ in range(5):
             s, _ = grow_random_set(64, 64, 0.4, rng)
-            assert np.array_equal(finest_cover(s), self.brute_force(s))
+            assert np.array_equal(finest_cover(s)[0], self.brute_force(s))
 
     def test_batch_cover_stacks_each_samples_cover(self, rng):
         sets = [grow_random_set(64, 96, p, rng)[0] for p in (0.0, 0.6, 1.0)]
         cover = finest_cover(geometry.TokenBatch.stack(sets))
         assert cover.shape == (3, 64, 96)
         for got, s in zip(cover, sets):
-            assert np.array_equal(got, finest_cover(s))
+            assert np.array_equal(got, finest_cover(s)[0])
+
+    def test_one_segment_cover_has_a_sample_axis(self, rng):
+        s, _ = grow_random_set(64, 96, 0.5, rng)
+        assert finest_cover(s).shape == (1, 64, 96)
 
     def test_total_and_idempotent(self, rng):
         s, _ = grow_random_set(64, 64, 0.5, rng)
-        c1 = finest_cover(s)
-        c2 = finest_cover(s)
+        c1 = finest_cover(s)[0]
+        c2 = finest_cover(s)[0]
         assert c1.min() >= 0
         assert np.array_equal(c1, c2)
 
@@ -254,6 +263,8 @@ class TestTokenBatch:
             assert cost.total().comparisons == want_cost.total().comparisons == comparisons
             for got, want in zip(batch.sets, sets):
                 assert np.array_equal(got.table, want.table) and np.array_equal(got.frontier_rows, want.frontier_rows)
+                assert type(got) is geometry.TokenBatch and got.segments == (want.n_valid,)
+            assert batch.counts_per_level() == batch.level_counts().sum(axis=0).tolist()
         # take keeps ascending rows per sample, emission order is level-major
         rows = np.flatnonzero(rng.random(batch.n_valid) < 0.5)
         taken = batch.take(rows)
@@ -300,7 +311,7 @@ class TestColumnsAgainstPerKeyOracles:
             assert s.counts_per_level() == [sum(k.level == lvl for k in keys) for lvl in range(4)]
             probe = [keys[i] for i in rng.permutation(len(keys))[: int(rng.integers(1, len(keys) + 1))]]
             assert rows_of(s, probe).tolist() == [keys.index(k) for k in probe]
-            assert np.array_equal(finest_cover(s), finest_cover_oracle(h, w, keys))
+            assert np.array_equal(finest_cover(s)[0], finest_cover_oracle(h, w, keys))
             want = target_scores_oracle(bmap, frontier)
             assert np.array_equal(boundary.target_scores(bmap, frontier), want)
             assert np.array_equal(boundary.target_scores(boundary.SummedArea(bmap), s.table[s.frontier_rows]), want)

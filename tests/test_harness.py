@@ -412,6 +412,34 @@ class TestCli:
         assert manifest["config"]["thresholds"] == [0.1, 0.2, 0.3]
         assert manifest["policy"] == "dense"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--seed", "5"),
+            ("gen", "--policy", "dense"),
+            ("gen", "--tau", "0.1,0.2,0.3"),
+            ("gen", "--oracle-rate", "0.5"),
+            ("flops", "--policy", "dense"),
+        ],
+        ids=["gen_seed", "gen_policy", "gen_tau", "gen_oracle_rate", "flops_policy"],
+    )
+    def test_flag_no_command_reads_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--count", "1", "--out", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(("--batch", "0"), "batch_size"), (("--lr", "nan"), "lr"), (("--lr", "inf"), "lr")],
+        ids=["batch_0", "lr_nan", "lr_inf"],
+    )
+    def test_bad_training_argument_rejected_before_step_0(self, tmp_path, capsys, flags, name):
+        record = self.error_record(capsys, "train", *flags, "--steps", "1", "--count", "2", "--out", str(tmp_path / "run"))
+        assert record["error"] == "ValueError" and record["message"].startswith(f"{name} must be")
+        assert not (tmp_path / "run").exists()
+
     def test_error_record_and_exit_code(self, capsys):
         rc = self.run("eval", "--config", "/nonexistent/path.json")
         assert rc == 1

@@ -429,8 +429,11 @@ class TestBatchPadding:
 
     def test_pad_rows_make_up_each_level_to_the_batch_max(self, scene_spec):
         _, _, _, batch = self.oracle_batch(scene_spec)
+        assert all(type(o.token_set) is geometry.TokenBatch for o in batch)
+        assert [o.token_set.segments for o in batch] == [(4,), (72,), (84,)]
         counts = np.array([o.token_set.counts_per_level() for o in batch])
         assert counts.tolist() == [[4, 0, 0, 0], [4, 8, 16, 44], [4, 8, 24, 48]]
+        assert batch.tokens.counts_per_level() == counts.sum(axis=0).tolist()
         # each sample's pad rows, by ascending level, are its deficit
         # against the batch maximum [4, 8, 24, 48] at that level
         want = [[1] * 8 + [2] * 24 + [3] * 48, [2] * 8 + [3] * 4, []]

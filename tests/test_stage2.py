@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from adaptok import config, flops, geometry, params, scenes, stage2, train
+from adaptok import boundary, config, flops, geometry, params, scenes, stage2, train
 from adaptok.errors import ContractError
 from adaptok.stage1 import Lateral, run_stage1, run_stage1_batch
 from adaptok.stage2 import densify_finest, head_logits, lateral_fuse, run_stage2
@@ -172,6 +172,29 @@ class TestRunStage2:
         assert (t.macs, t.scalar_ops, t.comparisons) == tuple(
             sum(getattr(c, f) for c in solo_counts) for f in ("macs", "scalar_ops", "comparisons")
         )
+
+    def test_forward_checks_its_labels_once(self, monkeypatch, scene_spec):
+        # the tables a forward returns are the ones its rounds scored
+        # against, derived once from the label maps
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52)]
+        builds = []
+        build = boundary.LabelTables.build
+
+        def counting_build(*args, **kwargs):
+            builds.append(build(*args, **kwargs))
+            return builds[-1]
+
+        monkeypatch.setattr(boundary.LabelTables, "build", counting_build)
+        batch = train.forward_batch([s.image for s in sc], [s.labels for s in sc], store, cfg)
+        assert len(builds) == 1 and batch.labels is builds[0] is batch.s1.labels
+        for i, fr in enumerate(batch):
+            for rec in fr.s1out.trace.rounds:
+                assert np.array_equal(rec.targets, boundary.target_scores(batch.labels.bmaps[i], rec.frontier_table))
+        tables = builds[0]
+        assert train.forward_batch([s.image for s in sc], tables, store, cfg).labels is tables
+        assert len(builds) == 1
 
     def test_dense_batch_equals_solo_forwards(self, scene_spec):
         # every sample of a dense batch has the same row count, so each
