@@ -48,9 +48,12 @@ def select(scores, threshold: float) -> tuple[np.ndarray, int]:
 
 def oracle_mix_gate(rate: float, seed: int, batch_index: int) -> bool:
     """Seed-deterministic per-batch choice between oracle and predicted
-    scores for selection."""
+    scores for selection. A draw in [0, 1) always passes at rate 1 and
+    never at rate 0, so those rates build no generator."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("oracle rate must lie in [0, 1]")
+    if rate in (0.0, 1.0):
+        return rate == 1.0
     return bool(rng_for(seed, "oracle_gate", batch_index).random() < rate)
 
 

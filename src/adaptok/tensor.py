@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +61,17 @@ class GradTape:
 _TAPES: list[GradTape] = []
 
 
+def _taped(parents) -> bool:
+    """Whether an op on `parents` is recorded: a tape is open and some
+    parent has a path to a `requires_grad` leaf; everything else (pixel
+    patches, zero padding, any op off the tape) is a constant, so an op may
+    drop what only its vjp would read."""
+    return bool(_TAPES) and any(p.requires_grad for p in parents)
+
+
 def _record(out: Tensor, parents, vjp):
-    """Tape `out` only when some parent has a path to a `requires_grad` leaf;
-    everything else (pixel patches, zero padding) is a constant."""
-    if _TAPES and any(p.requires_grad for p in parents):
+    """Tape `out` when `_taped(parents)`."""
+    if _taped(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -333,17 +341,22 @@ _GELU_A = 0.044715
 
 
 def gelu(x) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation, one cache-sized chunk at a time. The tanh
+    values are kept whole only on a tape, for the vjp; off it they live in
+    one chunk of scratch."""
     x = _as_tensor(x)
     flops.add_cost(scalar_ops=flops.GELU_OPS_PER_ELEM * x.data.size)
     xd = x.data
-    t, y = np.empty(xd.shape), np.empty(xd.shape)
-    xf, tf, yf = xd.reshape(-1), t.reshape(-1), y.reshape(-1)
-    s = np.empty(min(CHUNK, xf.size))
-    # 0.5 x (1 + tanh(c (x + a x^3))), one cache-sized chunk at a time
+    y = np.empty(xd.shape)
+    taped = _taped((x,))
+    t = np.empty(xd.shape) if taped else None
+    xf, yf = xd.reshape(-1), y.reshape(-1)
+    s = np.empty((2, min(CHUNK, xf.size)))
+    # 0.5 x (1 + tanh(c (x + a x^3)))
     for lo in range(0, xf.size, CHUNK):
         hi = min(lo + CHUNK, xf.size)
-        xc, tc, yc, sc = xf[lo:hi], tf[lo:hi], yf[lo:hi], s[: hi - lo]
+        xc, yc, sc = xf[lo:hi], yf[lo:hi], s[0, : hi - lo]
+        tc = t.reshape(-1)[lo:hi] if taped else s[1, : hi - lo]
         np.multiply(xc, xc, out=tc)
         np.multiply(tc, xc, out=tc)
         np.multiply(tc, _GELU_A, out=tc)
@@ -418,18 +431,38 @@ def softmax_attention(q, k, v, mask) -> Tensor:
     return matmul(attn, v)
 
 
+class _WindowGroup(NamedTuple):
+    """The segments of one window shape, framed together: run length L and
+    `span` runs per window (3; 1 for segments that are one run each).
+
+    The query frame holds each segment's rows at `offsets`, zero-padded to
+    whole runs, with one zero run between segments of span 3; its run w is
+    the queries of window w, so it has `windows` runs. The key frame adds
+    one zero run at each end for span 3 (it is the query frame for span 1),
+    so window w's keys are key-frame rows [w*L, (w + span)*L). A window
+    whose query run is a zero run between two segments is computed and
+    dropped. `packed` is the first row of q when the query frame is a slice
+    of q, else None. `dead` (sorted) indexes the windows that hold a key
+    outside their segment, and `bias` gives their (span*L,) additive key
+    bias: 0 on live keys, -inf on dead ones."""
+
+    length: int
+    span: int
+    windows: int
+    starts: tuple
+    rows: tuple
+    offsets: tuple
+    packed: int | None
+    dead: np.ndarray
+    bias: np.ndarray
+
+
 @functools.lru_cache(maxsize=32)
 def _window_layout(segments: tuple, size: int):
     """Run layout of `window_attention` over row segments, shared by every
-    block of a round: (rows, groups, live pairs, softmax scalar ops).
-
-    Each group is one window layout (run length L, runs per window span):
-    L, span, the (runs*L,) query rows (row i of each run slot, n for an
-    empty slot past a segment's end), its run count, the (runs, span*L) key
-    rows, n for a dead key, and a (runs, 1, 1, span*L) additive key bias, 0
-    on live keys and -inf on dead ones. The arrays are read-only: every
-    caller of one layout shares them.
-    """
+    block of a round: (rows, groups, live pairs, softmax scalar ops), one
+    `_WindowGroup` per window shape. Its arrays are read-only: every caller
+    of one layout shares them."""
     n = sum(segments)
     bounds = _bounds(segments, n)
     # (run length, runs per window) -> starts and lengths of its segments
@@ -440,23 +473,30 @@ def _window_layout(segments: tuple, size: int):
     groups = []
     pairs = soft = 0
     for (length, span), members in layouts.items():
-        lead = length if span == 3 else 0  # rows of a window ahead of its run
-        kidx = []
+        gap = span // 3  # zero runs between segments, and ahead of the key frame
+        offsets, dead, bias = [], [], []
+        top = 0
         for start, m in members:
-            first = np.arange(-(-m // length))[:, None] * length
-            kpos = first - lead + np.arange(span * length)
-            kidx.append(np.where((kpos >= 0) & (kpos < m), start + kpos, n))
-        kidx = np.concatenate(kidx)
-        # a run's own rows are its window's middle keys
-        qidx = np.ascontiguousarray(kidx[:, lead : lead + length]).reshape(-1)
-        klive = kidx < n
-        per_row = (qidx < n).reshape(-1, length) * klive.sum(axis=-1, keepdims=True)
-        pairs += int(per_row.sum())
-        soft += int(np.maximum(4 * per_row - 1, 0).sum())
-        bias = np.where(klive, 0.0, -np.inf)[:, None, None, :]
-        for a in (qidx, kidx, bias):
-            a.setflags(write=False)
-        groups.append((length, span, qidx, len(kidx), kidx, bias))
+            offsets.append(top)
+            runs = -(-m // length)
+            kpos = (np.arange(runs)[:, None] - gap) * length + np.arange(span * length)
+            klive = (kpos >= 0) & (kpos < m)
+            # every live query row of a run sees the run's live keys
+            live_q, live_k = np.minimum(m - np.arange(runs) * length, length), klive.sum(axis=-1)
+            pairs += int((live_q * live_k).sum())
+            soft += int((live_q * np.maximum(4 * live_k - 1, 0)).sum())
+            hit = live_k < span * length
+            dead.append(top // length + np.flatnonzero(hit))
+            bias.append(np.where(klive[hit], 0.0, -np.inf))
+            top += (runs + gap) * length
+        starts, rows = zip(*members)
+        # the query frame is a slice of q when it has no zero rows
+        packed = all(o == s - starts[0] and m % length == 0 for s, m, o in zip(starts, rows, offsets))
+        packed = starts[0] if packed and (not gap or len(members) == 1) else None
+        dead, bias = np.concatenate(dead), np.concatenate(bias)
+        for arr in (dead, bias):
+            arr.setflags(write=False)
+        groups.append(_WindowGroup(length, span, top // length - gap, starts, rows, tuple(offsets), packed, dead, bias))
     return n, tuple(groups), pairs, soft
 
 
@@ -469,13 +509,17 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     either side within the segment. A segment of at most `size` rows is a
     single run over itself. q, k, v: (n, d) with d divisible by `heads`.
 
-    The runs of all segments that share a window layout are stacked into one
-    (runs, heads, L, span*L) problem: multi-run segments use L = size and
-    three-run windows, single-run segments of length L one window of L. Keys
-    outside the segment and query slots past its end are zero rows, masked
-    out, so each segment sees exactly the layout it has alone. FLOPs are
-    charged on live (query, key) pairs only, as the per-run loop of
-    `softmax_attention` would be.
+    The segments of one window shape (`_WindowGroup`) are copied once into
+    zero frames; a single segment of whole runs, or a stack of equal
+    single-run segments, is its own query frame. Every window's keys and
+    values are then a strided view of their frame, so each (window, head)
+    product is one BLAS call on rows of width d. Keys outside the segment
+    are zero rows under a -inf bias, added only to the windows that hold
+    one, so each segment sees exactly the layout it has alone. Off a tape,
+    QK, softmax and PV run on about `CHUNK` logits at a time and each chunk
+    goes straight into its output rows; on a tape the whole logits are kept
+    for the vjp. FLOPs are charged on live (query, key) pairs only, as the
+    per-run loop of `softmax_attention` would be.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     n, d = q.data.shape
@@ -488,60 +532,83 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     covered, layout, pairs, soft = _window_layout(segs, size)
     if covered != n:
         raise ValueError(f"segments {segs} do not cover {n} rows")
+    taped = _taped((q, k, v))
 
-    def split_heads(a):  # (runs, L, d) -> (runs, heads, L, hd)
+    def frame(a, grp, lead):  # the query frame with `lead` zero rows at each end
+        if grp.packed is not None and not lead:
+            return a[grp.packed : grp.packed + grp.windows * grp.length]
+        framed = np.zeros((grp.windows * grp.length + 2 * lead, d))
+        for start, m, o in zip(grp.starts, grp.rows, grp.offsets):
+            framed[lead + o : lead + o + m] = a[start : start + m]
+        return framed
+
+    def scatter(dst, src, grp, lo=0):  # query-frame rows [lo, lo + len(src)) back to their segments' rows
+        for start, m, o in zip(grp.starts, grp.rows, grp.offsets):
+            a, b = max(o, lo), min(o + m, lo + len(src))
+            if a < b:
+                dst[start + a - o : start + b - o] = src[a - lo : b - lo]
+
+    def split_heads(a):  # (windows, rows, d) -> (windows, heads, rows, hd)
         return a.reshape(a.shape[0], a.shape[1], heads, hd).transpose(0, 2, 1, 3)
 
     def merge_heads(a):  # inverse of split_heads, flattened to rows
         return a.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    def frame(a, qidx, runs, length):  # rows into their run slots; empty slots are zero
-        framed = np.take(a, qidx, axis=0, mode="clip")
-        framed[qidx == n] = 0.0
-        return framed.reshape(runs, length, d)
+    def windowed(a, grp, lead):  # (windows, heads, span*L, hd) read-only view of a's key frame
+        f = frame(a, grp, lead)
+        shape, row = (grp.windows, grp.span * grp.length, d), f.strides[0]
+        w = np.ndarray(shape, f.dtype, f, 0, (grp.length * row, row, f.strides[1]))
+        w.flags.writeable = False
+        return split_heads(w)
 
-    # row n of the key and value operands is the zero row, a dead key; the
-    # rows of every group go back by the same index, its empty query slots
-    # all landing on row n, which is dropped
-    zero = np.zeros((1, d))
-    kx, vx = np.concatenate([k.data, zero]), np.concatenate([v.data, zero])
+    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, k, v))
     c = 1.0 / math.sqrt(hd)
-    out = np.empty((n + 1, d))
-    groups = []
-    for length, span, qidx, runs, kidx, bias in layout:
-        qs = split_heads(frame(q.data, qidx, runs, length))
-        ks, vs = split_heads(kx[kidx]), split_heads(vx[kidx])
-        # the softmax runs in place in the logits' buffer, which the vjp
-        # keeps as p; every query slot, the tail's empty ones included,
-        # keeps at least one live key, so no softmax row is empty
-        p = np.matmul(qs, ks.transpose(0, 1, 3, 2))
-        p *= c
-        p += bias
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[qidx] = merge_heads(np.matmul(p, vs))
-        groups.append((length, span, qidx, runs, kidx, qs, ks, vs, p))
+    out = np.empty((n, d))
+    saved = []
+    for grp in layout:
+        length, span, windows = grp.length, grp.span, grp.windows
+        lead = length * (span // 3)
+        qs = split_heads(frame(qd, grp, 0).reshape(windows, length, d))
+        ks, vs = windowed(kd, grp, lead), windowed(vd, grp, lead)
+        step = windows if taped else max(CHUNK // (heads * span * length * length), 1)
+        for w0 in range(0, windows, step):
+            w1 = min(w0 + step, windows)
+            # the softmax runs in place in the logits' buffer, which the vjp
+            # keeps as p; every query slot, empty ones included, keeps at
+            # least one live key, so no softmax row is empty
+            p = np.matmul(qs[w0:w1], ks[w0:w1].transpose(0, 1, 3, 2))
+            p *= c
+            if len(grp.dead):
+                lo, hi = (0, len(grp.dead)) if step >= windows else np.searchsorted(grp.dead, (w0, w1))
+                p[grp.dead[lo:hi] - w0] += grp.bias[lo:hi, None, None, :]
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            scatter(out, merge_heads(np.matmul(p, vs[w0:w1])), grp, w0 * length)
+        if taped:
+            saved.append((grp, qs, ks, vs, p))
     flops.add_cost(macs=heads * 2 * pairs * hd, scalar_ops=heads * (pairs + soft), comparisons=heads * pairs)
-    out = Tensor(out[:n])
+    out = Tensor(out)
 
     def vjp(g):
-        dq = np.empty((n + 1, d))
-        dk, dv = np.zeros((n + 1, d)), np.zeros((n + 1, d))
-        for length, span, qidx, runs, kidx, qs, ks, vs, p in groups:
-            gs = split_heads(frame(g, qidx, runs, length))
+        g = np.ascontiguousarray(g)
+        dq, dk, dv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+        for grp, qs, ks, vs, p in saved:
+            length, span, windows = grp.length, grp.span, grp.windows
+            lead = length * (span // 3)
+            gs = split_heads(frame(g, grp, 0).reshape(windows, length, d))
             dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
             dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-            dq[qidx] = merge_heads(np.matmul(dz, ks))
-            dkw = merge_heads(np.matmul(dz.transpose(0, 1, 3, 2), qs)).reshape(-1, span, length, d)
-            dvw = merge_heads(np.matmul(p.transpose(0, 1, 3, 2), gs)).reshape(-1, span, length, d)
-            # within one window offset every live key row appears once, so a
-            # buffered scatter per offset is exact; the dead row n is dropped
-            for o in range(span):
-                rows = kidx[:, o * length : (o + 1) * length].reshape(-1)
-                dk[rows] += dkw[:, o].reshape(-1, d)
-                dv[rows] += dvw[:, o].reshape(-1, d)
-        return dq[:n], dk[:n], dv[:n]
+            scatter(dq, merge_heads(np.matmul(dz, ks)), grp)
+            for dst, dw in ((dk, np.matmul(dz.transpose(0, 1, 3, 2), qs)), (dv, np.matmul(p.transpose(0, 1, 3, 2), gs))):
+                dw = merge_heads(dw).reshape(windows, span * length, d)
+                # one slice add per window offset into the zero key frame,
+                # whose zero rows take the dead keys' terms
+                df = np.zeros((windows * length + 2 * lead, d))
+                for o in range(span):
+                    df[o * length : (o + windows) * length].reshape(windows, length, d)[...] += dw[:, o * length : (o + 1) * length]
+                scatter(dst, df[lead : lead + windows * length], grp)
+        return dq, dk, dv
 
     _record(out, (q, k, v), vjp)
     return out

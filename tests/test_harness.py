@@ -432,11 +432,19 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags, name",
-        [(("--batch", "0"), "batch_size"), (("--lr", "nan"), "lr"), (("--lr", "inf"), "lr")],
-        ids=["batch_0", "lr_nan", "lr_inf"],
+        [
+            (("--batch", "0"), "batch_size"),
+            (("--lr", "nan"), "lr"),
+            (("--lr", "inf"), "lr"),
+            (("--lr", "-1"), "lr"),
+            (("--steps", "0"), "steps"),
+            (("--steps", "-3"), "steps"),
+        ],
+        ids=["batch_0", "lr_nan", "lr_inf", "lr_negative", "steps_0", "steps_negative"],
     )
     def test_bad_training_argument_rejected_before_step_0(self, tmp_path, capsys, flags, name):
-        record = self.error_record(capsys, "train", *flags, "--steps", "1", "--count", "2", "--out", str(tmp_path / "run"))
+        # the flag under test comes last, so it overrides the valid default
+        record = self.error_record(capsys, "train", "--steps", "1", "--count", "2", "--out", str(tmp_path / "run"), *flags)
         assert record["error"] == "ValueError" and record["message"].startswith(f"{name} must be")
         assert not (tmp_path / "run").exists()
 

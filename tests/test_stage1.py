@@ -339,6 +339,15 @@ class TestOracleMixGate:
         assert not any(oracle_mix_gate(0.0, 1, i) for i in range(50))
         assert all(oracle_mix_gate(1.0, 1, i) for i in range(50))
 
+    def test_rate_zero_and_one_draw_nothing(self, monkeypatch):
+        def no_stream(*key):
+            raise AssertionError(f"a generator was built for {key}")
+
+        monkeypatch.setattr(stage1, "rng_for", no_stream)
+        assert oracle_mix_gate(1.0, 1, 0) and not oracle_mix_gate(0.0, 1, 0)
+        with pytest.raises(AssertionError, match="generator was built"):
+            oracle_mix_gate(0.5, 1, 0)
+
     def test_rate_half_frequency(self):
         hits = sum(oracle_mix_gate(0.5, 123, i) for i in range(10_000))
         assert abs(hits / 10_000 - 0.5) <= 0.02
@@ -386,9 +395,10 @@ class TestOracleMixGate:
 
     @pytest.mark.parametrize("policy", ["oracle_mix", "random_ratio"])
     def test_forward_draws_only_the_streams_its_policy_reads(self, monkeypatch, scene_spec, policy):
-        # oracle_mix reads the per-batch gate; random_ratio reads one stream
-        # per sample and round, keyed by batch index, sample and round
-        cfg = config.nano().with_overrides(policy=policy, oracle_rate=1.0)
+        # oracle_mix reads the per-batch gate at a rate that can flip it;
+        # random_ratio reads one stream per sample and round, keyed by batch
+        # index, sample and round
+        cfg = config.nano().with_overrides(policy=policy, oracle_rate=0.5)
         store = init_params(cfg, seed=0)
         corpus = scenes.generate_corpus(3, 2, scene_spec)
         drawn = []

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,8 +312,134 @@ class TestFusedKernels:
         hits = tensor._window_layout.cache_info().hits
         tensor.window_attention(q, q, q, 4, 1, list(segments))
         assert tensor._window_layout.cache_info().hits == hits + 1
-        for _, _, _, _, kidx, bias in tensor._window_layout(segments, 4)[1]:
-            assert not kidx.flags.writeable and not bias.flags.writeable
+        for group in tensor._window_layout(segments, 4)[1]:
+            arrays = [a for a in group if isinstance(a, np.ndarray)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def window_attention_gather(q, k, v, size, heads, segments, g):
+    """Window attention as one gather per run window: every run's query
+    slots and its 3*size (or one run's) key rows are taken by index, with
+    dead keys on an appended zero row under a -inf bias; dK and dV go back
+    by index, one window offset at a time. Returns the output, its vjp
+    applied to `g`, and the Counts charged on live (query, key) pairs."""
+    n, d = q.shape
+    hd = d // heads
+    c = 1.0 / math.sqrt(hd)
+    out, dq, dk, dv = np.zeros((n + 1, d)), np.zeros((n + 1, d)), np.zeros((n + 1, d)), np.zeros((n + 1, d))
+    kx, vx = (np.concatenate([a, np.zeros((1, d))]) for a in (k, v))
+    qx, gx = (np.concatenate([a, np.zeros((1, d))]) for a in (q, g))
+    pairs = soft = 0
+
+    def split_heads(a):
+        return a.reshape(a.shape[0], a.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    def merge_heads(a):
+        return a.transpose(0, 2, 1, 3).reshape(-1, d)
+
+    bounds = np.cumsum((0,) + tuple(segments))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m = hi - lo
+        if m == 0:
+            continue
+        length, span = (size, 3) if m > size else (m, 1)
+        lead = length if span == 3 else 0
+        kpos = np.arange(-(-m // length))[:, None] * length - lead + np.arange(span * length)
+        kidx = np.where((kpos >= 0) & (kpos < m), lo + kpos, n)
+        qidx = kidx[:, lead : lead + length].reshape(-1)
+        live = (kidx < n)[:, None, None, :]
+        per_row = (qidx < n).reshape(-1, length) * live[:, 0, 0].sum(axis=-1, keepdims=True)
+        pairs += int(per_row.sum())
+        soft += int(np.maximum(4 * per_row - 1, 0).sum())
+        qs, gs = (split_heads(a[qidx].reshape(-1, length, d)) for a in (qx, gx))
+        ks, vs = split_heads(kx[kidx]), split_heads(vx[kidx])
+        z = np.where(live, np.matmul(qs, ks.transpose(0, 1, 3, 2)) * c, -np.inf)
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=-1, keepdims=True)
+        out[qidx] = merge_heads(np.matmul(p, vs))
+        dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
+        dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        dq[qidx] = merge_heads(np.matmul(dz, ks))
+        dkw = merge_heads(np.matmul(dz.transpose(0, 1, 3, 2), qs)).reshape(-1, span, length, d)
+        dvw = merge_heads(np.matmul(p.transpose(0, 1, 3, 2), gs)).reshape(-1, span, length, d)
+        for o in range(span):
+            rows = kidx[:, o * length : (o + 1) * length].reshape(-1)
+            dk[rows] += dkw[:, o].reshape(-1, d)
+            dv[rows] += dvw[:, o].reshape(-1, d)
+    counts = flops.Counts(macs=heads * 2 * pairs * hd, scalar_ops=heads * (pairs + soft), comparisons=heads * pairs)
+    return out[:n], (dq[:n], dk[:n], dv[:n]), counts
+
+
+class TestFramedWindowAttention:
+    """The framed, chunked `window_attention` gives the bits of one gather
+    per window, in values, vjps and metered FLOPs, on and off the tape."""
+
+    SIZE = 8
+    LAYOUTS = {
+        "multi_run_short_tail": (2 * SIZE + 3,),
+        "whole_runs": (3 * SIZE,),
+        "single_runs_row_and_empty": (5, 1, 0, SIZE, 3),
+        "equal_stack": (6, 6, 6, 6),
+        "equal_multi_run_stack": (2 * SIZE, 2 * SIZE),
+        "mixed": (2 * SIZE + 3, SIZE, 3, 1, 0, SIZE + 1, 4 * SIZE),
+        # 2 heads of 8 x 24 logits per window: well over CHUNK logits, so
+        # off the tape the chunks cross runs and segments
+        "over_one_chunk": (700, 5, 300, SIZE + 2),
+    }
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["off_tape", "on_tape"])
+    @pytest.mark.parametrize("segments", list(LAYOUTS.values()), ids=list(LAYOUTS))
+    def test_matches_gather_reference(self, segments, taped, rng):
+        heads = 2
+        n, d = sum(segments), 4 * heads
+        q, k, v, g = (rng.standard_normal((n, d)) for _ in range(4))
+        if segments == self.LAYOUTS["over_one_chunk"]:
+            assert heads * self.SIZE * 3 * self.SIZE * (n // self.SIZE) > tensor.CHUNK
+        expect, expect_vjps, expect_counts = window_attention_gather(q, k, v, self.SIZE, heads, segments, g)
+        with flops.meter() as m:
+            if taped:
+                value, vjps = value_and_vjp(tensor.window_attention, (q, k, v), g, size=self.SIZE, heads=heads, segments=segments)
+            else:
+                value = tensor.window_attention(Tensor(q), Tensor(k), Tensor(v), self.SIZE, heads, segments).data
+        assert np.array_equal(value, expect)
+        assert m.total() == expect_counts
+        if taped:
+            for got, want in zip(vjps, expect_vjps):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("size", TestFusedKernels.SIZES)
+    def test_gelu_off_tape_matches_on_tape(self, size, rng):
+        x = 3.0 * rng.standard_normal((size // 8, 8))
+        on_tape, _ = value_and_vjp(tensor.gelu, (x,), np.ones_like(x))
+        assert np.array_equal(tensor.gelu(Tensor(x)).data, on_tape)
+
+
+def traced_peak(fn):
+    """fn()'s result and the most bytes it held at once above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestOffTapeMemory:
+    """Off the tape an op holds its output and cache-sized scratch, not
+    whole-size temporaries that only a vjp would read."""
+
+    def test_window_attention_on_one_segment(self, rng):
+        # a tiny Stage-2 round-1 call: 5,440 rows of width 64, 2 heads, runs of 32
+        q, k, v = (Tensor(rng.standard_normal((5440, 64))) for _ in range(3))
+        _, peak = traced_peak(lambda: tensor.window_attention(q, k, v, 32, 2))
+        assert peak <= 6 * q.data.nbytes
+
+    def test_gelu(self, rng):
+        x = Tensor(rng.standard_normal((5440, 256)))
+        out, peak = traced_peak(lambda: tensor.gelu(x))
+        assert peak <= 1.1 * out.data.nbytes
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting applies to glibc only")
