@@ -335,7 +335,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return out
 
 
-CHUNK = 1 << 15  # elements per pass of a fused elementwise chain: a few float64 chunks fit in L2
+CHUNK = 1 << 15  # elements per pass of a fused elementwise chain, or attention logits per pass off a tape: a few float64 chunks fit in L2
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
