@@ -543,9 +543,6 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
         return framed
 
     def scatter(dst, src, grp, lo=0):  # query-frame rows [lo, lo + len(src)) back to their segments' rows
-        if grp.packed is not None:
-            dst[grp.packed + lo : grp.packed + lo + len(src)] = src
-            return
         for start, m, o in zip(grp.starts, grp.rows, grp.offsets):
             a, b = max(o, lo), min(o + m, lo + len(src))
             if a < b:
