@@ -52,6 +52,8 @@ def _load_cfg(args) -> EncoderConfig:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be >= 1, got {args.count}")
     cfg = _load_cfg(args)
     spec = _scene_spec(args, cfg)
     desc = scenes_mod.corpus_descriptor(args.corpus_seed, args.count, spec)
@@ -109,14 +111,14 @@ def cmd_eval(args) -> int:
 
 def cmd_flops(args) -> int:
     cfg = _load_cfg(args)
+    pcfgs = [cfg.with_overrides(policy=policy) for policy in args.policies.split(",")]
     corpus, _ = _corpus(args, cfg)
     if not corpus:
         raise ValueError("corpus is empty: the FLOPs comparison needs at least one scene")
     store = load_params(args.params, cfg) if args.params else init_params(cfg, args.seed)
     rows = []
-    for policy in args.policies.split(","):
-        pcfg = cfg.with_overrides(policy=policy)
-        totals = []
+    for pcfg in pcfgs:
+        policy, totals = pcfg.policy, []
         for i, sc in enumerate(corpus):
             with flops_mod.meter() as m:
                 train_mod.forward_full(sc.image, store, pcfg, sc.labels, batch_index=i)
@@ -147,13 +149,17 @@ _ABLATIONS = {
 
 
 def cmd_ablate(args) -> int:
+    names = args.variants.split(",")
+    for name in names:
+        if name not in _ABLATIONS:
+            raise ValueError(f"unknown ablation {name!r}; options: {sorted(_ABLATIONS)}")
     cfg = _load_cfg(args)
     corpus, _ = _corpus(args, cfg)
     held, _ = _corpus(args, cfg, seed_attr="eval_seed", count_attr="eval_count")
+    if not held:
+        raise ValueError("held-out corpus is empty: evaluation needs at least one scene")
     table = []
-    for name in args.variants.split(","):
-        if name not in _ABLATIONS:
-            raise ValueError(f"unknown ablation {name!r}; options: {sorted(_ABLATIONS)}")
+    for name in names:
         vcfg = cfg.with_overrides(**_ABLATIONS[name])
         store = init_params(vcfg, args.seed)
         train_mod.train(

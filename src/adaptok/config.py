@@ -165,7 +165,10 @@ def load_config(source: str) -> EncoderConfig:
     if source in PRESETS:
         return PRESETS[source]()
     with open(source) as f:
-        return EncoderConfig.from_json_dict(json.load(f))
+        try:
+            return EncoderConfig.from_json_dict(json.load(f))
+        except (TypeError, ValueError) as exc:  # malformed JSON, an unknown field or a bad value
+            raise ValueError(f"{source}: {exc}") from exc
 
 
 def save_config(path, cfg: EncoderConfig):

@@ -432,26 +432,22 @@ def softmax_attention(q, k, v, mask) -> Tensor:
 
 
 class _WindowGroup(NamedTuple):
-    """The segments of one window shape, framed together: run length L and
-    `span` runs per window (3; 1 for segments that are one run each).
+    """The segments of `runs` runs of length L and `span` runs per window
+    (3; 1 for one-run segments), framed together, one block per segment.
 
-    The query frame holds each segment's rows at `offsets`, zero-padded to
-    whole runs, with one zero run between segments of span 3; its run w is
-    the queries of window w, so it has `windows` runs. The key frame adds
-    one zero run at each end for span 3 (it is the query frame for span 1),
-    so window w's keys are key-frame rows [w*L, (w + span)*L). A window
-    whose query run is a zero run between two segments is computed and
-    dropped. `packed` is the first row of q when the query frame is a slice
-    of q, else None. `dead` (sorted) indexes the windows that hold a key
-    outside their segment, and `bias` gives their (span*L,) additive key
-    bias: 0 on live keys, -inf on dead ones."""
+    A block's query frame is its segment's rows zero-padded to whole runs;
+    run r holds window r's queries. Its key frame adds one zero run at each
+    end for span 3, so window r's keys are key-frame rows [r*L, (r+span)*L).
+    `packed` is the first row of q when the query frames are one slice of q,
+    else None. `dead` (sorted) indexes the runs whose window holds a key
+    outside its segment in some block; `bias` (blocks, len(dead), span*L) is
+    their additive key bias: 0 on live keys, -inf on dead ones."""
 
     length: int
     span: int
-    windows: int
+    runs: int
     starts: tuple
     rows: tuple
-    offsets: tuple
     packed: int | None
     dead: np.ndarray
     bias: np.ndarray
@@ -461,42 +457,34 @@ class _WindowGroup(NamedTuple):
 def _window_layout(segments: tuple, size: int):
     """Run layout of `window_attention` over row segments, shared by every
     block of a round: (rows, groups, live pairs, softmax scalar ops), one
-    `_WindowGroup` per window shape. Its arrays are read-only: every caller
-    of one layout shares them."""
+    `_WindowGroup` per (run length, span, runs). Its arrays are read-only:
+    every caller of one layout shares them."""
     n = sum(segments)
     bounds = _bounds(segments, n)
-    # (run length, runs per window) -> starts and lengths of its segments
-    layouts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # (run length, runs per window, runs) -> starts and lengths of its segments
+    layouts: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            layouts.setdefault((size, 3) if hi - lo > size else (hi - lo, 1), []).append((lo, hi - lo))
+            length, span = (size, 3) if hi - lo > size else (hi - lo, 1)
+            layouts.setdefault((length, span, -(-(hi - lo) // length)), []).append((lo, hi - lo))
     groups = []
     pairs = soft = 0
-    for (length, span), members in layouts.items():
-        gap = span // 3  # zero runs between segments, and ahead of the key frame
-        offsets, dead, bias = [], [], []
-        top = 0
-        for start, m in members:
-            offsets.append(top)
-            runs = -(-m // length)
-            kpos = (np.arange(runs)[:, None] - gap) * length + np.arange(span * length)
-            klive = (kpos >= 0) & (kpos < m)
-            # every live query row of a run sees the run's live keys
-            live_q, live_k = np.minimum(m - np.arange(runs) * length, length), klive.sum(axis=-1)
-            pairs += int((live_q * live_k).sum())
-            soft += int((live_q * np.maximum(4 * live_k - 1, 0)).sum())
-            hit = live_k < span * length
-            dead.append(top // length + np.flatnonzero(hit))
-            bias.append(np.where(klive[hit], 0.0, -np.inf))
-            top += (runs + gap) * length
+    for (length, span, runs), members in layouts.items():
         starts, rows = zip(*members)
-        # the query frame is a slice of q when it has no zero rows
-        packed = all(o == s - starts[0] and m % length == 0 for s, m, o in zip(starts, rows, offsets))
-        packed = starts[0] if packed and (not gap or len(members) == 1) else None
-        dead, bias = np.concatenate(dead), np.concatenate(bias)
+        m = np.array(rows)[:, None]
+        kpos = (np.arange(runs)[:, None] - span // 3) * length + np.arange(span * length)
+        klive = (kpos >= 0) & (kpos < m[:, :, None])
+        # every live query row of a run sees the run's live keys
+        live_q, live_k = np.minimum(m - np.arange(runs) * length, length), klive.sum(axis=-1)
+        pairs += int((live_q * live_k).sum())
+        soft += int((live_q * np.maximum(4 * live_k - 1, 0)).sum())
+        dead = np.flatnonzero((live_k < span * length).any(axis=0))
+        bias = np.where(klive[:, dead], 0.0, -np.inf)
         for arr in (dead, bias):
             arr.setflags(write=False)
-        groups.append(_WindowGroup(length, span, top // length - gap, starts, rows, tuple(offsets), packed, dead, bias))
+        # the query frames are one slice of q when they hold no zero rows
+        packed = min(rows) == runs * length and starts[-1] - starts[0] == (len(rows) - 1) * runs * length
+        groups.append(_WindowGroup(length, span, runs, starts, rows, starts[0] if packed else None, dead, bias))
     return n, tuple(groups), pairs, soft
 
 
@@ -509,17 +497,17 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     either side within the segment. A segment of at most `size` rows is a
     single run over itself. q, k, v: (n, d) with d divisible by `heads`.
 
-    The segments of one window shape (`_WindowGroup`) are copied once into
-    zero frames; a single segment of whole runs, or a stack of equal
-    single-run segments, is its own query frame. Every window's keys and
-    values are then a strided view of their frame, so each (window, head)
-    product is one BLAS call on rows of width d. Keys outside the segment
-    are zero rows under a -inf bias, added only to the windows that hold
-    one, so each segment sees exactly the layout it has alone. Off a tape,
-    QK, softmax and PV run on about `CHUNK` logits at a time and each chunk
-    goes straight into its output rows; on a tape the whole logits are kept
-    for the vjp. FLOPs are charged on live (query, key) pairs only, as the
-    per-run loop of `softmax_attention` would be.
+    The segments of one window layout (`_WindowGroup`) are copied once into
+    a zero frame, one block per segment; whole-run segments back to back in
+    q are their own query frame. Every window's keys and values are then a
+    strided view of its block, so each (window, head) product is one BLAS
+    call on rows of width d. Keys outside the segment are zero rows under a
+    -inf bias, added only to the runs that may hold one, so each segment
+    sees exactly the layout it has alone. Off a tape, QK, softmax and PV
+    run on about `CHUNK` logits at a time, whole blocks or runs of one, and
+    each chunk goes straight into its output rows; on a tape the whole
+    logits are kept for the vjp. FLOPs are charged on live (query, key)
+    pairs only, as the per-run loop of `softmax_attention` would be.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     n, d = q.data.shape
@@ -534,30 +522,29 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
         raise ValueError(f"segments {segs} do not cover {n} rows")
     taped = _taped((q, k, v))
 
-    def frame(a, grp, lead):  # the query frame with `lead` zero rows at each end
+    def frame(a, grp, lead):  # (blocks, runs*L + 2*lead, d): each segment's rows after `lead` zero rows
+        rows = grp.runs * grp.length
         if grp.packed is not None and not lead:
-            return a[grp.packed : grp.packed + grp.windows * grp.length]
-        framed = np.zeros((grp.windows * grp.length + 2 * lead, d))
-        for start, m, o in zip(grp.starts, grp.rows, grp.offsets):
-            framed[lead + o : lead + o + m] = a[start : start + m]
+            return a[grp.packed : grp.packed + len(grp.starts) * rows].reshape(-1, rows, d)
+        framed = np.zeros((len(grp.starts), rows + 2 * lead, d))
+        for block, start, m in zip(framed, grp.starts, grp.rows):
+            block[lead : lead + m] = a[start : start + m]
         return framed
 
-    def scatter(dst, src, grp, lo=0):  # query-frame rows [lo, lo + len(src)) back to their segments' rows
-        for start, m, o in zip(grp.starts, grp.rows, grp.offsets):
-            a, b = max(o, lo), min(o + m, lo + len(src))
-            if a < b:
-                dst[start + a - o : start + b - o] = src[a - lo : b - lo]
+    def scatter(dst, src, grp, b0=0, lo=0):  # query-frame rows lo.. of blocks b0.. back to their segments' rows
+        for block, start, m in zip(src, grp.starts[b0:], grp.rows[b0:]):
+            dst[start + lo : start + min(m, lo + len(block))] = block[: m - lo]
 
-    def split_heads(a):  # (windows, rows, d) -> (windows, heads, rows, hd)
-        return a.reshape(a.shape[0], a.shape[1], heads, hd).transpose(0, 2, 1, 3)
+    def split_heads(a):  # (blocks, runs, rows, d) -> (blocks, runs, heads, rows, hd)
+        return a.reshape(a.shape[:-1] + (heads, hd)).swapaxes(2, 3)
 
-    def merge_heads(a):  # inverse of split_heads, flattened to rows
-        return a.transpose(0, 2, 1, 3).reshape(-1, d)
+    def merge_heads(a):  # inverse of split_heads, flattened to rows per block
+        return a.swapaxes(2, 3).reshape(len(a), -1, d)
 
-    def windowed(a, grp, lead):  # (windows, heads, span*L, hd) read-only view of a's key frame
+    def windowed(a, grp, lead):  # (blocks, runs, heads, span*L, hd) read-only view of a's key frame
         f = frame(a, grp, lead)
-        shape, row = (grp.windows, grp.span * grp.length, d), f.strides[0]
-        w = np.ndarray(shape, f.dtype, f, 0, (grp.length * row, row, f.strides[1]))
+        shape, (block, row, col) = (len(f), grp.runs, grp.span * grp.length, d), f.strides
+        w = np.ndarray(shape, f.dtype, f, 0, (block, grp.length * row, row, col))
         w.flags.writeable = False
         return split_heads(w)
 
@@ -566,25 +553,27 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     out = np.empty((n, d))
     saved = []
     for grp in layout:
-        length, span, windows = grp.length, grp.span, grp.windows
+        length, span, runs, blocks = grp.length, grp.span, grp.runs, len(grp.starts)
         lead = length * (span // 3)
-        qs = split_heads(frame(qd, grp, 0).reshape(windows, length, d))
+        qs = split_heads(frame(qd, grp, 0).reshape(blocks, runs, length, d))
         ks, vs = windowed(kd, grp, lead), windowed(vd, grp, lead)
-        step = windows if taped else max(CHUNK // (heads * span * length * length), 1)
-        for w0 in range(0, windows, step):
-            w1 = min(w0 + step, windows)
+        # windows per chunk, taken as whole blocks or as runs of one block
+        per = blocks * runs if taped else max(CHUNK // (heads * span * length * length), 1)
+        bstep, rstep = max(per // runs, 1), min(per, runs)
+        for b0, r0 in itertools.product(range(0, blocks, bstep), range(0, runs, rstep)):
+            b, r = slice(b0, b0 + bstep), slice(r0, r0 + rstep)
             # the softmax runs in place in the logits' buffer, which the vjp
             # keeps as p; every query slot, empty ones included, keeps at
             # least one live key, so no softmax row is empty
-            p = np.matmul(qs[w0:w1], ks[w0:w1].transpose(0, 1, 3, 2))
+            p = np.matmul(qs[b, r], ks[b, r].swapaxes(-1, -2))
             p *= c
-            if len(grp.dead):
-                lo, hi = (0, len(grp.dead)) if step >= windows else np.searchsorted(grp.dead, (w0, w1))
-                p[grp.dead[lo:hi] - w0] += grp.bias[lo:hi, None, None, :]
+            lo, hi = (0, len(grp.dead)) if rstep == runs else np.searchsorted(grp.dead, (r0, r0 + rstep))
+            if hi > lo:
+                p[:, grp.dead[lo:hi] - r0] += grp.bias[b, lo:hi, None, None, :]
             p -= p.max(axis=-1, keepdims=True)
             np.exp(p, out=p)
             p /= p.sum(axis=-1, keepdims=True)
-            scatter(out, merge_heads(np.matmul(p, vs[w0:w1])), grp, w0 * length)
+            scatter(out, merge_heads(np.matmul(p, vs[b, r])), grp, b0, r0 * length)
         if taped:
             saved.append((grp, qs, ks, vs, p))
     flops.add_cost(macs=heads * 2 * pairs * hd, scalar_ops=heads * (pairs + soft), comparisons=heads * pairs)
@@ -594,20 +583,20 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
         g = np.ascontiguousarray(g)
         dq, dk, dv = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
         for grp, qs, ks, vs, p in saved:
-            length, span, windows = grp.length, grp.span, grp.windows
+            length, span, runs, blocks = grp.length, grp.span, grp.runs, len(grp.starts)
             lead = length * (span // 3)
-            gs = split_heads(frame(g, grp, 0).reshape(windows, length, d))
-            dp = np.matmul(gs, vs.transpose(0, 1, 3, 2))
+            gs = split_heads(frame(g, grp, 0).reshape(blocks, runs, length, d))
+            dp = np.matmul(gs, vs.swapaxes(-1, -2))
             dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
             scatter(dq, merge_heads(np.matmul(dz, ks)), grp)
-            for dst, dw in ((dk, np.matmul(dz.transpose(0, 1, 3, 2), qs)), (dv, np.matmul(p.transpose(0, 1, 3, 2), gs))):
-                dw = merge_heads(dw).reshape(windows, span * length, d)
+            for dst, dw in ((dk, np.matmul(dz.swapaxes(-1, -2), qs)), (dv, np.matmul(p.swapaxes(-1, -2), gs))):
+                dw = merge_heads(dw).reshape(blocks, runs, span * length, d)
                 # one slice add per window offset into the zero key frame,
                 # whose zero rows take the dead keys' terms
-                df = np.zeros((windows * length + 2 * lead, d))
+                df = np.zeros((blocks, runs * length + 2 * lead, d))
                 for o in range(span):
-                    df[o * length : (o + windows) * length].reshape(windows, length, d)[...] += dw[:, o * length : (o + 1) * length]
-                scatter(dst, df[lead : lead + windows * length], grp)
+                    df[:, o * length : (o + runs) * length].reshape(blocks, runs, length, d)[...] += dw[:, :, o * length : (o + 1) * length]
+                scatter(dst, df[:, lead:], grp)
         return dq, dk, dv
 
     _record(out, (q, k, v), vjp)

@@ -458,6 +458,40 @@ class TestCli:
         assert self.run(*argv) == 1
         return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
+    @pytest.mark.parametrize(
+        "text, cause",
+        [('{"name": "nano",\n', "Expecting property name"), ('{"bogus": 1}', "unexpected keyword argument 'bogus'")],
+        ids=["malformed_json", "unknown_field"],
+    )
+    def test_bad_json_config_error_names_the_file(self, tmp_path, capsys, text, cause):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        record = self.error_record(capsys, "eval", "--config", str(path), "--count", "1", "--out", str(tmp_path / "ev"))
+        assert record["error"] == "ValueError"
+        assert record["message"].startswith(f"{path}: ") and cause in record["message"]
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_gen_count_below_1_rejected(self, tmp_path, capsys, count):
+        record = self.error_record(capsys, "gen", "--count", count, "--out", str(tmp_path / "corpus"))
+        assert record["error"] == "ValueError" and record["message"] == f"count must be >= 1, got {count}"
+        assert not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (("flops", "--policies", "adaptive,bogus"), "unknown policy 'bogus'"),
+            (("ablate", "--steps", "1", "--variants", "baseline,bogus"), "unknown ablation 'bogus'"),
+            (("ablate", "--steps", "1", "--variants", "baseline", "--eval-count", "0"), "held-out corpus is empty"),
+        ],
+        ids=["flops_policy", "ablate_variant", "ablate_eval_count_0"],
+    )
+    def test_bad_argument_rejected_before_the_first_forward(self, tmp_path, capsys, monkeypatch, argv, cause):
+        forwards = []
+        monkeypatch.setattr(train, "_forward", lambda *args: forwards.append(args))
+        record = self.error_record(capsys, *argv, "--count", "2", "--out", str(tmp_path / "out"))
+        assert record["error"] == "ValueError" and cause in record["message"]
+        assert forwards == [] and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["eval", "flops"])
     def test_container_for_another_config_rejected(self, tmp_path, capsys, command):
         # a 6-class nano container under a 5-class nano config

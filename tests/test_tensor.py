@@ -382,6 +382,9 @@ class TestFramedWindowAttention:
         "single_runs_row_and_empty": (5, 1, 0, SIZE, 3),
         "equal_stack": (6, 6, 6, 6),
         "equal_multi_run_stack": (2 * SIZE, 2 * SIZE),
+        # three runs each; only the blocks with a short tail hold dead keys
+        # in their middle run
+        "equal_runs_unequal_tails": (2 * SIZE + 3, 3 * SIZE, 2 * SIZE + 1),
         "mixed": (2 * SIZE + 3, SIZE, 3, 1, 0, SIZE + 1, 4 * SIZE),
         # 2 heads of 8 x 24 logits per window: well over CHUNK logits, so
         # off the tape the chunks cross runs and segments
@@ -407,6 +410,15 @@ class TestFramedWindowAttention:
         if taped:
             for got, want in zip(vjps, expect_vjps):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("segments", list(LAYOUTS.values()), ids=list(LAYOUTS))
+    def test_layout_computes_one_window_per_run(self, segments):
+        # one block per segment: no window is computed on a zero run between
+        # segments, so the windows are exactly the segments' runs
+        _, groups, _, _ = tensor._window_layout(segments, self.SIZE)
+        runs = sum(-(-m // min(m, self.SIZE)) for m in segments if m)
+        assert sum(len(g.starts) * g.runs for g in groups) == runs
+        assert sorted(s for g in groups for s in g.starts) == [s for s, m in zip(np.cumsum((0,) + segments), segments) if m]
 
     @pytest.mark.parametrize("size", TestFusedKernels.SIZES)
     def test_gelu_off_tape_matches_on_tape(self, size, rng):
@@ -434,6 +446,13 @@ class TestOffTapeMemory:
         # a tiny Stage-2 round-1 call: 5,440 rows of width 64, 2 heads, runs of 32
         q, k, v = (Tensor(rng.standard_normal((5440, 64))) for _ in range(3))
         _, peak = traced_peak(lambda: tensor.window_attention(q, k, v, 32, 2))
+        assert peak <= 6 * q.data.nbytes
+
+    def test_window_attention_on_equal_single_run_segments(self, rng):
+        # 64 one-run segments: one block each, so a chunk must span blocks, not
+        # runs alone, to hold about CHUNK logits (all 64 blocks' logits are 8x q)
+        q, k, v = (Tensor(rng.standard_normal((64 * 32, 16))) for _ in range(3))
+        _, peak = traced_peak(lambda: tensor.window_attention(q, k, v, 32, 4, (32,) * 64))
         assert peak <= 6 * q.data.nbytes
 
     def test_gelu(self, rng):
