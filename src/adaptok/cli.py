@@ -118,14 +118,10 @@ def cmd_flops(args) -> int:
     store = load_params(args.params, cfg) if args.params else init_params(cfg, args.seed)
     rows = []
     for pcfg in pcfgs:
-        policy, totals = pcfg.policy, []
-        for i, sc in enumerate(corpus):
-            with flops_mod.meter() as m:
-                train_mod.forward_full(sc.image, store, pcfg, sc.labels, batch_index=i)
-            totals.append(m.total().flops)
-        mean, std = flops_mod.corpus_stats(totals)
-        rows.append({"policy": policy, "flops_mean": mean, "flops_std": std})
-        print(f"{policy:>14}: {mean:.3e} ± {std:.3e} FLOPs/sample")
+        batches = evaluate_mod.metered_batches(pcfg, store, corpus)
+        mean, std = flops_mod.corpus_stats(rep.total().flops for _, _, reports in batches for rep in reports)
+        rows.append({"policy": pcfg.policy, "flops_mean": mean, "flops_std": std})
+        print(f"{pcfg.policy:>14}: {mean:.3e} ± {std:.3e} FLOPs/sample")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "flops.json"), "w") as f:

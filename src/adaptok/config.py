@@ -166,8 +166,11 @@ def load_config(source: str) -> EncoderConfig:
         return PRESETS[source]()
     with open(source) as f:
         try:
-            return EncoderConfig.from_json_dict(json.load(f))
-        except (TypeError, ValueError) as exc:  # malformed JSON, an unknown field or a bad value
+            d = json.load(f)
+            if not isinstance(d, dict):
+                raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
+            return EncoderConfig.from_json_dict(d)
+        except (TypeError, ValueError) as exc:  # malformed JSON, not an object, an unknown field or a bad value
             raise ValueError(f"{source}: {exc}") from exc
 
 

@@ -11,23 +11,21 @@ import numpy as np
 from . import boundary, flops, pnm, train
 from .boundary import IGNORE
 from .config import EncoderConfig
+from .export import save_emitted_maps
 from .params import ParamStore
 from .stage1 import AllocationTrace
 
 MANIFEST_VERSION = 1
 
 
-def render_selection_overlay(height: int, width: int, selected_keys) -> np.ndarray:
-    """White patch per selected token on black, (H, W, 3) uint8."""
-    img = np.zeros((height, width, 3), dtype=np.uint8)
-    for k in selected_keys:
-        y0, x0, y1, x1 = k.rect()
-        img[y0:y1, x0:x1] = 255
-    return img
-
-
 def overlay_masks(trace: AllocationTrace, height: int, width: int) -> list[np.ndarray]:
-    return [render_selection_overlay(height, width, rec.selected) for rec in trace.rounds]
+    """Per round, a white patch per selected token on black, (H, W, 3) uint8."""
+    masks = np.zeros((len(trace.rounds), height, width, 3), dtype=np.uint8)
+    for mask, rec in zip(masks, trace.rounds):
+        for k in rec.selected:
+            y0, x0, y1, x1 = k.rect()
+            mask[y0:y1, x0:x1] = 255
+    return list(masks)
 
 
 def _confusion_update(conf: np.ndarray, pred: np.ndarray, gt: np.ndarray):
@@ -54,6 +52,38 @@ def segmentation_metrics(conf: np.ndarray) -> dict:
     }
 
 
+# scenes per stacked batch: as many as fit in 32 nano scenes' pixels, at least one
+BATCH_PIXELS = 32 * 64 * 64
+
+
+def metered_batches(cfg: EncoderConfig, store: ParamStore, scenes):
+    """Run `scenes` under the FLOPs meter in stacked batches of as many as
+    fit in `BATCH_PIXELS` (at least one), scene i keyed `(i, 0)`, so no
+    output depends on the batch size. Yields each batch's first scene
+    index, its `BatchForward` and its scenes' `count_forward` reports;
+    raises RuntimeError when a section's metered counts differ from the sum
+    of the batch's reports."""
+    size = max(1, BATCH_PIXELS // (cfg.input_h * cfg.input_w))
+    for lo in range(0, len(scenes), size):
+        part = scenes[lo : lo + size]
+        with flops.meter() as metered:
+            batch = train.forward_batch(
+                [sc.image for sc in part], [sc.labels for sc in part], store, cfg, keys=[(lo + i, 0) for i in range(len(part))]
+            )
+        reports = [flops.count_forward(cfg, trace) for trace in batch.s1.traces]
+        analytic = flops.FlopsReport()
+        for rep in reports:
+            for name, counts in rep.sections.items():
+                analytic.add(counts, name)
+        for name in sorted(set(metered.sections) | set(analytic.sections)):
+            want, got = analytic.sections.get(name, flops.Counts()), metered.sections.get(name, flops.Counts())
+            if want != got:
+                raise RuntimeError(
+                    f"scenes {lo}-{lo + len(part) - 1}, section {name}: analytic count {want} disagrees with metered {got}"
+                )
+        yield lo, batch, reports
+
+
 def evaluate(
     cfg: EncoderConfig,
     store: ParamStore,
@@ -65,75 +95,48 @@ def evaluate(
     n_overlays: int = 0,
     n_feature_dumps: int = 0,
 ) -> dict:
-    """Run the model over `scenes`; returns (and optionally writes) the
-    manifest. Two calls with identical inputs produce identical bytes."""
+    """Run the model over `scenes` (`metered_batches`); returns (and
+    optionally writes) the manifest. Two calls with identical inputs produce
+    identical bytes."""
     if not len(scenes):
         raise ValueError("corpus is empty: evaluation needs at least one scene")
     conf = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
-    flop_totals, mse_parts, level_counts = [], [], []
-    auc_scores, auc_positive = [], []
-    comparison_totals = []
-    overlay_files = []
+    totals, levels, scored, overlay_files = [], [], [], []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for i, sc in enumerate(scenes):
-        with flops.meter() as m:
-            fr = train.forward_full(sc.image, store, cfg, sc.labels, batch_index=i)
-        total = m.total()
-        flop_totals.append(total.flops)
-        comparison_totals.append(total.comparisons)
-        analytic = flops.count_forward(cfg, fr.s1out.trace).total()
-        if (analytic.macs, analytic.scalar_ops, analytic.comparisons) != (
-            total.macs,
-            total.scalar_ops,
-            total.comparisons,
-        ):
-            raise RuntimeError(
-                f"scene {i}: analytic count {analytic} disagrees with metered {total}"
-            )
-        for rec in fr.s1out.trace.rounds:
-            if rec.targets is not None and rec.candidate_count:
-                mse_parts.append((rec.scores, rec.targets))
-                auc_scores.append(rec.scores)
-                auc_positive.append(rec.targets > 0)
-        pred = fr.logits.data.argmax(axis=1)
-        _confusion_update(conf, pred, fr.cell_labels.reshape(-1))
-        level_counts.append(fr.s1out.token_set.counts_per_level())
-        if out_dir and i < n_overlays:
-            for r, mask in enumerate(overlay_masks(fr.s1out.trace, cfg.input_h, cfg.input_w), start=1):
-                name = f"overlay_{i:04d}_round{r}.ppm"
-                pnm.write_ppm8(os.path.join(out_dir, name), mask)
-                overlay_files.append(name)
-        if out_dir and i < n_feature_dumps:
-            from .export import save_emitted_maps
-
-            save_emitted_maps(os.path.join(out_dir, f"features_{i:04d}.bin"), fr.s2out)
-    if mse_parts:
-        pred_all = np.concatenate([p for p, _ in mse_parts])
-        targ_all = np.concatenate([t for _, t in mse_parts])
-        allocator_mse = boundary.allocator_loss(pred_all, targ_all)
-    else:
-        allocator_mse = 0.0
-    auc = None
-    if auc_scores:
-        pos = np.concatenate(auc_positive)
-        if pos.any() and not pos.all():
-            auc = round(train.ranking_auc(np.concatenate(auc_scores), pos), 6)
-    mean, std = flops.corpus_stats(flop_totals)
-    levels = np.asarray(level_counts)
+    for lo, batch, reports in metered_batches(cfg, store, scenes):
+        totals += [rep.total() for rep in reports]
+        levels.append(batch.s1.tokens.level_counts())
+        _confusion_update(conf, batch.logits.data.argmax(axis=1), batch.labels.cells.reshape(-1))
+        for i, trace in enumerate(batch.s1.traces, start=lo):
+            scored += [(rec.scores, rec.targets) for rec in trace.rounds if rec.targets is not None and rec.candidate_count]
+            if out_dir and i < n_overlays:
+                for r, mask in enumerate(overlay_masks(trace, cfg.input_h, cfg.input_w), start=1):
+                    overlay_files.append(f"overlay_{i:04d}_round{r}.ppm")
+                    pnm.write_ppm8(os.path.join(out_dir, overlay_files[-1]), mask)
+            if out_dir and i < n_feature_dumps:
+                save_emitted_maps(os.path.join(out_dir, f"features_{i:04d}.bin"), batch.s2out.sample(i - lo))
+    allocator_mse, auc = 0.0, None
+    if scored:
+        pred, targ = (np.concatenate(parts) for parts in zip(*scored))
+        allocator_mse = boundary.allocator_loss(pred, targ)
+        if 0 < np.count_nonzero(targ > 0) < targ.size:
+            auc = round(train.ranking_auc(pred, targ > 0), 6)
+    mean, std = flops.corpus_stats(t.flops for t in totals)
+    levels = np.concatenate(levels)
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "config": cfg.to_json_dict(),
         "config_digest": cfg.digest(),
         "seed": seed,
         "policy": cfg.policy,
-        "dataset": dataset_descriptor or {"kind": "inline", "count": len(level_counts)},
+        "dataset": dataset_descriptor or {"kind": "inline", "count": len(levels)},
         "metrics": {
             "allocator_mse": round(allocator_mse, 10),
             "boundary_token_auc": auc,
             "flops_mean": round(mean, 3),
             "flops_std": round(std, 3),
-            "comparisons_mean": round(float(np.mean(comparison_totals)), 3),
+            "comparisons_mean": round(float(np.mean([t.comparisons for t in totals])), 3),
             "tokens_per_level_mean": [round(float(v), 3) for v in levels.mean(axis=0)],
             "tokens_per_level_hist": _level_histograms(levels),
             **segmentation_metrics(conf),

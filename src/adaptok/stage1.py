@@ -46,15 +46,15 @@ def select(scores, threshold: float) -> tuple[np.ndarray, int]:
     return idx, int(idx.size)
 
 
-def oracle_mix_gate(rate: float, seed: int, batch_index: int) -> bool:
-    """Seed-deterministic per-batch choice between oracle and predicted
-    scores for selection. A draw in [0, 1) always passes at rate 1 and
-    never at rate 0, so those rates build no generator."""
+def oracle_mix_gate(rate: float, seed: int, draw: int) -> bool:
+    """Seed-deterministic choice, per draw, between oracle and predicted
+    scores for selection. A uniform variate in [0, 1) always passes at rate
+    1 and never at rate 0, so those rates build no generator."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("oracle rate must lie in [0, 1]")
     if rate in (0.0, 1.0):
         return rate == 1.0
-    return bool(rng_for(seed, "oracle_gate", batch_index).random() < rate)
+    return bool(rng_for(seed, "oracle_gate", draw).random() < rate)
 
 
 @dataclass
@@ -379,37 +379,31 @@ def choose_selection(
     return select(scores, cfg.thresholds[r - 1])[0], "predicted"
 
 
-def run_stage1(
-    image,
-    store: ParamStore,
-    cfg: EncoderConfig,
-    labels=None,
-    *,
-    batch_index: int = 0,
-) -> Stage1Output:
-    """Full Stage-1 pass for a single sample (a batch of one, so unpadded)."""
-    return run_stage1_batch([image], store, cfg, None if labels is None else [labels], batch_index=batch_index)[0]
+def run_stage1(image, store: ParamStore, cfg: EncoderConfig, labels=None, *, batch_index: int = 0) -> Stage1Output:
+    """Full Stage-1 pass for a single sample: a batch of one, so unpadded,
+    keyed `(batch_index, 0)`."""
+    return run_stage1_batch([image], store, cfg, None if labels is None else [labels], keys=[(batch_index, 0)])[0]
 
 
-def run_stage1_batch(
-    images,
-    store: ParamStore,
-    cfg: EncoderConfig,
-    labels_list=None,
-    *,
-    batch_index: int = 0,
-) -> Stage1Batch:
+def run_stage1_batch(images, store: ParamStore, cfg: EncoderConfig, labels_list=None, *, keys=None) -> Stage1Batch:
     """Batch forward: all samples run their rounds in lockstep on one stacked
     feature tensor. Indexing the result builds a sample's output, padded per
     level to the batch maximum with zero, invalid feature rows, so `n_rows`
     is equal across the batch. `labels_list` holds each sample's label map
-    (None when unlabelled) or is their `LabelTables`. Sample i draws its
-    random_ratio selections from stream i; its first `n_valid` rows equal a
-    solo run's whenever the selection does not depend on i."""
+    (None when unlabelled) or is their `LabelTables`. `keys` holds each
+    sample's `(draw, stream)` allocation key (default `(0, i)` for sample
+    i): the oracle_mix gate is drawn per draw, and the random_ratio stream
+    per key and round. So a sample's first `n_valid` rows equal a solo
+    run's with the same key, whatever else the batch holds."""
+    keys = [(0, i) for i in range(len(images))] if keys is None else keys
     run = Stage1Run(images, store, cfg, labels_list)
-    use_oracle = cfg.policy == "oracle_mix" and oracle_mix_gate(cfg.oracle_rate, cfg.policy_seed, batch_index)
-    if use_oracle and (run.tables is None or not run.tables.labelled.all()):
-        raise ValueError("policy=oracle_mix selected the oracle for this batch but labels are missing")
+    gates = {}  # one oracle_mix gate per distinct draw, in order of first use
+    if cfg.policy == "oracle_mix":
+        gates = {d: oracle_mix_gate(cfg.oracle_rate, cfg.policy_seed, d) for d in dict.fromkeys(draw for draw, _ in keys)}
+    use_oracle = [gates.get(draw, False) for draw, _ in keys]
+    for i, use in enumerate(use_oracle):
+        if use and (run.tables is None or not run.tables.labelled[i]):
+            raise ValueError(f"policy=oracle_mix selected the oracle for sample {i} but its labels are missing")
     run.begin()
     for r in range(1, ROUNDS + 1):
         run.enter_round(r)
@@ -418,9 +412,9 @@ def run_stage1_batch(
         with flops.section(f"stage1.r{r}"):
             picks = [
                 choose_selection(
-                    cfg, r, len(rows), scores[i], targets[i], use_oracle,
+                    cfg, r, len(rows), scores[i], targets[i], use_oracle[i],
                     # only random_ratio reads its stream
-                    rng_for(cfg.policy_seed, "ratio", batch_index, i, r) if cfg.policy == "random_ratio" else None,
+                    rng_for(cfg.policy_seed, "ratio", *keys[i], r) if cfg.policy == "random_ratio" else None,
                 )
                 for i, rows in enumerate(run.tokens.frontiers)
             ]
@@ -429,4 +423,3 @@ def run_stage1_batch(
         if r < ROUNDS:
             run.snapshot(f"alloc{r}")
     return run.output()
-

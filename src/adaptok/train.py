@@ -74,20 +74,21 @@ class BatchForward(Sequence):
 
 
 def forward_full(image, store, cfg, labels=None, *, batch_index: int = 0) -> ForwardResult:
-    """One sample, as a batch of one."""
-    return _forward([image], None if labels is None else [labels], store, cfg, batch_index)[0]
+    """One sample, as a batch of one keyed `(batch_index, 0)`."""
+    return _forward([image], None if labels is None else [labels], store, cfg, [(batch_index, 0)])[0]
 
 
-def forward_batch(images, labels_list, store, cfg, *, batch_index: int = 0) -> BatchForward:
+def forward_batch(images, labels_list, store, cfg, *, keys=None) -> BatchForward:
     """A batch in one stacked forward; `labels_list` holds each sample's
-    label map (None when unlabelled) or is their `LabelTables`."""
-    return _forward(images, labels_list, store, cfg, batch_index)
+    label map (None when unlabelled) or is their `LabelTables`, and `keys`
+    each sample's `(draw, stream)` allocation key (`run_stage1_batch`)."""
+    return _forward(images, labels_list, store, cfg, keys)
 
 
-def _forward(images, labels_list, store, cfg, batch_index: int) -> BatchForward:
+def _forward(images, labels_list, store, cfg, keys) -> BatchForward:
     # both entry points call this, not each other, so a wrapper around
     # either one sees each forward once; Stage 1 checks the inputs
-    s1 = stage1.run_stage1_batch(images, store, cfg, labels_list, batch_index=batch_index)
+    s1 = stage1.run_stage1_batch(images, store, cfg, labels_list, keys=keys)
     refine = stage2.run_stage1_only_refine if cfg.stage1_only else stage2.run_stage2
     s2out = refine(s1, store, cfg)
     dense, cell_token = stage2.densify_finest(s1.tokens, s2out, store, cfg)
@@ -246,7 +247,7 @@ def train(
         images = [corpus[i].image for i in idx]
         labels = tables.take(idx)
         with GradTape() as tape:
-            batch = forward_batch(images, labels, store, cfg, batch_index=step)
+            batch = forward_batch(images, labels, store, cfg, keys=[(step, i) for i in range(len(idx))])
             total, raw = batch_loss(batch, allocator_weight)
             parts_acc: dict[str, float] = {}
             for parts in raw:

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from adaptok import cli, config, evaluate, params, pnm, scenes, train
+from adaptok import cli, config, evaluate, flops, params, pnm, scenes, train
 from adaptok.boundary import IGNORE, boundary_map
 from adaptok.config import load_config
 from adaptok.scenes import SceneSpec, generate_scene
@@ -322,6 +322,53 @@ class TestEvaluate:
         for name, want in digests.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"policy": "adaptive"}, {"policy": "random_ratio"}, {"policy": "oracle_mix", "oracle_rate": 0.5}],
+        ids=["adaptive", "random_ratio", "oracle_mix_0.5"],
+    )
+    def test_batch_composition_changes_no_output(self, scene_spec, tmp_path, monkeypatch, overrides):
+        # 40 nano scenes run one at a time, then as stacked batches of 32 + 8;
+        # each scene is keyed by its index, so not one output byte may differ.
+        # These thresholds split some untrained tokens and not others.
+        cfg = config.nano().with_overrides(thresholds=(0.0285, 0.2, 0.105), **overrides)
+        store = params.init_params(cfg, seed=0)
+        corpus = scenes.generate_corpus(13, 40, scene_spec)
+        forward_batch, batches, outputs = train.forward_batch, [], {}
+
+        def spy(images, *args, **kwargs):
+            batches.append(len(images))
+            return forward_batch(images, *args, **kwargs)
+
+        monkeypatch.setattr(train, "forward_batch", spy)
+        for name, pixels, sizes in (("solo", 64 * 64, [1] * 40), ("stacked", evaluate.BATCH_PIXELS, [32, 8])):
+            monkeypatch.setattr(evaluate, "BATCH_PIXELS", pixels)
+            batches.clear()
+            out = tmp_path / name
+            man = evaluate.evaluate(cfg, store, corpus, seed=1, out_dir=str(out), n_overlays=40, n_feature_dumps=40)
+            assert batches == sizes
+            # random_ratio splits a fixed share of equal frontiers
+            mixed = any(len(hist) > 1 for hist in man["metrics"]["tokens_per_level_hist"].values())
+            assert mixed == (cfg.policy != "random_ratio")
+            outputs[name] = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        assert len(outputs["solo"]) == 1 + 3 * 40 + 40
+        assert outputs["solo"] == outputs["stacked"]
+
+    def test_batched_flop_check_names_the_scenes_and_section(self, nano_cfg, nano_store, scene_spec, monkeypatch):
+        # one extra MAC in one scene's analytic report, inside a batch of three
+        count_forward, reports = flops.count_forward, []
+
+        def off_by_one(cfg, trace):
+            reports.append(count_forward(cfg, trace))
+            if len(reports) == 2:
+                reports[-1].sections["stage2.r2"].macs += 1
+            return reports[-1]
+
+        monkeypatch.setattr(flops, "count_forward", off_by_one)
+        with pytest.raises(RuntimeError, match=r"^scenes 0-2, section stage2\.r2: analytic count"):
+            evaluate.evaluate(nano_cfg, nano_store, scenes.generate_corpus(3, 3, scene_spec), seed=0)
+        assert len(reports) == 3
+
     def test_segmentation_metrics_hand_case(self):
         conf = np.array([[3, 1], [0, 4]])
         m = evaluate.segmentation_metrics(conf)
@@ -394,7 +441,21 @@ class TestCli:
         assert self.run("train", "--policy", "random_ratio", "--steps", "3", "--count", "4", "--batch", "2", "--out", str(run_dir)) == 0
         assert self.run("eval", "--params", params_path, "--count", "2", "--out", str(tmp_path / "ev")) == 0
         assert self.run("eval", "--params", params_path, "--tau", "0.01,0.02,0.04", "--count", "2", "--out", str(tmp_path / "ev_tau")) == 0
-        assert self.run("flops", "--params", params_path, "--count", "2") == 0
+        policies = ["adaptive", "dense", "random_ratio"]
+        assert self.run("flops", "--params", params_path, "--count", "2", "--policies", ",".join(policies), "--out", str(tmp_path / "fl")) == 0
+        rows = json.loads((tmp_path / "fl" / "flops.json").read_text())
+        assert [r["policy"] for r in rows] == policies
+        # one stacked batch in the CLI; here each scene alone, under its own meter
+        corpus = scenes.generate_corpus(7, 2, SceneSpec())
+        for row in rows:
+            cfg = config.nano().with_overrides(policy=row["policy"])
+            store = params.load_params(params_path, cfg)
+            totals = []
+            for i, sc in enumerate(corpus):
+                with flops.meter() as m:
+                    train.forward_full(sc.image, store, cfg, sc.labels, batch_index=i)
+                totals.append(m.total().flops)
+            assert (row["flops_mean"], row["flops_std"]) == flops.corpus_stats(totals)
 
     def test_tau_and_policy_flags(self, tmp_path):
         out = tmp_path / "ev"
@@ -469,6 +530,13 @@ class TestCli:
         record = self.error_record(capsys, "eval", "--config", str(path), "--count", "1", "--out", str(tmp_path / "ev"))
         assert record["error"] == "ValueError"
         assert record["message"].startswith(f"{path}: ") and cause in record["message"]
+
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        record = self.error_record(capsys, "eval", "--config", str(path), "--count", "1", "--out", str(tmp_path / "ev"))
+        assert record == {"command": "eval", "error": "ValueError", "message": f"{path}: a config must be a JSON object, got list"}
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_gen_count_below_1_rejected(self, tmp_path, capsys, count):

@@ -408,7 +408,7 @@ class TestOracleMixGate:
             return params.rng_for(seed, *tags)
 
         monkeypatch.setattr(stage1, "rng_for", spy)
-        train.forward_batch([sc.image for sc in corpus], [sc.labels for sc in corpus], store, cfg, batch_index=4)
+        train.forward_batch([sc.image for sc in corpus], [sc.labels for sc in corpus], store, cfg, keys=[(4, 0), (4, 1)])
         if policy == "oracle_mix":
             assert drawn == [("oracle_gate", 4)]
         else:
