@@ -118,8 +118,11 @@ def cmd_flops(args) -> int:
     store = load_params(args.params, cfg) if args.params else init_params(cfg, args.seed)
     rows = []
     for pcfg in pcfgs:
-        batches = evaluate_mod.metered_batches(pcfg, store, corpus)
-        mean, std = flops_mod.corpus_stats(rep.total().flops for _, _, reports in batches for rep in reports)
+        per_scene = []
+        for _, batch, reports in evaluate_mod.metered_batches(pcfg, store, corpus):
+            del batch  # freed before the next batch's forward
+            per_scene += [rep.total().flops for rep in reports]
+        mean, std = flops_mod.corpus_stats(per_scene)
         rows.append({"policy": pcfg.policy, "flops_mean": mean, "flops_std": std})
         print(f"{pcfg.policy:>14}: {mean:.3e} ± {std:.3e} FLOPs/sample")
     if args.out:

@@ -60,9 +60,10 @@ def metered_batches(cfg: EncoderConfig, store: ParamStore, scenes):
     """Run `scenes` under the FLOPs meter in stacked batches of as many as
     fit in `BATCH_PIXELS` (at least one), scene i keyed `(i, 0)`, so no
     output depends on the batch size. Yields each batch's first scene
-    index, its `BatchForward` and its scenes' `count_forward` reports;
-    raises RuntimeError when a section's metered counts differ from the sum
-    of the batch's reports."""
+    index, its `BatchForward` and its scenes' `count_forward` reports, and
+    keeps no batch past its yield, so a consumer that drops it frees it
+    before the next forward; raises RuntimeError when a section's metered
+    counts differ from the sum of the batch's reports."""
     size = max(1, BATCH_PIXELS // (cfg.input_h * cfg.input_w))
     for lo in range(0, len(scenes), size):
         part = scenes[lo : lo + size]
@@ -82,6 +83,7 @@ def metered_batches(cfg: EncoderConfig, store: ParamStore, scenes):
                     f"scenes {lo}-{lo + len(part) - 1}, section {name}: analytic count {want} disagrees with metered {got}"
                 )
         yield lo, batch, reports
+        del batch
 
 
 def evaluate(
@@ -116,6 +118,7 @@ def evaluate(
                     pnm.write_ppm8(os.path.join(out_dir, overlay_files[-1]), mask)
             if out_dir and i < n_feature_dumps:
                 save_emitted_maps(os.path.join(out_dir, f"features_{i:04d}.bin"), batch.s2out.sample(i - lo))
+        del batch  # freed before the next batch's forward
     allocator_mse, auc = 0.0, None
     if scored:
         pred, targ = (np.concatenate(parts) for parts in zip(*scored))

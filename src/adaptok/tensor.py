@@ -44,10 +44,12 @@ def constant(data) -> Tensor:
 
 
 class GradTape:
-    """Creation-ordered record of traced ops; reverse replay yields grads."""
+    """Creation-ordered record of traced ops; reverse replay yields grads.
+    Single-use: `backward` frees what its nodes saved and marks it spent."""
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.spent = False
 
     def __enter__(self):
         _TAPES.append(self)
@@ -93,8 +95,11 @@ class Gradients(dict):
 
 
 def backward(loss: Tensor, tape: GradTape, params=None):
-    """Accumulate d(loss)/d(t) into `t.grad` for every tensor on the tape
-    and every `requires_grad` leaf under it; constants keep `grad` None.
+    """Accumulate d(loss)/d(t) into `t.grad` for every `requires_grad` leaf
+    under `tape`; constants keep `grad` None. Each node on the tape drops
+    its gradient and its vjp (with the values the vjp saved) once it has
+    propagated them, so afterwards the nodes hold only their data and the
+    tape is spent: a second `backward` over it raises ContractError.
 
     `loss` must be a scalar produced under `tape`. When `params` is given
     (iterable of (name, Tensor)), returns their `Gradients`: each
@@ -104,22 +109,27 @@ def backward(loss: Tensor, tape: GradTape, params=None):
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    if tape.spent:
+        raise ContractError("tape already consumed by backward: its nodes no longer hold gradients or saved values")
+    tape.spent = True
     params = None if params is None else list(params)
     for node in tape.nodes:
         node.grad = None
         for p in node._parents:
             p.grad = None
+    for _, t in params or ():
+        t.grad = None  # an earlier backward's gradient (and its buffer) is not this loss's
     grads = None if params is None else Gradients(params)
-    slots = {}
-    for name, t in params or ():
-        t.grad = None  # an earlier backward's gradient is not this loss's
-        slots[id(t)] = grads[name]
+    slots = {id(t): grads[name] for name, t in params or ()}
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
-        if node.grad is None:
+        # every consumer of `node` came later on the tape, so its gradient
+        # is complete here and is spent once propagated
+        g_out, vjp = node.grad, node._vjp
+        node.grad = node._vjp = None
+        if g_out is None:
             continue
-        gs = node._vjp(node.grad)
-        for p, g in zip(node._parents, gs):
+        for p, g in zip(node._parents, vjp(g_out)):
             if g is None or not p.requires_grad:
                 continue
             slot = slots.get(id(p))
@@ -311,7 +321,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     flops.add_cost(scalar_ops=rows * flops.layer_norm_row_ops(d))
     # np.var's own arithmetic on rows centred once; the squares land in
     # the output buffer, which then takes the affine in place
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
     y = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(np.add.reduce(y, -1, keepdims=True) / d + eps)
     xhat *= inv
@@ -322,11 +332,12 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def vjp(g):
         dxhat = g * gd
-        # classic layer-norm backward in terms of xhat
+        # classic layer-norm backward in terms of xhat; each row mean is
+        # `ndarray.mean`'s own sum-then-divide, without its Python wrapper
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, -1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / d)
         )
         axes = tuple(range(g.ndim - 1))
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)

@@ -244,33 +244,39 @@ def train(
     for step in range(steps):
         opt.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / max(steps - 1, 1)))
         idx = rng_for(seed, "batch", step).choice(n, size=min(batch_size, n), replace=False)
-        images = [corpus[i].image for i in idx]
-        labels = tables.take(idx)
-        with GradTape() as tape:
-            batch = forward_batch(images, labels, store, cfg, keys=[(step, i) for i in range(len(idx))])
-            total, raw = batch_loss(batch, allocator_weight)
-            parts_acc: dict[str, float] = {}
-            for parts in raw:
-                for k, v in parts.items():
-                    parts_acc[k] = parts_acc.get(k, 0.0) + v / len(batch)
-            if total is None:
-                continue
-            loss_val = float(total.data)
-            if not np.isfinite(loss_val):
-                raise RuntimeError(
-                    f"training diverged at step {step}: loss={loss_val}; "
-                    f"parts={parts_acc}"
-                )
-            grads = tensor.backward(total, tape, params=store.items())
-        if not np.isfinite(grads.flat).all():
-            name = next(name for name, g in grads.items() if not np.isfinite(g).all())
-            raise RuntimeError(f"training diverged at step {step}: non-finite gradient in {name}")
-        opt.step(grads.flat)
-        rec = {"step": step, "loss": loss_val, **parts_acc}
-        history.append(rec)
+        out = _step(cfg, store, opt, [corpus[i].image for i in idx], tables.take(idx), step, allocator_weight)
+        if out is None:
+            continue
+        loss_val, parts_acc = out
+        history.append({"step": step, "loss": loss_val, **parts_acc})
         if log is not None and (step % log_every == 0 or step == steps - 1):
             log(f"step {step:5d}  loss {loss_val:.6f}  " + "  ".join(f"{k} {v:.6f}" for k, v in parts_acc.items()))
     return history
+
+
+def _step(cfg, store, opt, images, labels, step, allocator_weight) -> tuple[float, dict] | None:
+    """One optimizer step on a batch keyed `(step, position)`; returns its
+    loss and mean loss parts, or None when no sample has a loss. The step's
+    graph, loss and gradients are this call's locals, so they die when it
+    returns, before the next step's forward."""
+    with GradTape() as tape:
+        batch = forward_batch(images, labels, store, cfg, keys=[(step, i) for i in range(len(images))])
+        total, raw = batch_loss(batch, allocator_weight)
+        parts_acc: dict[str, float] = {}
+        for parts in raw:
+            for k, v in parts.items():
+                parts_acc[k] = parts_acc.get(k, 0.0) + v / len(batch)
+        if total is None:
+            return None
+        loss_val = float(total.data)
+        if not np.isfinite(loss_val):
+            raise RuntimeError(f"training diverged at step {step}: loss={loss_val}; parts={parts_acc}")
+        grads = tensor.backward(total, tape, params=store.items())
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.items() if not np.isfinite(g).all())
+        raise RuntimeError(f"training diverged at step {step}: non-finite gradient in {name}")
+    opt.step(grads.flat)
+    return loss_val, parts_acc
 
 
 def ranking_auc(scores, positives) -> float:

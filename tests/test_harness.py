@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import os
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -207,6 +210,60 @@ class TestTrainingPinned:
         assert np.array_equal(store.flat, before)
 
 
+def spy_forwards(monkeypatch):
+    """Wrap `train.forward_batch` so that each call first checks that no
+    earlier call's BatchForward is still alive (the graph, its loss and
+    gradients hang off it); returns the list of weak references."""
+    forward_batch, refs = train.forward_batch, []
+
+    def spy(*args, **kwargs):
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert not alive, f"forward {len(refs)} starts with forwards {alive} alive"
+        out = forward_batch(*args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(train, "forward_batch", spy)
+    return refs
+
+
+@pytest.fixture
+def no_gc():
+    # lifetimes end by reference count alone: no cycle waits for the collector
+    gc.disable()
+    yield
+    gc.enable()
+
+
+class TestStepLifetimes:
+    def test_step_graph_dead_when_next_forward_starts(self, nano_cfg, scene_spec, monkeypatch, no_gc):
+        store = params.init_params(nano_cfg, seed=0)
+        refs = spy_forwards(monkeypatch)
+        train.train(nano_cfg, store, scenes.generate_corpus(5, 4, scene_spec), steps=3, batch_size=2, seed=0, log=None)
+        assert len(refs) == 3 and refs[-1]() is None
+
+    def test_live_peak_flat_across_steps(self, scene_spec):
+        # a batch-8 step's live peak is its own graph and backward: step 1's
+        # peak already includes every first-use allocation, so a later step
+        # that still held its predecessor's graph would read megabytes more
+        cfg = config.nano().with_overrides(policy="random_ratio")
+        store = params.init_params(cfg, seed=0)
+        corpus = scenes.generate_corpus(9, 16, scene_spec)
+        peaks = []
+
+        def log(_line):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            train.train(cfg, store, corpus, steps=6, batch_size=8, seed=0, log_every=1, log=log)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 6
+        assert max(peaks[1:]) - peaks[0] <= 0.5e6, [round(p / 1e6, 2) for p in peaks]
+
+
 class TestRankingAuc:
     def test_perfect_separation(self):
         assert train.ranking_auc([0.9, 0.8, 0.1, 0.2], [True, True, False, False]) == 1.0
@@ -368,6 +425,16 @@ class TestEvaluate:
         with pytest.raises(RuntimeError, match=r"^scenes 0-2, section stage2\.r2: analytic count"):
             evaluate.evaluate(nano_cfg, nano_store, scenes.generate_corpus(3, 3, scene_spec), seed=0)
         assert len(reports) == 3
+
+    @pytest.mark.parametrize("consumer", ["evaluate", "flops"])
+    def test_batch_dead_when_next_forward_starts(self, nano_cfg, nano_store, scene_spec, monkeypatch, no_gc, consumer):
+        monkeypatch.setattr(evaluate, "BATCH_PIXELS", 2 * 64 * 64)
+        refs = spy_forwards(monkeypatch)
+        if consumer == "evaluate":
+            evaluate.evaluate(nano_cfg, nano_store, scenes.generate_corpus(3, 6, scene_spec), seed=0)
+        else:
+            assert cli.main(["flops", "--count", "6", "--policies", "adaptive"]) == 0
+        assert len(refs) == 3 and refs[-1]() is None
 
     def test_segmentation_metrics_hand_case(self):
         conf = np.array([[3, 1], [0, 4]])

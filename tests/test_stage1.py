@@ -395,9 +395,9 @@ class TestOracleMixGate:
 
     @pytest.mark.parametrize("policy", ["oracle_mix", "random_ratio"])
     def test_forward_draws_only_the_streams_its_policy_reads(self, monkeypatch, scene_spec, policy):
-        # oracle_mix reads the per-batch gate at a rate that can flip it;
-        # random_ratio reads one stream per sample and round, keyed by batch
-        # index, sample and round
+        # oracle_mix draws its gate once per distinct draw, at a rate that
+        # can flip it; random_ratio reads one stream per sample and round,
+        # keyed by (draw, stream, round)
         cfg = config.nano().with_overrides(policy=policy, oracle_rate=0.5)
         store = init_params(cfg, seed=0)
         corpus = scenes.generate_corpus(3, 2, scene_spec)

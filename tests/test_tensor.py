@@ -591,6 +591,28 @@ class TestBackward:
         assert np.array_equal(grads["p"], np.zeros(3)) and p.grad is None
         assert np.array_equal(grads["w"], 2 * w.data)
 
+    def test_interior_nodes_keep_no_gradient_or_saved_values(self, rng):
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        with GradTape() as tape:
+            y = tensor.layer_norm(tensor.gelu(x), gamma, beta)
+            loss = tensor.sum_all(mul(y, y))
+        nodes = list(tape.nodes)
+        backward(loss, tape)
+        assert tape.nodes == nodes and len(nodes) == 4
+        assert all(node.grad is None and node._vjp is None for node in nodes)
+        assert all(t.grad is not None for t in (x, gamma, beta))
+
+    def test_spent_tape_rejected_before_any_gradient_changes(self, rng):
+        w = Tensor(rng.standard_normal(3), requires_grad=True)
+        with GradTape() as tape:
+            loss = tensor.sum_all(mul(w, w))
+        grads = backward(loss, tape, params=[("w", w)])
+        first, flat = w.grad, grads.flat.copy()
+        with pytest.raises(ContractError, match="already consumed by backward"):
+            backward(loss, tape, params=[("w", w)])
+        assert w.grad is first and np.array_equal(grads.flat, flat)
+
     def test_non_scalar_loss_rejected(self, rng):
         w = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         with GradTape() as tape:
