@@ -51,12 +51,13 @@ def class_color(cls: int) -> np.ndarray:
 
 
 def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
+    """Each region writes only its clipped bounding box; the noise draw is
+    the one full-frame temporary."""
     rng = rng_for(seed, "scene")
     h, w = spec.height, spec.width
     labels = np.zeros((h, w), dtype=np.int64)
     uniform = rng.random() < spec.uniform_fraction
     n_regions = 0 if uniform else int(rng.integers(0, spec.max_regions + 1))
-    yy, xx = np.mgrid[0:h, 0:w]
     for _ in range(n_regions):
         cls = int(rng.integers(1, spec.n_classes))
         kind = rng.random() < 0.5
@@ -64,16 +65,22 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
         rx = int(rng.integers(spec.min_region, max(w // 2, spec.min_region + 1)))
         cy = int(rng.integers(0, h))
         cx = int(rng.integers(0, w))
+        # both kinds lie in |y - cy| <= ry // 2, |x - cx| <= rx // 2: outside
+        # it one ellipse term alone exceeds 1
+        y0, x0 = max(cy - ry // 2, 0), max(cx - rx // 2, 0)
+        box = labels[y0 : cy + ry // 2 + 1, x0 : cx + rx // 2 + 1]
         if kind:
-            mask = (np.abs(yy - cy) <= ry // 2) & (np.abs(xx - cx) <= rx // 2)
+            box[...] = cls
         else:
-            mask = ((yy - cy) / (ry / 2)) ** 2 + ((xx - cx) / (rx / 2)) ** 2 <= 1.0
-        labels[mask] = cls
-    image = np.empty((h, w, 3))
-    for cls in np.unique(labels):
-        image[labels == cls] = class_color(int(cls))
-    image = image + spec.noise * rng.standard_normal((h, w, 3))
-    return SyntheticScene(image=np.clip(image, 0.0, 1.0), labels=labels, seed=seed)
+            yy = np.arange(y0, y0 + box.shape[0])[:, None]
+            xx = np.arange(x0, x0 + box.shape[1])[None, :]
+            box[((yy - cy) / (ry / 2)) ** 2 + ((xx - cx) / (rx / 2)) ** 2 <= 1.0] = cls
+    palette = np.array([class_color(c) for c in range(spec.n_classes)])
+    image = palette[labels]
+    noise = rng.standard_normal((h, w, 3))
+    noise *= spec.noise
+    image += noise
+    return SyntheticScene(image=np.clip(image, 0.0, 1.0, out=image), labels=labels, seed=seed)
 
 
 def scene_seed(corpus_seed: int, index: int) -> int:
@@ -142,7 +149,8 @@ def load_corpus_dir(path, shape: tuple[int, int]) -> list[SyntheticScene]:
         raise ValueError(f"corpus is empty: {path} holds no .ppm image")
     for n in names:
         file = os.path.join(path, n)
-        img = pnm.read_ppm8(file).astype(np.float64) / 255.0
+        img = pnm.read_ppm8(file).astype(np.float64)
+        img /= 255.0
         lab = pnm.read_pgm16(file[:-4] + ".pgm").astype(np.int64)
         if img.shape[:2] != lab.shape:
             raise ValueError(f"{file}: image is {img.shape[0]}x{img.shape[1]}, its label map {lab.shape[0]}x{lab.shape[1]}")

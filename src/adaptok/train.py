@@ -258,7 +258,8 @@ def _step(cfg, store, opt, images, labels, step, allocator_weight) -> tuple[floa
     """One optimizer step on a batch keyed `(step, position)`; returns its
     loss and mean loss parts, or None when no sample has a loss. The step's
     graph, loss and gradients are this call's locals, so they die when it
-    returns, before the next step's forward."""
+    returns, before the next step's forward; once the update is done no
+    parameter's `.grad` keeps the gradient buffer alive."""
     with GradTape() as tape:
         batch = forward_batch(images, labels, store, cfg, keys=[(step, i) for i in range(len(images))])
         total, raw = batch_loss(batch, allocator_weight)
@@ -276,6 +277,8 @@ def _step(cfg, store, opt, images, labels, step, allocator_weight) -> tuple[floa
         name = next(name for name, g in grads.items() if not np.isfinite(g).all())
         raise RuntimeError(f"training diverged at step {step}: non-finite gradient in {name}")
     opt.step(grads.flat)
+    for _, t in store.items():
+        t.grad = None  # a view of grads.flat
     return loss_val, parts_acc
 
 

@@ -63,6 +63,77 @@ class TestSceneGeneration:
             assert np.array_equal(a.labels, b.labels)
             assert np.max(np.abs(a.image - b.image)) < 1 / 255 + 1e-9
 
+    # SHA-256 of corpus 0's images and labels (raw float64 / int64 bytes,
+    # scene after scene); the 96x128 spec's regions clip at every edge
+    CORPUS_DIGESTS = {
+        "default": (
+            SceneSpec(),
+            8,
+            "bfca39857d9c3926ef462b203d727cab871260136c300f00ef94782e92efc074",
+            "ecd19bbee5895540b1f4f3fc174dc0a6c66e10572bdbaf23a682713daa957a22",
+        ),
+        "max_regions_8": (
+            SceneSpec(max_regions=8),
+            16,
+            "721ba966bb942342980e62aa7a145a1e3ac28a9a5f459ae36a6516fc643abc7a",
+            "8bd854a00637f0aec7b81c071e1ecc67f9b4425c7cad51cca3ee816ba7bbb785",
+        ),
+        "no_noise": (
+            SceneSpec(noise=0.0),
+            8,
+            "1fe719f729ccea7dd46dd12188333ce9938c8fc24e9f5d9f8be72d053de91ba2",
+            "ecd19bbee5895540b1f4f3fc174dc0a6c66e10572bdbaf23a682713daa957a22",
+        ),
+        "all_uniform": (
+            SceneSpec(uniform_fraction=1.0),
+            8,
+            "fd787e5a05104a471655966636e38ccc13ad853f612f86eb6e075fe1a9a2493e",
+            "8a39d2abd3999ab73c34db2476849cddf303ce389b35826850f9a700589b4a90",
+        ),
+        "256": (
+            SceneSpec(height=256, width=256),
+            1,
+            "f14ef8ffb2d396fc40d0036c83e2d747bf35c457fd0e1ff87a8233549d844277",
+            "23852e0edbd837814287af87fcb8771bdcb6bbe0c94613eae0f94c698a697da2",
+        ),
+        "clipped_96x128": (
+            SceneSpec(height=96, width=128, min_region=3, max_regions=12),
+            16,
+            "9206e760d05f5c55fbc213b56143863df44ae930a46403a6babcc05ca5ccdffb",
+            "77df74bd809f14fc00e2e617342b35b697422157c523893ef55384c996bf2f5b",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CORPUS_DIGESTS))
+    def test_corpus_bytes_pinned(self, case):
+        spec, count, image_digest, label_digest = self.CORPUS_DIGESTS[case]
+        images, labels = hashlib.sha256(), hashlib.sha256()
+        for sc in scenes.generate_corpus(0, count, spec):
+            assert sc.image.dtype == np.float64 and sc.labels.dtype == np.int64
+            images.update(np.ascontiguousarray(sc.image).tobytes())
+            labels.update(np.ascontiguousarray(sc.labels).tobytes())
+        assert (images.hexdigest(), labels.hexdigest()) == (image_digest, label_digest)
+
+    def test_transient_within_one_frame(self):
+        # above the image and labels it returns, a scene allocates its noise
+        # draw (one image frame) and no other full-frame array
+        spec = SceneSpec(max_regions=8)
+        frame = spec.height * spec.width * 3 * 8
+        worst = 0
+        tracemalloc.start()
+        try:
+            for i in range(64):
+                seed = scenes.scene_seed(0, i)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sc = generate_scene(seed, spec)
+                extra = tracemalloc.get_traced_memory()[1] - base - sc.image.nbytes - sc.labels.nbytes
+                worst = max(worst, extra)
+                del sc
+        finally:
+            tracemalloc.stop()
+        assert worst <= frame + 16 * 1024, f"{worst / 1024:.1f} KB above the kept arrays"
+
     def test_ragged_pairs_padded_on_load(self, tmp_path, rng):
         from adaptok.boundary import IGNORE, boundary_map
 
@@ -262,6 +333,14 @@ class TestStepLifetimes:
             tracemalloc.stop()
         assert len(peaks) == 6
         assert max(peaks[1:]) - peaks[0] <= 0.5e6, [round(p / 1e6, 2) for p in peaks]
+
+    def test_no_parameter_gradient_outlives_its_step(self, nano_cfg, scene_spec):
+        # each parameter's .grad is a view of the step's flat gradient
+        # buffer: one left behind pins an arena-sized array for the store's life
+        store = params.init_params(nano_cfg, seed=0)
+        train.train(nano_cfg, store, scenes.generate_corpus(5, 2, scene_spec), steps=1, batch_size=2, seed=0, log=None)
+        held = [name for name, t in store.items() if t.grad is not None]
+        assert not held, f"{len(held)} parameters hold a .grad, e.g. {held[:3]}"
 
 
 class TestRankingAuc:
