@@ -52,25 +52,35 @@ def cluster(token_set: TokenBatch, cluster_size: int) -> ClusterAssignment:
 
 
 def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, size: int, key_levels, segments):
+    """x plus the attention branch, the residual added in the output
+    projection. The layer-norm output is dropped once q, k and v exist."""
     h = tensor.layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
-    q, k, v = (tensor.linear(h, store[f"{prefix}.{nm}.w"], store[f"{prefix}.{nm}.b"], segments) for nm in "qkv")
-    if key_levels is not None:
-        # scale-aware keys: coarse and fine tokens in one neighborhood stay
-        # distinguishable to the attention logits
-        k = tensor.add(k, tensor.gather_rows(store[f"{prefix}.key_scale"], key_levels))
+    # scale-aware keys: coarse and fine tokens in one neighborhood stay
+    # distinguishable to the attention logits
+    key_scale = None if key_levels is None else tensor.gather_rows(store[f"{prefix}.key_scale"], key_levels)
+    q, k, v = (
+        tensor.linear(h, store[f"{prefix}.{nm}.w"], store[f"{prefix}.{nm}.b"], segments, plus)
+        for nm, plus in (("q", None), ("k", key_scale), ("v", None))
+    )
+    del h, key_scale
     attn = tensor.window_attention(q, k, v, size, heads, segments)
-    return tensor.linear(attn, store[f"{prefix}.o.w"], store[f"{prefix}.o.b"], segments)
-
-
-def _mlp(x: Tensor, store: ParamStore, prefix: str, segments) -> Tensor:
-    h = tensor.gelu(tensor.linear(x, store[f"{prefix}.mlp1.w"], store[f"{prefix}.mlp1.b"], segments))
-    return tensor.linear(h, store[f"{prefix}.mlp2.w"], store[f"{prefix}.mlp2.b"], segments)
+    return tensor.linear(attn, store[f"{prefix}.o.w"], store[f"{prefix}.o.b"], segments, plus=x)
 
 
 def _block(x, store, prefix, heads, size, key_levels, segments) -> Tensor:
-    x = tensor.add(x, _attention(x, store, prefix, heads, size, key_levels, segments))
-    h = tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
-    return tensor.add(x, _mlp(h, store, prefix, segments))
+    x = _attention(x, store, prefix, heads, size, key_levels, segments)
+    # the layer-norm output is passed as the MLP's only reference, so off a
+    # tape the MLP frees it once its hidden rows exist (CPython 3.11 on hands
+    # a call's arguments to the callee; 3.10 holds them until it returns)
+    return tensor.mlp(
+        tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"]),
+        store[f"{prefix}.mlp1.w"],
+        store[f"{prefix}.mlp1.b"],
+        store[f"{prefix}.mlp2.w"],
+        store[f"{prefix}.mlp2.b"],
+        segments,
+        plus=x,
+    )
 
 
 def cluster_attention_block(

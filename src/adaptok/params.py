@@ -29,8 +29,8 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
     for t in tags:
         h.update(b"/")
         h.update(str(t).encode())
-    words = [int(w) for w in np.frombuffer(h.digest()[:16], dtype=np.uint32)]
-    return np.random.default_rng(np.random.SeedSequence(words))
+    # four little-endian words, so every host draws the same streams
+    return np.random.default_rng(np.random.SeedSequence(struct.unpack("<4I", h.digest()[:16])))
 
 
 class ParamStore:

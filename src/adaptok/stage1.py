@@ -263,8 +263,8 @@ class Stage1Run:
         with flops.section(f"stage1.r{r}"):
             store = self.store
             g = tensor.gather_rows(self.feats, tokens.frontier_rows)
-            h = tensor.gelu(tensor.linear(g, store[f"s1.r{r}.score1.w"], store[f"s1.r{r}.score1.b"], counts))
-            s = tensor.sigmoid(tensor.linear(h, store[f"s1.r{r}.score2.w"], store[f"s1.r{r}.score2.b"], counts))
+            w = [store[f"s1.r{r}.{nm}"] for nm in ("score1.w", "score1.b", "score2.w", "score2.b")]
+            s = tensor.sigmoid(tensor.mlp(g, *w, counts))
         self.score_tensors[r - 1] = s
         return [a.copy() for a in geometry.segment_views(s.data[:, 0], counts)]
 
@@ -319,16 +319,14 @@ class Stage1Run:
         cfg, store = self.cfg, self.store
         d = cfg.stage1_dims[r]
         slot_idx = np.tile(np.arange(4), len(parent_rows))
-        feat = None
+        # the parent residual, added last in the child MLP's output
+        feat = None if cfg.no_residual else tensor.gather_rows(self.feats, np.repeat(parent_rows, 4))
         if not cfg.no_aux_image:
             kids = geometry.segment_views(self.tokens.children(parent_rows), counts)
             pix = np.concatenate([geometry.patches(image, r, k[:, 1], k[:, 2]) for image, k in zip(self.images, kids)])
             t = tensor.linear(tensor.constant(pix), store[f"s1.r{r}.child.pix.w"], store[f"s1.r{r}.child.pix.b"], counts)
-            h = tensor.gelu(tensor.linear(t, store[f"s1.r{r}.child.mlp1.w"], store[f"s1.r{r}.child.mlp1.b"], counts))
-            feat = tensor.linear(h, store[f"s1.r{r}.child.mlp2.w"], store[f"s1.r{r}.child.mlp2.b"], counts)
-        if not cfg.no_residual:
-            residual = tensor.gather_rows(self.feats, np.repeat(parent_rows, 4))
-            feat = residual if feat is None else tensor.add(feat, residual)
+            w = [store[f"s1.r{r}.child.{nm}"] for nm in ("mlp1.w", "mlp1.b", "mlp2.w", "mlp2.b")]
+            feat = tensor.mlp(t, *w, counts, plus=feat)
         if feat is None:
             feat = tensor.constant(np.zeros((sum(counts), d)))
         feat = tensor.add(feat, store[f"s1.r{r}.scale_emb"])

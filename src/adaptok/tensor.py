@@ -238,30 +238,103 @@ def _segment_matmul(xd: np.ndarray, wd: np.ndarray, segments) -> np.ndarray:
     return y
 
 
-def linear(x, w, b, segments=None) -> Tensor:
-    """x @ w + b over row segments (per-sample blocks of a stacked batch),
-    each row computed as its sample alone computes it (`_segment_matmul`).
-    Costs what matmul plus a bias add cost."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"linear shapes {x.data.shape} @ {w.data.shape}")
+def _linear_shapes(shape, w, b):
+    """Check a projection of rows of `shape` by weight w and bias b."""
+    if len(shape) != 2 or w.data.ndim != 2 or shape[1] != w.data.shape[0]:
+        raise ValueError(f"linear shapes {shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ValueError(f"linear bias shape {b.data.shape} for weight {w.data.shape}")
+
+
+def _plus_operand(plus, shape):
+    """`plus` as a Tensor of the output's shape, or None. It leads its
+    node's parents, so its gradient arrives first, as from an add node
+    replayed before the projection's."""
+    if plus is None:
+        return None
+    plus = _as_tensor(plus)
+    if plus.data.shape != shape:
+        raise ValueError(f"plus shape {plus.data.shape} for output {shape}")
+    return plus
+
+
+def linear(x, w, b, segments=None, plus=None) -> Tensor:
+    """x @ w + b over row segments (per-sample blocks of a stacked batch),
+    each row computed as its sample alone computes it (`_segment_matmul`).
+    `plus`, an (m, n) operand such as a residual, is added last, in the
+    product's own fresh buffer: the bits and gradients of `add(plus,
+    linear(x, w, b))` in one node. Costs what matmul plus a bias add (and
+    the plus add) cost."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    _linear_shapes(x.data.shape, w, b)
     (m, k), n = x.data.shape, w.data.shape[1]
-    flops.add_cost(macs=m * k * n, scalar_ops=m * n)
+    plus = _plus_operand(plus, (m, n))
+    flops.add_cost(macs=m * k * n, scalar_ops=m * n * (1 if plus is None else 2))
     xd, wd = x.data, w.data
     y = _segment_matmul(xd, wd, segments)
     y += b.data
+    if plus is not None:
+        y += plus.data
     out = Tensor(y)
 
     def vjp(g):
-        return (
-            g @ wd.T if x.requires_grad else None,
-            xd.T @ g if w.requires_grad else None,
-            g.sum(axis=0),
-        )
+        grads = (g @ wd.T if x.requires_grad else None, xd.T @ g if w.requires_grad else None, g.sum(axis=0))
+        return grads if plus is None else (g,) + grads
 
-    _record(out, (x, w, b), vjp)
+    _record(out, (x, w, b) if plus is None else (plus, x, w, b), vjp)
+    return out
+
+
+def mlp(x, w1, b1, w2, b2, segments=None, plus=None) -> Tensor:
+    """linear -> GELU -> linear over row segments, then `plus` added last:
+    the bits, gradients and FLOP charges of `add(plus, linear(gelu(linear(x,
+    w1, b1)), w2, b2))` in one node. Off a tape the GELU runs in place in
+    the hidden buffer, the only hidden-size array the call makes; on a tape
+    the pre-activation, its tanh values and the activation are kept for the
+    vjp, as the separate nodes keep them."""
+    x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
+    _linear_shapes(x.data.shape, w1, b1)
+    (m, k), hid, n = x.data.shape, w1.data.shape[1], w2.data.shape[-1]
+    _linear_shapes((m, hid), w2, b2)
+    plus = _plus_operand(plus, (m, n))
+    parents = (x, w1, b1, w2, b2) if plus is None else (plus, x, w1, b1, w2, b2)
+    flops.add_cost(
+        macs=m * k * hid + m * hid * n,
+        scalar_ops=(1 + flops.GELU_OPS_PER_ELEM) * m * hid + m * n * (1 if plus is None else 2),
+    )
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    u = _segment_matmul(xd, w1d, segments)
+    u += b1.data
+    taped = _taped(parents)
+    if taped:
+        t, h = np.empty(u.shape), np.empty(u.shape)
+        _gelu_into(u, h, t)
+    else:
+        # nothing reads x again: an x passed as its only reference (a layer
+        # norm's output) is freed before the output is made
+        del x, xd, parents
+        t, h = None, _gelu_into(u, u)
+    y = _segment_matmul(h, w2d, segments)
+    y += b2.data
+    if plus is not None:
+        y += plus.data
+    out = Tensor(y)
+    if not taped:
+        return out
+
+    def vjp(g):
+        gw2 = h.T @ g if w2.requires_grad else None
+        gb2 = g.sum(axis=0)
+        gx = gw1 = gb1 = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gu = _gelu_vjp(g @ w2d.T, u, t)
+            gx = gu @ w1d.T if x.requires_grad else None
+            gw1 = xd.T @ gu if w1.requires_grad else None
+            gb1 = gu.sum(axis=0)
+        grads = (gx, gw1, gb1, gw2, gb2)
+        return grads if plus is None else (g,) + grads
+
+    _record(out, parents, vjp)
     return out
 
 
@@ -351,6 +424,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu_into(xd: np.ndarray, y: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """y = GELU(xd), one cache-sized chunk at a time; y may be xd itself,
+    for GELU in place. The tanh values land in `t` when given (for a vjp),
+    else in one chunk of scratch. Returns y."""
+    xf, yf = xd.reshape(-1), y.reshape(-1)
+    s = np.empty((2, min(CHUNK, xf.size)))
+    # 0.5 x (1 + tanh(c (x + a x^3)))
+    for lo in range(0, xf.size, CHUNK):
+        hi = min(lo + CHUNK, xf.size)
+        xc, yc, sc = xf[lo:hi], yf[lo:hi], s[0, : hi - lo]
+        tc = s[1, : hi - lo] if t is None else t.reshape(-1)[lo:hi]
+        np.multiply(xc, xc, out=tc)
+        np.multiply(tc, xc, out=tc)
+        np.multiply(tc, _GELU_A, out=tc)
+        np.add(xc, tc, out=tc)
+        np.multiply(tc, _GELU_C, out=tc)
+        np.tanh(tc, out=tc)
+        np.multiply(xc, 0.5, out=yc)  # the last read of xc, so yc may be xc
+        np.add(tc, 1.0, out=sc)
+        np.multiply(yc, sc, out=yc)
+    return y
+
+
+def _gelu_vjp(g: np.ndarray, xd: np.ndarray, t: np.ndarray) -> np.ndarray:
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
+    return g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du)
+
+
 def gelu(x) -> Tensor:
     """GELU, tanh approximation, one cache-sized chunk at a time. The tanh
     values are kept whole only on a tape, for the vjp; off it they live in
@@ -358,39 +459,18 @@ def gelu(x) -> Tensor:
     x = _as_tensor(x)
     flops.add_cost(scalar_ops=flops.GELU_OPS_PER_ELEM * x.data.size)
     xd = x.data
-    y = np.empty(xd.shape)
-    taped = _taped((x,))
-    t = np.empty(xd.shape) if taped else None
-    xf, yf = xd.reshape(-1), y.reshape(-1)
-    s = np.empty((2, min(CHUNK, xf.size)))
-    # 0.5 x (1 + tanh(c (x + a x^3)))
-    for lo in range(0, xf.size, CHUNK):
-        hi = min(lo + CHUNK, xf.size)
-        xc, yc, sc = xf[lo:hi], yf[lo:hi], s[0, : hi - lo]
-        tc = t.reshape(-1)[lo:hi] if taped else s[1, : hi - lo]
-        np.multiply(xc, xc, out=tc)
-        np.multiply(tc, xc, out=tc)
-        np.multiply(tc, _GELU_A, out=tc)
-        np.add(xc, tc, out=tc)
-        np.multiply(tc, _GELU_C, out=tc)
-        np.tanh(tc, out=tc)
-        np.multiply(xc, 0.5, out=yc)
-        np.add(tc, 1.0, out=sc)
-        np.multiply(yc, sc, out=yc)
-    out = Tensor(y)
-
-    def vjp(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd))
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
-
-    _record(out, (x,), vjp)
+    t = np.empty(xd.shape) if _taped((x,)) else None
+    out = Tensor(_gelu_into(xd, np.empty(xd.shape), t))
+    _record(out, (x,), lambda g: (_gelu_vjp(g, xd, t),))
     return out
 
 
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     flops.add_cost(scalar_ops=flops.SIGMOID_OPS_PER_ELEM * x.data.size)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    # exp overflows to inf for x < -709, where 1 / (1 + inf) is the right 0.0
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
     out = Tensor(s)
     _record(out, (x,), lambda g: (g * s * (1.0 - s),))
     return out

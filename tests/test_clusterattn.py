@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adaptok import clusterattn, geometry, params
+from adaptok import clusterattn, geometry, params, tensor
 from adaptok.clusterattn import cluster, cluster_attention_block, vit_block
 from adaptok.errors import ContractError
 from adaptok.geometry import coarse_grid
-from adaptok.tensor import Tensor
+from adaptok.tensor import GradTape, Tensor, backward
 
-from conftest import grow_random_set, parent_of, split, with_children
+from conftest import grow_random_set, mul, parent_of, split, with_children
 
 
 def make_block_store(d, seed=0, key_scale=True):
@@ -189,3 +189,53 @@ def test_key_scale_embedding_distinguishes_levels(rng):
     store["blk.key_scale"].data[:] = 0.0
     out2 = cluster_attention_block(x, s, cluster(s, 8), store, "blk", heads=1)
     assert np.max(np.abs(out1.data - out2.data)) > 1e-9
+
+
+def block_reference(x, store, prefix, heads, size, key_levels, segments):
+    """A block as separate nodes: one per projection, GELU and add."""
+
+    def lin(a, nm):
+        return tensor.linear(a, store[f"{prefix}.{nm}.w"], store[f"{prefix}.{nm}.b"], segments)
+
+    h = tensor.layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
+    q, k, v = (lin(h, nm) for nm in "qkv")
+    if key_levels is not None:
+        k = tensor.add(k, tensor.gather_rows(store[f"{prefix}.key_scale"], key_levels))
+    x = tensor.add(x, lin(tensor.window_attention(q, k, v, size, heads, segments), "o"))
+    h = tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"])
+    return tensor.add(x, lin(tensor.gelu(lin(h, "mlp1")), "mlp2"))
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("kind", ["cluster", "vit"])
+def test_blocks_match_their_separate_nodes(kind, taped):
+    # two samples, the block applied twice: the fused MLP, residual and
+    # key-scale adds give the bits of the separate nodes in the output, the
+    # input's gradient and every parameter's accumulated gradient
+    rng = np.random.default_rng(3)
+    sets = [grow_random_set(64, 64, p, rng)[0] for p in (0.6, 0.3)]
+    tokens = geometry.TokenBatch.stack(sets)
+    d = 16
+    store = make_block_store(d)
+    g = Tensor(rng.standard_normal((tokens.n_valid, d)))
+    x0 = rng.standard_normal((tokens.n_valid, d))
+    if kind == "cluster":
+        assignment = cluster(tokens, 8)
+        fused = lambda x: cluster_attention_block(x, tokens, assignment, store, "blk", 2)
+        ref = lambda x: block_reference(x, store, "blk", 2, 8, tokens.row_levels(), tokens.segments)
+    else:
+        fused = lambda x: vit_block(x, store, "blk", 2, tokens.segments)
+        ref = lambda x: block_reference(x, store, "blk", 2, max(tokens.segments), None, tokens.segments)
+    results = []
+    for block in (fused, ref):
+        x = Tensor(x0.copy(), requires_grad=taped)
+        with GradTape() as tape:
+            out = block(block(x))
+            loss = tensor.sum_all(mul(out, g))
+        grads = backward(loss, tape, params=store.items()).flat.copy() if taped else None
+        results.append((out.data, x.grad, grads))
+    (out, gx, grads), (want, want_gx, want_grads) = results
+    assert np.array_equal(out, want)
+    if taped:
+        assert np.array_equal(gx, want_gx)
+        assert np.array_equal(grads, want_grads)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -232,6 +233,14 @@ def _param_digest(store) -> str:
     return h.hexdigest()
 
 
+class TestRngFor:
+    def test_draws_pinned(self):
+        # the seed words are read little-endian, so every host draws these
+        assert params.rng_for(0, "x").integers(0, 2**32, size=4).tolist() == [4033195167, 3995429725, 4178030657, 2380386566]
+        assert params.rng_for(0, "x").standard_normal(2).tolist() == [0.7753760077983348, 0.4787334768960535]
+        assert params.rng_for(7, "ratio", 3, 1, 2).random() == 0.3984335454470407
+
+
 class TestTrainingPinned:
     # SHA-256 of the final parameters after 12 nano steps at batch 4 (by
     # sorted name, raw float64 bytes). oracle_mix 0.5 leaves the allocation
@@ -304,6 +313,41 @@ def no_gc():
     gc.disable()
     yield
     gc.enable()
+
+
+class TestStepTape:
+    def test_batch8_nano_step_composition(self, monkeypatch):
+        # nodes per kind (the op that recorded each, from its vjp) of one
+        # README-recipe step; each MLP is one node with its residual, and each
+        # residual or key-scale add is folded into its projection
+        kinds = []
+        backward = train.tensor.backward
+
+        def counting(loss, tape, params=None):
+            kinds.append(collections.Counter(node._vjp.__qualname__.split(".")[0] for node in tape.nodes))
+            return backward(loss, tape, params=params)
+
+        monkeypatch.setattr(train.tensor, "backward", counting)
+        cfg = config.nano().with_overrides(policy="random_ratio")
+        corpus = scenes.generate_corpus(0, 16, SceneSpec())
+        train.train(cfg, params.init_params(cfg, 0), corpus, steps=1, batch_size=8, seed=0, log=None)
+        assert kinds == [
+            {
+                "add": 8,
+                "concat": 9,
+                "gather_rows": 31,
+                "layer_norm": 16,
+                "linear": 49,
+                "mlp": 14,
+                "mse": 1,
+                "scale": 2,
+                "sigmoid": 3,
+                "softmax_cross_entropy": 1,
+                "sum_all": 1,
+                "window_attention": 8,
+            }
+        ]
+        assert sum(kinds[0].values()) == 143
 
 
 class TestStepLifetimes:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import os
@@ -5,16 +6,17 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adaptok import config, flops, params, scenes, tensor, train
+from adaptok import clusterattn, config, flops, params, scenes, stage1, tensor, train
 from adaptok.errors import ContractError
 from adaptok.tensor import GradTape, Tensor, backward
 
-from conftest import finite_difference, mul, rel_err, reshape
+from conftest import finite_difference, grow_random_set, mul, rel_err, reshape
 
 
 def naive_matmul(a, b):
@@ -427,6 +429,88 @@ class TestFramedWindowAttention:
         assert np.array_equal(tensor.gelu(Tensor(x)).data, on_tape)
 
 
+def mlp_reference(x, w1, b1, w2, b2, segments=None, plus=None):
+    """`tensor.mlp` as the separate nodes it folds."""
+    out = tensor.linear(tensor.gelu(tensor.linear(x, w1, b1, segments)), w2, b2, segments)
+    return out if plus is None else tensor.add(plus, out)
+
+
+def linear_plus_reference(x, w, b, segments=None, plus=None):
+    return tensor.add(plus, tensor.linear(x, w, b, segments))
+
+
+class TestFusedNodes:
+    """`mlp` and `linear(plus=...)` give the bits of the nodes they fold:
+    value on and off a tape, every gradient, and the FLOP charge."""
+
+    # one segment, equal-length segments (one stacked matmul), mixed segments
+    SEGMENTS = [None, (4, 4, 4), (5, 0, 3, 4)]
+
+    @staticmethod
+    def leaves(seed, mlp=True):
+        # p feeds x through a layer norm and is the plus operand, as a
+        # block's residual stream is: its gradient arrives from both
+        rng = np.random.default_rng(seed)
+        hidden = 7 if mlp else 5
+        shapes = {"p": (12, 5), "ln.g": (5,), "ln.b": (5,), "w1": (5, hidden), "b1": (hidden,)}
+        if mlp:
+            shapes.update({"w2": (hidden, 5), "b2": (5,)})
+        return {name: Tensor(rng.standard_normal(shape), requires_grad=True) for name, shape in shapes.items()}
+
+    @staticmethod
+    def run(op, t, segments, with_plus, taped):
+        """op's output, FLOP charge and, on a tape, every leaf's gradient
+        (the parameters' through their `Gradients` slots)."""
+        weights = [t[name] for name in ("w1", "b1", "w2", "b2") if name in t]
+        g = Tensor(np.random.default_rng(1).standard_normal((12, 5)))
+        with flops.meter() as m, GradTape() if taped else contextlib.nullcontext() as tape:
+            out = op(tensor.layer_norm(t["p"], t["ln.g"], t["ln.b"]), *weights, segments, t["p"] if with_plus else None)
+            loss = tensor.sum_all(mul(out, g))
+        if not taped:
+            return out.data, m.total(), None
+        grads = backward(loss, tape, params=[(name, v) for name, v in t.items() if name != "p"])
+        return out.data, m.total(), {"p": t["p"].grad, **grads}
+
+    @staticmethod
+    def assert_same(got, want):
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        if want[2] is not None:
+            assert got[2].keys() == want[2].keys()
+            for name in want[2]:
+                assert np.array_equal(got[2][name], want[2][name]), name
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("with_plus", [False, True])
+    @pytest.mark.parametrize("segments", SEGMENTS)
+    def test_mlp_matches_its_nodes(self, segments, with_plus, taped):
+        got = self.run(tensor.mlp, self.leaves(0), segments, with_plus, taped)
+        want = self.run(mlp_reference, self.leaves(0), segments, with_plus, taped)
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("segments", SEGMENTS)
+    def test_linear_plus_matches_linear_then_add(self, segments, taped):
+        got = self.run(tensor.linear, self.leaves(0, mlp=False), segments, True, taped)
+        want = self.run(linear_plus_reference, self.leaves(0, mlp=False), segments, True, taped)
+        self.assert_same(got, want)
+
+    def test_one_node_each_with_plus_first(self):
+        t = self.leaves(0)
+        with GradTape() as tape:
+            tensor.mlp(t["p"], t["w1"], t["b1"], t["w2"], t["b2"], (2, 10), plus=t["p"])
+            tensor.linear(t["p"], Tensor(t["w2"].data[:5]), t["b2"], plus=t["p"])
+        assert [n._vjp.__qualname__.split(".")[0] for n in tape.nodes] == ["mlp", "linear"]
+        assert all(n._parents[0] is t["p"] for n in tape.nodes)
+
+    def test_plus_shape_checked(self):
+        t = self.leaves(0)
+        with pytest.raises(ValueError, match="plus shape"):
+            tensor.linear(t["p"], t["w1"], t["b1"], plus=t["b1"])
+        with pytest.raises(ValueError, match="plus shape"):
+            tensor.mlp(t["p"], t["w1"], t["b1"], t["w2"], t["b2"], plus=t["w1"])
+
+
 def traced_peak(fn):
     """fn()'s result and the most bytes it held at once above the start."""
     tracemalloc.start()
@@ -459,6 +543,87 @@ class TestOffTapeMemory:
         x = Tensor(rng.standard_normal((5440, 256)))
         out, peak = traced_peak(lambda: tensor.gelu(x))
         assert peak <= 1.1 * out.data.nbytes
+
+    def test_mlp_keeps_one_hidden_buffer(self, rng):
+        # hidden 5,440 x 256 is 4x the input: GELU runs in place in it, and
+        # the residual lands in the output buffer (the separate nodes, with a
+        # second hidden buffer and a fresh sum, peak at about 8.2x)
+        x, plus = (Tensor(rng.standard_normal((5440, 64))) for _ in range(2))
+        w = [Tensor(a) for a in (rng.standard_normal((64, 256)), np.zeros(256), rng.standard_normal((256, 64)), np.zeros(64))]
+        _, peak = traced_peak(lambda: tensor.mlp(x, *w, plus=plus))
+        assert peak <= 5.25 * x.data.nbytes
+
+    @pytest.fixture(scope="class")
+    def round_one(self):
+        """A tiny Stage-2 round-1 block's inputs: the 5,440 tokens of a dense
+        256x256 set, width 64 (hidden 256), and the block's parameters."""
+        store = params.ParamStore()
+        params._block(store, 0, "blk", 64, key_scale=True)
+        rng = np.random.default_rng(0)
+        tokens, _ = grow_random_set(256, 256, 1.0, rng)
+        return tokens, store, Tensor(rng.standard_normal((tokens.n_valid, 64)))
+
+    # the block holds q, k, v and two key/value frames, or one hidden buffer
+    # (4x) beside the residual stream, never both: about 6.2x (7.0x where
+    # CPython before 3.11 keeps the MLP's layer-norm input alive through the
+    # call); a second hidden buffer and a fresh sum per add put it above 10x
+    def test_cluster_attention_block(self, round_one):
+        tokens, store, x = round_one
+        assignment = clusterattn.cluster(tokens, 32)
+        _, peak = traced_peak(lambda: clusterattn.cluster_attention_block(x, tokens, assignment, store, "blk", 2))
+        assert peak <= 7.5 * x.data.nbytes
+
+    def test_vit_block(self, round_one):
+        _, store, x = round_one
+        _, peak = traced_peak(lambda: clusterattn.vit_block(x, store, "blk", 2, (32,) * 170))
+        assert peak <= 7.5 * x.data.nbytes
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 CPython keeps a call's arguments on the caller's stack, so the MLP cannot free its layer-norm input",
+    )
+    def test_tiny_dense_forward(self):
+        # the whole 256x256 dense forward (5,440 tokens): its live peak is set
+        # in Stage-2 round 1, where it was 36.6 MB (34.9 MiB) with the
+        # separate nodes; 25.5 MB (24.3 MiB) now
+        cfg = config.tiny(256, 256).with_overrides(policy="dense")
+        store = params.init_params(cfg, 0)
+        image = np.zeros((256, 256, 3))
+        _, peak = traced_peak(lambda: train.forward_full(image, store, cfg))
+        assert peak <= 25 * 2**20
+
+    def test_forward_writes_no_input_block_input_or_lateral(self, monkeypatch):
+        # GELU in place and residuals added into fresh outputs must only ever
+        # write buffers the op made: every array the forward was handed or
+        # kept holds its bytes to the end
+        cfg = config.nano().with_overrides(policy="random_ratio")
+        corpus = scenes.generate_corpus(3, 4, scenes.SceneSpec())
+        images = [sc.image for sc in corpus]
+        kept = [(image, image.tobytes()) for image in images]
+        for name in ("cluster_attention_block", "vit_block"):
+
+            def block(x, *args, _block=getattr(clusterattn, name), **kwargs):
+                kept.append((x.data, x.data.tobytes()))
+                return _block(x, *args, **kwargs)
+
+            monkeypatch.setattr(clusterattn, name, block)
+        snapshot = stage1.Stage1Run.snapshot
+
+        def keep_lateral(run, name):
+            snapshot(run, name)
+            kept.append((run.laterals[name].feats.data, run.laterals[name].feats.data.tobytes()))
+
+        monkeypatch.setattr(stage1.Stage1Run, "snapshot", keep_lateral)
+        train.forward_batch(images, [sc.labels for sc in corpus], params.init_params(cfg, 0), cfg)
+        # 4 images, 8 blocks (3 in Stage 1, 5 in Stage 2) and 3 laterals
+        assert len(kept) == 15
+        assert all(a.tobytes() == b for a, b in kept)
+
+    def test_linear_plus_adds_in_its_own_output(self, rng):
+        x, plus = (Tensor(rng.standard_normal((5440, 64))) for _ in range(2))
+        w, b = Tensor(rng.standard_normal((64, 64))), Tensor(np.zeros(64))
+        out, peak = traced_peak(lambda: tensor.linear(x, w, b, plus=plus))
+        assert peak <= 1.05 * out.data.nbytes
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting applies to glibc only")
@@ -493,15 +658,15 @@ def forward_gemm_shapes():
     (batch 8, random_ratio), a nano eval forward (oracle allocation) and
     the `tiny` 256x256 dense forward, each also at m = 1."""
     shapes = set()
-    linear = tensor.linear
+    segment_matmul = tensor._segment_matmul
 
-    def recording(x, w, b, segments=None):
-        for m in (x.data.shape[0],) if segments is None else segments:
+    def recording(xd, wd, segments):
+        for m in (xd.shape[0],) if segments is None else segments:
             if m:
-                shapes.add((m,) + w.data.shape)
-        return linear(x, w, b, segments)
+                shapes.add((m,) + wd.shape)
+        return segment_matmul(xd, wd, segments)
 
-    tensor.linear = recording
+    tensor._segment_matmul = recording
     try:
         corpus = scenes.generate_corpus(7, 8, scenes.SceneSpec())
         nano = config.nano().with_overrides(policy="random_ratio")
@@ -511,7 +676,7 @@ def forward_gemm_shapes():
         tiny = config.tiny(256, 256).with_overrides(policy="dense")
         train.forward_full(np.zeros((256, 256, 3)), params.init_params(tiny, 0), tiny)
     finally:
-        tensor.linear = linear
+        tensor._segment_matmul = segment_matmul
     return sorted(shapes | {(1, k, n) for _, k, n in shapes})
 
 
@@ -852,6 +1017,19 @@ def test_gather_rows_vjp_equals_add_at_on_repeated_indices(shape, rng):
     expect = np.zeros(shape)
     np.add.at(expect, idx, g)
     assert np.array_equal(got, expect)
+
+
+def test_sigmoid_saturates_without_overflow_warnings():
+    # exp(1000) overflows to inf, and 1 / (1 + inf) is the right 0.0
+    x = Tensor(np.array([-1000.0, 1000.0]), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with GradTape() as tape:
+            out = tensor.sigmoid(x)
+            loss = tensor.sum_all(out)
+        backward(loss, tape)
+    assert out.data.tolist() == [0.0, 1.0]
+    assert x.grad.tolist() == [0.0, 0.0]
 
 
 def test_forward_determinism(rng):
