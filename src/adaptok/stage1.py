@@ -241,10 +241,11 @@ class Stage1Run:
             segments = self.tokens.segments
             x = tensor.linear(tensor.constant(np.concatenate(patches)), store["s1.embed.w"], store["s1.embed.b"], segments)
             self.feats = tensor.add(x, tensor.gather_rows(store["s1.embed.pos"], pos_idx))
+            del x
         with flops.section("stage1.pre"):
             heads = cfg.heads_for(cfg.stage1_dims[0])
             for i in range(cfg.stage1_blocks[0]):
-                self.feats = clusterattn.vit_block(self.feats, store, f"s1.pre.{i}", heads, segments)
+                self.feats = clusterattn.vit_block(self._take_feats(), store, f"s1.pre.{i}", heads, segments)
         self.snapshot("pre")
 
     # -- allocation round hooks ---------------------------------------------
@@ -342,8 +343,16 @@ class Stage1Run:
             heads = cfg.heads_for(cfg.stage1_dims[r])
             for i in range(cfg.stage1_blocks[r]):
                 self.feats = clusterattn.cluster_attention_block(
-                    self.feats, tokens, assignment, self.store, f"s1.r{r}.blk{i}", heads
+                    self._take_feats(), tokens, assignment, self.store, f"s1.r{r}.blk{i}", heads
                 )
+
+    def _take_feats(self) -> Tensor:
+        """The features, handed to a block as its only reference: `feats` is
+        None until the block's output is stored, so off a tape the input is
+        freed once the block has added it as its residual (unless a lateral
+        snapshot keeps it)."""
+        feats, self.feats = self.feats, None
+        return feats
 
     def snapshot(self, name: str):
         self.laterals[name] = Lateral(self.tokens, self.feats)

@@ -89,15 +89,21 @@ def run_stage2(s1out: Stage1Output | Stage1Batch, store: ParamStore, cfg: Encode
                 feats = lateral_fuse(feats, tokens, s1.laterals[_LATERAL_FOR_ROUND[k]], store, f"s2.r{k}.fuse")
             n_blocks = cfg.stage2_blocks[k - 1]
             heads = cfg.heads_for(d)
+            # each block pops its input from `held`, its only reference, so
+            # off a tape the input is freed once the block's attention has
+            # added it as the residual
+            held = [feats]
+            del feats
             if k <= 3:
                 assignment = clusterattn.cluster(tokens, cfg.cluster_size)
                 for i in range(n_blocks):
-                    feats = clusterattn.cluster_attention_block(
-                        feats, tokens, assignment, store, f"s2.r{k}.blk{i}", heads
+                    held.append(
+                        clusterattn.cluster_attention_block(held.pop(), tokens, assignment, store, f"s2.r{k}.blk{i}", heads)
                     )
             else:
                 for i in range(n_blocks):
-                    feats = clusterattn.vit_block(feats, store, f"s2.r{k}.blk{i}", heads, tokens.segments)
+                    held.append(clusterattn.vit_block(held.pop(), store, f"s2.r{k}.blk{i}", heads, tokens.segments))
+            feats = held.pop()
             blocks_applied.append(n_blocks)
             tokens, feats, emitted[4 - k] = _emit(tokens, feats, 4 - k)
     return Stage2Output(emitted=emitted, blocks_applied=blocks_applied)
@@ -107,11 +113,11 @@ def run_stage1_only_refine(s1out: Stage1Output | Stage1Batch, store: ParamStore,
     """Ablation path: no Stage 2; one extra cluster-attention block over the
     final mixed set, then per-level maps are emitted as-is."""
     s1 = s1out.stacked()
-    tokens, feats = s1.tokens, s1.feats
+    tokens = s1.tokens
     with flops.section("stage1x"):
         assignment = clusterattn.cluster(tokens, cfg.cluster_size)
         heads = cfg.heads_for(cfg.stage1_dims[3])
-        feats = clusterattn.cluster_attention_block(feats, tokens, assignment, store, "s1x.blk", heads)
+        feats = clusterattn.cluster_attention_block(s1.feats, tokens, assignment, store, "s1x.blk", heads)
         emitted: dict[int, EmittedMap] = {}
         for level in (3, 2, 1, 0):
             tokens, feats, emitted[level] = _emit(tokens, feats, level)

@@ -588,17 +588,19 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     either side within the segment. A segment of at most `size` rows is a
     single run over itself. q, k, v: (n, d) with d divisible by `heads`.
 
-    The segments of one window layout (`_WindowGroup`) are copied once into
-    a zero frame, one block per segment; whole-run segments back to back in
-    q are their own query frame. Every window's keys and values are then a
-    strided view of its block, so each (window, head) product is one BLAS
-    call on rows of width d. Keys outside the segment are zero rows under a
-    -inf bias, added only to the runs that may hold one, so each segment
-    sees exactly the layout it has alone. Off a tape, QK, softmax and PV
-    run on about `CHUNK` logits at a time, whole blocks or runs of one, and
-    each chunk goes straight into its output rows; on a tape the whole
-    logits are kept for the vjp. FLOPs are charged on live (query, key)
-    pairs only, as the per-run loop of `softmax_attention` would be.
+    The windows of one window layout (`_WindowGroup`, one block per
+    segment) run in chunks of whole blocks or of runs of one block: about
+    `CHUNK` logits a chunk off a tape, the whole layout on it, whose logits
+    the vjp keeps. Each chunk copies only the rows it reads into a zero
+    frame of its own size (whole-run segments back to back in q are their
+    own query frame), and every window's keys and values are a strided view
+    of its block, so each (window, head) product is one BLAS call on rows
+    of width d, whatever the chunk. Keys outside the segment are zero rows
+    under a -inf bias, added only to the runs that may hold one, so each
+    segment sees exactly the layout it has alone. Each chunk's QK, softmax
+    and PV go straight into its output rows. FLOPs are charged on live
+    (query, key) pairs only, as the per-run loop of `softmax_attention`
+    would be.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     n, d = q.data.shape
@@ -613,13 +615,15 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
         raise ValueError(f"segments {segs} do not cover {n} rows")
     taped = _taped((q, k, v))
 
-    def frame(a, grp, lead):  # (blocks, runs*L + 2*lead, d): each segment's rows after `lead` zero rows
-        rows = grp.runs * grp.length
+    def frame(a, grp, lead, b0, nb, r0, nr):  # (nb, nr*L + 2*lead, d): runs r0.. of blocks b0.. and `lead` rows either side, zero outside the segment
+        length = grp.length
+        lo, rows = r0 * length - lead, nr * length + 2 * lead
         if grp.packed is not None and not lead:
-            return a[grp.packed : grp.packed + len(grp.starts) * rows].reshape(-1, rows, d)
-        framed = np.zeros((len(grp.starts), rows + 2 * lead, d))
-        for block, start, m in zip(framed, grp.starts, grp.rows):
-            block[lead : lead + m] = a[start : start + m]
+            whole = grp.runs * length
+            return a[grp.packed : grp.packed + len(grp.starts) * whole].reshape(-1, whole, d)[b0 : b0 + nb, lo : lo + rows]
+        framed = np.zeros((nb, rows, d))
+        for block, start, m in zip(framed, grp.starts[b0 : b0 + nb], grp.rows[b0 : b0 + nb]):
+            block[max(-lo, 0) : m - lo] = a[start + max(lo, 0) : start + min(lo + rows, m)]
         return framed
 
     def scatter(dst, src, grp, b0=0, lo=0):  # query-frame rows lo.. of blocks b0.. back to their segments' rows
@@ -632,9 +636,9 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     def merge_heads(a):  # inverse of split_heads, flattened to rows per block
         return a.swapaxes(2, 3).reshape(len(a), -1, d)
 
-    def windowed(a, grp, lead):  # (blocks, runs, heads, span*L, hd) read-only view of a's key frame
-        f = frame(a, grp, lead)
-        shape, (block, row, col) = (len(f), grp.runs, grp.span * grp.length, d), f.strides
+    def windowed(a, grp, b0, nb, r0, nr):  # (nb, nr, heads, span*L, hd) read-only view of a chunk's key frame
+        f = frame(a, grp, grp.length * (grp.span // 3), b0, nb, r0, nr)
+        shape, (block, row, col) = (nb, nr, grp.span * grp.length, d), f.strides
         w = np.ndarray(shape, f.dtype, f, 0, (block, grp.length * row, row, col))
         w.flags.writeable = False
         return split_heads(w)
@@ -645,26 +649,27 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     saved = []
     for grp in layout:
         length, span, runs, blocks = grp.length, grp.span, grp.runs, len(grp.starts)
-        lead = length * (span // 3)
-        qs = split_heads(frame(qd, grp, 0).reshape(blocks, runs, length, d))
-        ks, vs = windowed(kd, grp, lead), windowed(vd, grp, lead)
         # windows per chunk, taken as whole blocks or as runs of one block
         per = blocks * runs if taped else max(CHUNK // (heads * span * length * length), 1)
         bstep, rstep = max(per // runs, 1), min(per, runs)
         for b0, r0 in itertools.product(range(0, blocks, bstep), range(0, runs, rstep)):
-            b, r = slice(b0, b0 + bstep), slice(r0, r0 + rstep)
+            nb, nr = min(bstep, blocks - b0), min(rstep, runs - r0)
+            # each chunk frames only the rows it reads: its queries, and its
+            # keys and values with one run either side for span 3
+            qs = split_heads(frame(qd, grp, 0, b0, nb, r0, nr).reshape(nb, nr, length, d))
+            ks, vs = windowed(kd, grp, b0, nb, r0, nr), windowed(vd, grp, b0, nb, r0, nr)
             # the softmax runs in place in the logits' buffer, which the vjp
             # keeps as p; every query slot, empty ones included, keeps at
             # least one live key, so no softmax row is empty
-            p = np.matmul(qs[b, r], ks[b, r].swapaxes(-1, -2))
+            p = np.matmul(qs, ks.swapaxes(-1, -2))
             p *= c
             lo, hi = (0, len(grp.dead)) if rstep == runs else np.searchsorted(grp.dead, (r0, r0 + rstep))
             if hi > lo:
-                p[:, grp.dead[lo:hi] - r0] += grp.bias[b, lo:hi, None, None, :]
+                p[:, grp.dead[lo:hi] - r0] += grp.bias[b0 : b0 + bstep, lo:hi, None, None, :]
             p -= p.max(axis=-1, keepdims=True)
             np.exp(p, out=p)
             p /= p.sum(axis=-1, keepdims=True)
-            scatter(out, merge_heads(np.matmul(p, vs[b, r])), grp, b0, r0 * length)
+            scatter(out, merge_heads(np.matmul(p, vs)), grp, b0, r0 * length)
         if taped:
             saved.append((grp, qs, ks, vs, p))
     flops.add_cost(macs=heads * 2 * pairs * hd, scalar_ops=heads * (pairs + soft), comparisons=heads * pairs)
@@ -676,7 +681,7 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
         for grp, qs, ks, vs, p in saved:
             length, span, runs, blocks = grp.length, grp.span, grp.runs, len(grp.starts)
             lead = length * (span // 3)
-            gs = split_heads(frame(g, grp, 0).reshape(blocks, runs, length, d))
+            gs = split_heads(frame(g, grp, 0, 0, blocks, 0, runs).reshape(blocks, runs, length, d))
             dp = np.matmul(gs, vs.swapaxes(-1, -2))
             dz = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
             scatter(dq, merge_heads(np.matmul(dz, ks)), grp)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The trained-model fixtures run the standard desk recipe once per session
-(about six minutes) and are shared by the compute, learnability, and trend
-criteria.
+(2,000 nano steps at batch 8, about a minute: 58.5 s on a 2-vCPU x86
+machine with OpenBLAS at one thread) and are shared by the compute,
+learnability, and trend criteria.
 """
 
 import time
