@@ -53,17 +53,22 @@ def cluster(token_set: TokenBatch, cluster_size: int) -> ClusterAssignment:
 
 def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, size: int, key_levels, segments):
     """x plus the attention branch, the residual added in the output
-    projection. The layer-norm output is dropped once q, k and v exist."""
+    projection. Off a tape each intermediate dies at its last use: the
+    key-scale rows once k exists, the layer-norm output once v does, and
+    q, k and v once the attention has read them, so at most five arrays
+    of x's size live at once (x, the layer-norm output and q, k, v; then
+    x, q, k, v and the attention output)."""
     h = tensor.layer_norm(x, store[f"{prefix}.ln1.g"], store[f"{prefix}.ln1.b"])
     # scale-aware keys: coarse and fine tokens in one neighborhood stay
     # distinguishable to the attention logits
     key_scale = None if key_levels is None else tensor.gather_rows(store[f"{prefix}.key_scale"], key_levels)
-    q, k, v = (
-        tensor.linear(h, store[f"{prefix}.{nm}.w"], store[f"{prefix}.{nm}.b"], segments, plus)
-        for nm, plus in (("q", None), ("k", key_scale), ("v", None))
-    )
-    del h, key_scale
+    q = tensor.linear(h, store[f"{prefix}.q.w"], store[f"{prefix}.q.b"], segments)
+    k = tensor.linear(h, store[f"{prefix}.k.w"], store[f"{prefix}.k.b"], segments, plus=key_scale)
+    del key_scale
+    v = tensor.linear(h, store[f"{prefix}.v.w"], store[f"{prefix}.v.b"], segments)
+    del h
     attn = tensor.window_attention(q, k, v, size, heads, segments)
+    del q, k, v
     return tensor.linear(attn, store[f"{prefix}.o.w"], store[f"{prefix}.o.b"], segments, plus=x)
 
 

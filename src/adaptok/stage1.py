@@ -107,15 +107,15 @@ class Stage1Output:
     copy). `stacked()` turns it into the batch of one that Stage 2 takes."""
 
     token_set: TokenBatch  # one segment, and `pad_levels` for the padding
-    feats: Tensor  # rows from token_set.n_valid on: zero batch padding
+    feats: Tensor | None  # rows from token_set.n_valid on: zero batch padding; None once handed to Stage 2
     trace: AllocationTrace
-    laterals: dict[str, Lateral]
+    laterals: dict[str, Lateral] | None  # None once handed to Stage 2
     score_tensors: list[Tensor | None]  # per round, rows follow the frontier
 
     def stacked(self) -> "Stage1Batch":
         """This sample as a batch of one, without its padding rows."""
         token_set, feats = self.token_set, self.feats
-        if token_set.pad_levels:
+        if token_set.pad_levels and feats is not None:
             token_set = replace(token_set, pad_levels=())
             feats = tensor.gather_rows(feats, np.arange(token_set.n_valid))
         return Stage1Batch(token_set, feats, self.laterals, self.score_tensors, [self.trace], None)
@@ -129,11 +129,12 @@ class Stage1Batch(Sequence):
     its rounds scored against (None without labels, and for a sample's
     `stacked()`). Indexing builds that sample's `Stage1Output`, padded per
     level to the batch maximum with zero feature rows, so `n_rows` is equal
-    across the batch."""
+    across the batch. A forward hands `feats` and `laterals` to Stage 2 and
+    keeps a copy of the batch with both None."""
 
     tokens: TokenBatch
-    feats: Tensor
-    laterals: dict[str, Lateral]
+    feats: Tensor | None
+    laterals: dict[str, Lateral] | None
     score_tensors: list[Tensor | None]  # per round, each sample's frontier rows
     traces: list[AllocationTrace]
     labels: boundary.LabelTables | None
@@ -150,18 +151,22 @@ class Stage1Batch(Sequence):
         counts = self.tokens.level_counts()
         pads = counts.max(axis=0) - counts[i]
         token_set = replace(self.tokens.sets[i], pad_levels=tuple(np.repeat(np.arange(len(pads)), pads).tolist()))
-        feats = own(self.feats.data, self.tokens.segments)
-        if pads.any():
-            feats = np.concatenate([feats, np.zeros((pads.sum(), feats.shape[1]))])
-        laterals = {
-            name: Lateral(lat.token_set.sets[i], Tensor(own(lat.feats.data, lat.token_set.segments)))
-            for name, lat in self.laterals.items()
-        }
+        feats = laterals = None
+        if self.feats is not None:
+            feats = own(self.feats.data, self.tokens.segments)
+            if pads.any():
+                feats = np.concatenate([feats, np.zeros((pads.sum(), feats.shape[1]))])
+            feats = Tensor(feats)
+        if self.laterals is not None:
+            laterals = {
+                name: Lateral(lat.token_set.sets[i], Tensor(own(lat.feats.data, lat.token_set.segments)))
+                for name, lat in self.laterals.items()
+            }
         scores = []
         for r, st in enumerate(self.score_tensors):
             frontiers = [t.rounds[r].candidate_count for t in self.traces]
             scores.append(None if st is None or not frontiers[i] else Tensor(own(st.data, frontiers)))
-        return Stage1Output(token_set, Tensor(feats), self.traces[i], laterals, scores)
+        return Stage1Output(token_set, feats, self.traces[i], laterals, scores)
 
     def __len__(self) -> int:
         return len(self.traces)

@@ -76,9 +76,28 @@ def _emit(tokens: TokenBatch, feats: Tensor, level: int):
     return tokens.take(kept), tensor.gather_rows(feats, kept), emitted
 
 
-def run_stage2(s1out: Stage1Output | Stage1Batch, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
-    s1 = s1out.stacked()
-    tokens, feats = s1.tokens, s1.feats
+def _stage1_parts(s1out: Stage1Output | Stage1Batch | list) -> tuple[TokenBatch, Tensor, dict]:
+    """The tokens, features and a copy of the laterals dict of the Stage-1
+    result to refine. A one-element list hands the result over: it is
+    popped, so the returned features and laterals are their only
+    references and Stage 2 can free each once it is spent. A
+    `Stage1Output` or `Stage1Batch` passed as it is stays intact."""
+    s1 = s1out.pop() if isinstance(s1out, list) else s1out
+    if s1.feats is None or s1.laterals is None:
+        raise ContractError(
+            "this Stage-1 result holds no features or laterals: its forward handed them to Stage 2; "
+            "run Stage 1 again (run_stage1 or run_stage1_batch) to refine it"
+        )
+    s1 = s1.stacked()
+    return s1.tokens, s1.feats, dict(s1.laterals)
+
+
+def run_stage2(s1out: Stage1Output | Stage1Batch | list, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
+    """The four refinement rounds over a Stage-1 result, or over the one
+    popped from a one-element list (`_stage1_parts`): then off a tape its
+    features are freed once the first block's attention has read them, and
+    each lateral once fused."""
+    tokens, feats, laterals = _stage1_parts(s1out)
     emitted: dict[int, EmittedMap] = {}
     blocks_applied = []
     for k in (1, 2, 3, 4):
@@ -86,7 +105,7 @@ def run_stage2(s1out: Stage1Output | Stage1Batch, store: ParamStore, cfg: Encode
         with flops.section(f"stage2.r{k}"):
             if k >= 2:
                 feats = tensor.linear(feats, store[f"s2.r{k}.proj.w"], store[f"s2.r{k}.proj.b"], tokens.segments)
-                feats = lateral_fuse(feats, tokens, s1.laterals[_LATERAL_FOR_ROUND[k]], store, f"s2.r{k}.fuse")
+                feats = lateral_fuse(feats, tokens, laterals.pop(_LATERAL_FOR_ROUND[k]), store, f"s2.r{k}.fuse")
             n_blocks = cfg.stage2_blocks[k - 1]
             heads = cfg.heads_for(d)
             # each block pops its input from `held`, its only reference, so
@@ -109,15 +128,17 @@ def run_stage2(s1out: Stage1Output | Stage1Batch, store: ParamStore, cfg: Encode
     return Stage2Output(emitted=emitted, blocks_applied=blocks_applied)
 
 
-def run_stage1_only_refine(s1out: Stage1Output | Stage1Batch, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
+def run_stage1_only_refine(s1out: Stage1Output | Stage1Batch | list, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
     """Ablation path: no Stage 2; one extra cluster-attention block over the
-    final mixed set, then per-level maps are emitted as-is."""
-    s1 = s1out.stacked()
-    tokens = s1.tokens
+    final mixed set, then per-level maps are emitted as-is. Takes the
+    Stage-1 result as `run_stage2` does."""
+    tokens, feats, _ = _stage1_parts(s1out)
     with flops.section("stage1x"):
         assignment = clusterattn.cluster(tokens, cfg.cluster_size)
         heads = cfg.heads_for(cfg.stage1_dims[3])
-        feats = clusterattn.cluster_attention_block(s1.feats, tokens, assignment, store, "s1x.blk", heads)
+        held = [feats]
+        del feats
+        feats = clusterattn.cluster_attention_block(held.pop(), tokens, assignment, store, "s1x.blk", heads)
         emitted: dict[int, EmittedMap] = {}
         for level in (3, 2, 1, 0):
             tokens, feats, emitted[level] = _emit(tokens, feats, level)

@@ -285,13 +285,35 @@ def linear(x, w, b, segments=None, plus=None) -> Tensor:
     return out
 
 
+MLP_PIECE = 1 << 18  # hidden values per piece of an off-tape MLP (2 MiB)
+
+
+def _mlp_pieces(bounds, hid: int):
+    """Row ranges [lo, hi) an off-tape MLP runs one at a time, or None when
+    every segment's hidden rows fit in MLP_PIECE values (the call then runs
+    whole). Each segment splits from its start into the fewest near-equal
+    pieces that fit, never under 16 rows: from 16 rows on, BLAS rounds a
+    GEMM row as it does in the whole segment's product, so the pieces keep
+    its bits. A segment that fits stays one piece."""
+    sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if max(sizes, default=0) * hid <= MLP_PIECE:
+        return None
+    pieces = []
+    for lo, size in zip(bounds, sizes):
+        count = max(1, min(-(-size * hid // MLP_PIECE), size // 16))
+        pieces += [(lo + size * j // count, lo + size * (j + 1) // count) for j in range(count) if size]
+    return pieces
+
+
 def mlp(x, w1, b1, w2, b2, segments=None, plus=None) -> Tensor:
     """linear -> GELU -> linear over row segments, then `plus` added last:
     the bits, gradients and FLOP charges of `add(plus, linear(gelu(linear(x,
     w1, b1)), w2, b2))` in one node. Off a tape the GELU runs in place in
-    the hidden buffer, the only hidden-size array the call makes; on a tape
-    the pre-activation, its tanh values and the activation are kept for the
-    vjp, as the separate nodes keep them."""
+    the hidden buffer, the only hidden-size array the call makes, and a
+    segment too long for one `MLP_PIECE` runs piece by piece through a
+    piece-sized one (`_mlp_pieces`); on a tape the pre-activation, its tanh
+    values and the activation are kept whole for the vjp, as the separate
+    nodes keep them."""
     x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
     _linear_shapes(x.data.shape, w1, b1)
     (m, k), hid, n = x.data.shape, w1.data.shape[1], w2.data.shape[-1]
@@ -303,18 +325,28 @@ def mlp(x, w1, b1, w2, b2, segments=None, plus=None) -> Tensor:
         scalar_ops=(1 + flops.GELU_OPS_PER_ELEM) * m * hid + m * n * (1 if plus is None else 2),
     )
     xd, w1d, w2d = x.data, w1.data, w2.data
-    u = _segment_matmul(xd, w1d, segments)
-    u += b1.data
     taped = _taped(parents)
-    if taped:
-        t, h = np.empty(u.shape), np.empty(u.shape)
-        _gelu_into(u, h, t)
+    pieces = None if taped else _mlp_pieces(_bounds(segments, m), hid)
+    if pieces is None:
+        u = _segment_matmul(xd, w1d, segments)
+        u += b1.data
+        if taped:
+            t, h = np.empty(u.shape), np.empty(u.shape)
+            _gelu_into(u, h, t)
+        else:
+            # nothing reads x again: an x passed as its only reference (a
+            # layer norm's output) is freed before the output is made
+            del x, xd, parents
+            t, h = None, _gelu_into(u, u)
+        y = _segment_matmul(h, w2d, segments)
     else:
-        # nothing reads x again: an x passed as its only reference (a layer
-        # norm's output) is freed before the output is made
-        del x, xd, parents
-        t, h = None, _gelu_into(u, u)
-    y = _segment_matmul(h, w2d, segments)
+        # one piece-sized hidden buffer; each piece lands in its output rows
+        y = np.empty((m, n))
+        buf = np.empty((max(hi - lo for lo, hi in pieces), hid))
+        for lo, hi in pieces:
+            h = np.matmul(xd[lo:hi], w1d, out=buf[: hi - lo])
+            h += b1.data
+            np.matmul(_gelu_into(h, h), w2d, out=y[lo:hi])
     y += b2.data
     if plus is not None:
         y += plus.data

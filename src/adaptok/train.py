@@ -4,7 +4,7 @@ sanity segmentation head's cross entropy, end to end through both stages."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .tensor import GradTape, Tensor
 @dataclass
 class ForwardResult:
     """One sample's outputs: detached row views of its batch's stacked
-    tensors. Its loss is taken on the batch (`sample_loss`)."""
+    tensors. Its loss is taken on the batch (`sample_loss`). `s1out` holds
+    no features or laterals (`BatchForward`)."""
 
     s1out: Stage1Output
     s2out: Stage2Output
@@ -39,7 +40,8 @@ class BatchForward(Sequence):
     label tables Stage 1 scored against (None without labels). Indexing
     yields per-sample ForwardResults, made on access (a result refers to
     its batch, so the batch keeps none: no reference cycle holds a step's
-    tape alive)."""
+    tape alive). `s1` keeps Stage 1's tokens, traces, score tensors and
+    labels, not its features or laterals: those went to Stage 2."""
 
     s1: Stage1Batch
     s2out: Stage2Output
@@ -88,9 +90,12 @@ def forward_batch(images, labels_list, store, cfg, *, keys=None) -> BatchForward
 def _forward(images, labels_list, store, cfg, keys) -> BatchForward:
     # both entry points call this, not each other, so a wrapper around
     # either one sees each forward once; Stage 1 checks the inputs
-    s1 = stage1.run_stage1_batch(images, store, cfg, labels_list, keys=keys)
+    held = [stage1.run_stage1_batch(images, store, cfg, labels_list, keys=keys)]
+    # Stage 2 pops the result from `held`, so off a tape it frees Stage 1's
+    # features and laterals once spent; the batch keeps the rest
+    s1 = replace(held[0], feats=None, laterals=None)
     refine = stage2.run_stage1_only_refine if cfg.stage1_only else stage2.run_stage2
-    s2out = refine(s1, store, cfg)
+    s2out = refine(held, store, cfg)
     dense, cell_token = stage2.densify_finest(s1.tokens, s2out, store, cfg)
     logits = stage2.head_logits(dense, store, (cfg.head_cells,) * len(s1))
     return BatchForward(s1, s2out, dense, logits, cell_token)

@@ -123,23 +123,27 @@ class TestRunStage2:
     def test_real_padding_is_inert(self, stage1_only, scene_spec):
         # oracle allocation on these scenes splits unequal counts per level,
         # so the batch really pads (80/12/0 rows)
+        # the features come from Stage 1 alone: a forward's result no longer
+        # holds them (they go to Stage 2)
         cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0, stage1_only=stage1_only)
         store = params.init_params(cfg, seed=0)
         sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52, 53)]
-        batch = train.forward_batch([s.image for s in sc], [s.labels for s in sc], store, cfg)
+        images, labels = [s.image for s in sc], [s.labels for s in sc]
+        batch = train.forward_batch(images, labels, store, cfg)
         assert len({fr.s1out.token_set.n_rows for fr in batch}) == 1
         assert [len(fr.s1out.token_set.pad_levels) for fr in batch] == [80, 12, 0]
         refine = stage2.run_stage1_only_refine if stage1_only else run_stage2
-        for fr, s in zip(batch, sc):
+        for fr, out, s in zip(batch, run_stage1_batch(images, store, cfg, labels), sc):
             solo = train.forward_full(s.image, store, cfg, s.labels)
+            solo_s1 = run_stage1(s.image, store, cfg, s.labels)
             n = solo.s1out.token_set.n_valid
-            assert fr.s1out.token_set.keys == solo.s1out.token_set.keys
-            assert np.array_equal(fr.s1out.feats.data[:n], solo.s1out.feats.data)
+            assert fr.s1out.token_set.keys == solo.s1out.token_set.keys == out.token_set.keys
+            assert np.array_equal(out.feats.data[:n], solo_s1.feats.data)
             assert np.array_equal(fr.logits.data, solo.logits.data)
-            perturbed = fr.s1out.feats.data.copy()
+            perturbed = out.feats.data.copy()
             perturbed[n:] += 13.0
-            a = refine(fr.s1out, store, cfg)
-            b = refine(dataclasses.replace(fr.s1out, feats=Tensor(perturbed)), store, cfg)
+            a = refine(out, store, cfg)
+            b = refine(dataclasses.replace(out, feats=Tensor(perturbed)), store, cfg)
             for lvl in range(4):
                 nv = len(a.emitted[lvl].keys)
                 assert np.array_equal(a.emitted[lvl].feats.data[:nv], b.emitted[lvl].feats.data[:nv])
@@ -160,11 +164,11 @@ class TestRunStage2:
         assert [len(fr.s1out.token_set.pad_levels) for fr in batch] == [80, 12, 0, 80]
         assert [fr.s1out.token_set.n_valid for fr in batch] == [4, 72, 84, 4]
         solo_counts = []
-        for fr, image, lab in zip(batch, images, labels):
+        for fr, out, image, lab in zip(batch, run_stage1_batch(images, store, cfg, labels), images, labels):
             solo = train.forward_full(image, store, cfg, lab)
             n = solo.s1out.token_set.n_valid
-            assert fr.s1out.token_set.keys == solo.s1out.token_set.keys
-            assert np.array_equal(fr.s1out.feats.data[:n], solo.s1out.feats.data)
+            assert fr.s1out.token_set.keys == solo.s1out.token_set.keys == out.token_set.keys
+            assert np.array_equal(out.feats.data[:n], run_stage1(image, store, cfg, lab).feats.data)
             assert np.array_equal(fr.logits.data, solo.logits.data)
             assert np.array_equal(fr.cell_token, solo.cell_token)
             solo_counts.append(flops.count_forward(cfg, fr.s1out.trace).total())
@@ -172,6 +176,19 @@ class TestRunStage2:
         assert (t.macs, t.scalar_ops, t.comparisons) == tuple(
             sum(getattr(c, f) for c in solo_counts) for f in ("macs", "scalar_ops", "comparisons")
         )
+
+    @pytest.mark.parametrize("stage1_only", [False, True])
+    def test_forward_result_is_not_refined_again(self, stage1_only, scene_spec):
+        # a forward hands Stage 1's features and laterals to Stage 2, so its
+        # result has none to refine: that is named, not an AttributeError
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0, stage1_only=stage1_only)
+        store = params.init_params(cfg, seed=0)
+        sc = [scenes.generate_scene(s, scene_spec) for s in (51, 52)]
+        batch = train.forward_batch([s.image for s in sc], [s.labels for s in sc], store, cfg)
+        refine = stage2.run_stage1_only_refine if stage1_only else run_stage2
+        for s1out in (batch.s1, batch[0].s1out, batch[1].s1out, [batch.s1]):
+            with pytest.raises(ContractError, match="handed them to Stage 2"):
+                refine(s1out, store, cfg)
 
     def test_forward_checks_its_labels_once(self, monkeypatch, scene_spec):
         # the tables a forward returns are the ones its rounds scored
