@@ -165,14 +165,3 @@ class LabelTables:
     def take(self, idx) -> "LabelTables":
         """The tables of the samples at `idx`, in that order."""
         return LabelTables(self.bmaps[idx], self.cells[idx], self.labelled[idx])
-
-
-def pad_labels(labels: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Zero-pad on bottom/right up to (h, w) with IGNORE, so padding never
-    contributes boundary pixels."""
-    lab = np.asarray(labels)
-    if lab.shape == (h, w):
-        return lab
-    out = np.full((h, w), IGNORE, dtype=lab.dtype)
-    out[: lab.shape[0], : lab.shape[1]] = lab
-    return out

@@ -66,12 +66,6 @@ class EncoderConfig:
         if self.connectivity not in (4, 8):
             raise ValueError("connectivity must be 4 or 8")
 
-    @property
-    def rounds(self) -> int:
-        """Allocation rounds after the pre-allocation pass (fixed at 3; the
-        four dims/blocks entries cover the pre-allocation round plus these)."""
-        return ROUNDS
-
     def scorer_hidden(self, round_index: int) -> int:
         """Allocator-MLP hidden width for allocation round 1..3."""
         return max(self.stage1_dims[round_index] // 2, 1)

@@ -102,6 +102,9 @@ def evaluate(
     identical bytes."""
     if not len(scenes):
         raise ValueError("corpus is empty: evaluation needs at least one scene")
+    for name, count in (("n_overlays", n_overlays), ("n_feature_dumps", n_feature_dumps)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     conf = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
     totals, levels, scored, overlay_files = [], [], [], []
     if out_dir:

@@ -116,10 +116,6 @@ class FlopsReport:
 _METERS: list[FlopsReport] = []
 
 
-def active_meter() -> FlopsReport | None:
-    return _METERS[-1] if _METERS else None
-
-
 @contextmanager
 def meter():
     m = FlopsReport()
@@ -143,10 +139,7 @@ def add_cost(macs: int = 0, scalar_ops: int = 0, comparisons: int = 0):
 
 def section(name: str):
     """Attribution context for the active meter; a no-op when none is."""
-    m = active_meter()
-    if m is None:
-        return nullcontext()
-    return m.section(name)
+    return _METERS[-1].section(name) if _METERS else nullcontext()
 
 
 def corpus_stats(totals) -> tuple[float, float]:

@@ -107,12 +107,6 @@ def canonical_order(tokens) -> list[TokenKey]:
     return [toks[i] for i in _canonical_rank(toks)]
 
 
-def padded_extent(h: int, w: int) -> tuple[int, int]:
-    """Next (H, W) divisible by the coarse patch side."""
-    pad = lambda v: ((v + COARSE_SIDE - 1) // COARSE_SIDE) * COARSE_SIDE
-    return pad(h), pad(w)
-
-
 _NO_ROWS = _readonly(np.zeros(0, dtype=np.int64))
 
 
@@ -261,7 +255,7 @@ def coarse_grid(h: int, w: int) -> TokenBatch:
     built once per extent and shared; each call charges its sort."""
     if h % COARSE_SIDE or w % COARSE_SIDE:
         raise ValueError(
-            f"image {h}x{w} not divisible by {COARSE_SIDE}; pad first (padded_extent)"
+            f"image {h}x{w} not divisible by {COARSE_SIDE}; pad first (scenes.pad_to_grid)"
         )
     s = _coarse_grid(h, w)
     flops.add_cost(comparisons=flops.sort_comparisons(s.n_valid))

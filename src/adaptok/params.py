@@ -36,15 +36,15 @@ def rng_for(seed: int, *tags) -> np.random.Generator:
 class ParamStore:
     """Named float64 parameters laid out in one arena, `flat`: each
     parameter's `data` is a writable C-contiguous view of its slot, in
-    creation order, so a write through `store[name].data` moves `flat` and
+    spec order, so a write through `store[name].data` moves `flat` and
     whole-model passes (Adam, finite checks) are single vector ops.
 
-    `specs` lays out a whole model at once: (name, shape, fill) triples,
+    The store is laid out once from `specs`, (name, shape, fill) triples,
     where fill(out) writes the values into their slot (None: zeros). The
     arena is sized exactly and nothing is made outside it, so a big model
-    is never held twice. `add` grows the arena by one parameter."""
+    is never held twice."""
 
-    def __init__(self, specs=()):
+    def __init__(self, specs):
         specs = [(name, tuple(shape), fill) for name, shape, fill in specs]
         self.flat = np.zeros(sum(math.prod(shape) for _, shape, _ in specs))
         self._params: dict[str, Tensor] = {}
@@ -52,43 +52,14 @@ class ParamStore:
         for name, shape, fill in specs:
             if name in self._params:
                 raise ValueError(f"duplicate parameter {name}")
-            t = self._seat(name, lo, shape)
-            if fill is not None:
-                fill(t.data)
-            lo += t.data.size
-
-    def _seat(self, name: str, lo: int, shape) -> Tensor:
-        """Point `name`'s data at the arena slot of this shape starting at `lo`."""
-        view = self.flat[lo : lo + math.prod(shape)].reshape(shape)
-        if name in self._params:
-            self._params[name].data = view
-        else:
+            view = self.flat[lo : lo + math.prod(shape)].reshape(shape)
             self._params[name] = Tensor(view, requires_grad=True)
-        return self._params[name]
-
-    def add(self, name: str, array: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter {name}")
-        array = np.asarray(array, dtype=np.float64)
-        self.flat = np.concatenate([self.flat, array.reshape(-1)])
-        lo = 0
-        for n, t in self._params.items():  # re-seat every view in the new arena
-            self._seat(n, lo, t.data.shape)
-            lo += t.data.size
-        return self._seat(name, lo, array.shape)
-
-    def declare(self, name: str, shape, fill=None) -> Tensor:
-        """`add` with the values of a spec (see the class docstring)."""
-        values = np.zeros(shape)
-        if fill is not None:
-            fill(values)
-        return self.add(name, values)
+            if fill is not None:
+                fill(view)
+            lo += view.size
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def items(self):
         return self._params.items()
@@ -97,55 +68,47 @@ class ParamStore:
         return list(self._params)
 
 
-class _Specs(list):
-    """The (name, shape, fill) specs of a model, collected by the init
-    helpers before `ParamStore` lays them out."""
-
-    def declare(self, name: str, shape, fill=None):
-        self.append((name, shape, fill))
-
-
-def _linear(store, seed, name, d_in, d_out, bias: float = 0.0):
+def _linear(specs, seed, name, d_in, d_out, bias: float = 0.0):
     def weights(out):
         rng_for(seed, name, "w").standard_normal(out=out)
         out /= np.sqrt(d_in)
 
-    store.declare(f"{name}.w", (d_in, d_out), weights)
-    store.declare(f"{name}.b", (d_out,), lambda out: out.fill(bias))
+    specs.append((f"{name}.w", (d_in, d_out), weights))
+    specs.append((f"{name}.b", (d_out,), lambda out: out.fill(bias)))
 
 
-def _layer_norm(store, name, d):
-    store.declare(f"{name}.g", (d,), lambda out: out.fill(1.0))
-    store.declare(f"{name}.b", (d,))
+def _layer_norm(specs, name, d):
+    specs.append((f"{name}.g", (d,), lambda out: out.fill(1.0)))
+    specs.append((f"{name}.b", (d,), None))
 
 
-def _embedding(store, seed, name, shape):
+def _embedding(specs, seed, name, shape):
     def values(out):
         rng_for(seed, name).standard_normal(out=out)
         out *= EMB_SCALE
 
-    store.declare(name, shape, values)
+    specs.append((name, shape, values))
 
 
-def _block(store, seed, prefix, d, key_scale: bool):
-    _layer_norm(store, f"{prefix}.ln1", d)
+def _block(specs, seed, prefix, d, key_scale: bool):
+    _layer_norm(specs, f"{prefix}.ln1", d)
     for nm in ("q", "k", "v", "o"):
-        _linear(store, seed, f"{prefix}.{nm}", d, d)
+        _linear(specs, seed, f"{prefix}.{nm}", d, d)
     if key_scale:
-        _embedding(store, seed, f"{prefix}.key_scale", (4, d))
-    _layer_norm(store, f"{prefix}.ln2", d)
-    _linear(store, seed, f"{prefix}.mlp1", d, MLP_RATIO * d)
-    _linear(store, seed, f"{prefix}.mlp2", MLP_RATIO * d, d)
+        _embedding(specs, seed, f"{prefix}.key_scale", (4, d))
+    _layer_norm(specs, f"{prefix}.ln2", d)
+    _linear(specs, seed, f"{prefix}.mlp1", d, MLP_RATIO * d)
+    _linear(specs, seed, f"{prefix}.mlp2", MLP_RATIO * d, d)
 
 
-def init_coarse_embed(store, cfg: EncoderConfig, seed: int):
+def init_coarse_embed(specs, cfg: EncoderConfig, seed: int):
     d0 = cfg.stage1_dims[0]
-    _linear(store, seed, "s1.embed", 32 * 32 * cfg.channels, d0)
-    _embedding(store, seed, "s1.embed.pos", (cfg.coarse_tokens, d0))
+    _linear(specs, seed, "s1.embed", 32 * 32 * cfg.channels, d0)
+    _embedding(specs, seed, "s1.embed.pos", (cfg.coarse_tokens, d0))
 
 
 def init_params(cfg: EncoderConfig, seed: int) -> ParamStore:
-    specs = _Specs()
+    specs = []
     init_coarse_embed(specs, cfg, seed)
     d0 = cfg.stage1_dims[0]
     for i in range(cfg.stage1_blocks[0]):

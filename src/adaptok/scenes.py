@@ -6,12 +6,15 @@ deterministically from (seed, index)."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .params import rng_for
 from . import pnm
+from .boundary import IGNORE
+from .geometry import COARSE_SIDE
+from .params import rng_for
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,14 @@ class SceneSpec:
     min_region: int = 10
     uniform_fraction: float = 0.125  # scenes forced to a single class
     noise: float = 0.002
+
+    def __post_init__(self):
+        for name, low in (("height", 1), ("width", 1), ("max_regions", 0), ("min_region", 1), ("noise", 0.0)):
+            value = getattr(self, name)
+            if not low <= value < math.inf:
+                raise ValueError(f"scene spec {name} must lie in [{low}, inf), got {value!r}")
+        if not 0.0 <= self.uniform_fraction <= 1.0:
+            raise ValueError(f"scene spec uniform_fraction must lie in [0, 1], got {self.uniform_fraction!r}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -124,15 +135,15 @@ def save_corpus(out_dir, scenes: list[SyntheticScene], desc: dict | None = None)
 def pad_to_grid(image: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-pad bottom/right to the next multiple of the coarse patch side;
     padded label pixels become IGNORE so they never contribute boundaries."""
-    from . import boundary, geometry
-
     h, w = labels.shape
-    hp, wp = geometry.padded_extent(h, w)
+    hp, wp = -(-h // COARSE_SIDE) * COARSE_SIDE, -(-w // COARSE_SIDE) * COARSE_SIDE
     if (hp, wp) == (h, w):
         return image, labels
     img = np.zeros((hp, wp, image.shape[2]), dtype=image.dtype)
     img[:h, :w] = image
-    return img, boundary.pad_labels(labels, hp, wp)
+    lab = np.full((hp, wp), IGNORE, dtype=labels.dtype)
+    lab[:h, :w] = labels
+    return img, lab
 
 
 def load_corpus_dir(path, shape: tuple[int, int]) -> list[SyntheticScene]:

@@ -197,7 +197,7 @@ def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor,
     preds = [s1.score_tensors[r] for r in scored]
     pred = tensor.gather_rows(tensor.concat(preds) if len(preds) > 1 else preds[0], np.concatenate([rows[i] for i in ids]))
     target = np.concatenate([s1.traces[i].rounds[r].targets for i in ids for r in scored])
-    return tensor.mse(pred, tensor.constant(target.reshape(-1, 1)), [len(rows[i]) for i in ids]), ids
+    return tensor.mse(pred, Tensor(target.reshape(-1, 1)), [len(rows[i]) for i in ids]), ids
 
 
 class Stage1Run:
@@ -244,7 +244,7 @@ class Stage1Run:
             patches = [geometry.patches(image, 0, g.table[:, 1], g.table[:, 2]) for image, g in zip(self.images, grids)]
             pos_idx = self.tokens.table[:, 1] * grid_w + self.tokens.table[:, 2]
             segments = self.tokens.segments
-            x = tensor.linear(tensor.constant(np.concatenate(patches)), store["s1.embed.w"], store["s1.embed.b"], segments)
+            x = tensor.linear(Tensor(np.concatenate(patches)), store["s1.embed.w"], store["s1.embed.b"], segments)
             self.feats = tensor.add(x, tensor.gather_rows(store["s1.embed.pos"], pos_idx))
             del x
         with flops.section("stage1.pre"):
@@ -330,11 +330,11 @@ class Stage1Run:
         if not cfg.no_aux_image:
             kids = geometry.segment_views(self.tokens.children(parent_rows), counts)
             pix = np.concatenate([geometry.patches(image, r, k[:, 1], k[:, 2]) for image, k in zip(self.images, kids)])
-            t = tensor.linear(tensor.constant(pix), store[f"s1.r{r}.child.pix.w"], store[f"s1.r{r}.child.pix.b"], counts)
+            t = tensor.linear(Tensor(pix), store[f"s1.r{r}.child.pix.w"], store[f"s1.r{r}.child.pix.b"], counts)
             w = [store[f"s1.r{r}.child.{nm}"] for nm in ("mlp1.w", "mlp1.b", "mlp2.w", "mlp2.b")]
             feat = tensor.mlp(t, *w, counts, plus=feat)
         if feat is None:
-            feat = tensor.constant(np.zeros((sum(counts), d)))
+            feat = Tensor(np.zeros((sum(counts), d)))
         feat = tensor.add(feat, store[f"s1.r{r}.scale_emb"])
         return tensor.add(feat, tensor.gather_rows(store[f"s1.r{r}.slot_emb"], slot_idx))
 

@@ -47,7 +47,6 @@ class EmittedMap:
 @dataclass
 class Stage2Output:
     emitted: dict[int, EmittedMap]
-    blocks_applied: list[int]
 
     def sample(self, i: int) -> "Stage2Output":
         """Sample i's maps, as detached row views."""
@@ -55,7 +54,7 @@ class Stage2Output:
         for level, em in self.emitted.items():
             lo = em.tokens.offsets[i]
             emitted[level] = EmittedMap(level, em.tokens.sets[i], Tensor(em.feats.data[lo : lo + em.segments[i]]))
-        return Stage2Output(emitted, self.blocks_applied)
+        return Stage2Output(emitted)
 
 
 def lateral_fuse(current: Tensor, current_set: TokenBatch, lateral: Lateral, store: ParamStore, prefix: str) -> Tensor:
@@ -99,7 +98,6 @@ def run_stage2(s1out: Stage1Output | Stage1Batch | list, store: ParamStore, cfg:
     each lateral once fused."""
     tokens, feats, laterals = _stage1_parts(s1out)
     emitted: dict[int, EmittedMap] = {}
-    blocks_applied = []
     for k in (1, 2, 3, 4):
         d = cfg.stage2_dims[k - 1]
         with flops.section(f"stage2.r{k}"):
@@ -123,9 +121,8 @@ def run_stage2(s1out: Stage1Output | Stage1Batch | list, store: ParamStore, cfg:
                 for i in range(n_blocks):
                     held.append(clusterattn.vit_block(held.pop(), store, f"s2.r{k}.blk{i}", heads, tokens.segments))
             feats = held.pop()
-            blocks_applied.append(n_blocks)
             tokens, feats, emitted[4 - k] = _emit(tokens, feats, 4 - k)
-    return Stage2Output(emitted=emitted, blocks_applied=blocks_applied)
+    return Stage2Output(emitted)
 
 
 def run_stage1_only_refine(s1out: Stage1Output | Stage1Batch | list, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
@@ -142,7 +139,7 @@ def run_stage1_only_refine(s1out: Stage1Output | Stage1Batch | list, store: Para
         emitted: dict[int, EmittedMap] = {}
         for level in (3, 2, 1, 0):
             tokens, feats, emitted[level] = _emit(tokens, feats, level)
-    return Stage2Output(emitted=emitted, blocks_applied=[1])
+    return Stage2Output(emitted)
 
 
 def densify_finest(

@@ -39,10 +39,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 class GradTape:
     """Creation-ordered record of traced ops; reverse replay yields grads.
     Single-use: `backward` frees what its nodes saved and marks it spent."""
@@ -561,17 +557,15 @@ class _WindowGroup(NamedTuple):
     A block's query frame is its segment's rows zero-padded to whole runs;
     run r holds window r's queries. Its key frame adds one zero run at each
     end for span 3, so window r's keys are key-frame rows [r*L, (r+span)*L).
-    `packed` is the first row of q when the query frames are one slice of q,
-    else None. `dead` (sorted) indexes the runs whose window holds a key
-    outside its segment in some block; `bias` (blocks, len(dead), span*L) is
-    their additive key bias: 0 on live keys, -inf on dead ones."""
+    `dead` (sorted) indexes the runs whose window holds a key outside its
+    segment in some block; `bias` (blocks, len(dead), span*L) is their
+    additive key bias: 0 on live keys, -inf on dead ones."""
 
     length: int
     span: int
     runs: int
     starts: tuple
     rows: tuple
-    packed: int | None
     dead: np.ndarray
     bias: np.ndarray
 
@@ -605,9 +599,7 @@ def _window_layout(segments: tuple, size: int):
         bias = np.where(klive[:, dead], 0.0, -np.inf)
         for arr in (dead, bias):
             arr.setflags(write=False)
-        # the query frames are one slice of q when they hold no zero rows
-        packed = min(rows) == runs * length and starts[-1] - starts[0] == (len(rows) - 1) * runs * length
-        groups.append(_WindowGroup(length, span, runs, starts, rows, starts[0] if packed else None, dead, bias))
+        groups.append(_WindowGroup(length, span, runs, starts, rows, dead, bias))
     return n, tuple(groups), pairs, soft
 
 
@@ -624,10 +616,9 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     segment) run in chunks of whole blocks or of runs of one block: about
     `CHUNK` logits a chunk off a tape, the whole layout on it, whose logits
     the vjp keeps. Each chunk copies only the rows it reads into a zero
-    frame of its own size (whole-run segments back to back in q are their
-    own query frame), and every window's keys and values are a strided view
-    of its block, so each (window, head) product is one BLAS call on rows
-    of width d, whatever the chunk. Keys outside the segment are zero rows
+    frame of its own size, and every window's keys and values are a strided
+    view of its block, so each (window, head) product is one BLAS call on
+    rows of width d, whatever the chunk. Keys outside the segment are zero rows
     under a -inf bias, added only to the runs that may hold one, so each
     segment sees exactly the layout it has alone. Each chunk's QK, softmax
     and PV go straight into its output rows. FLOPs are charged on live
@@ -648,11 +639,7 @@ def window_attention(q, k, v, size: int, heads: int, segments=None) -> Tensor:
     taped = _taped((q, k, v))
 
     def frame(a, grp, lead, b0, nb, r0, nr):  # (nb, nr*L + 2*lead, d): runs r0.. of blocks b0.. and `lead` rows either side, zero outside the segment
-        length = grp.length
-        lo, rows = r0 * length - lead, nr * length + 2 * lead
-        if grp.packed is not None and not lead:
-            whole = grp.runs * length
-            return a[grp.packed : grp.packed + len(grp.starts) * whole].reshape(-1, whole, d)[b0 : b0 + nb, lo : lo + rows]
+        lo, rows = r0 * grp.length - lead, nr * grp.length + 2 * lead
         framed = np.zeros((nb, rows, d))
         for block, start, m in zip(framed, grp.starts[b0 : b0 + nb], grp.rows[b0 : b0 + nb]):
             block[max(-lo, 0) : m - lo] = a[start + max(lo, 0) : start + min(lo + rows, m)]

@@ -174,6 +174,11 @@ def cell_majority_oracle(labels, cell=4):
     return out
 
 
+def array_specs(arrays):
+    """`params.ParamStore` specs that copy each named array into its slot."""
+    return [(name, np.shape(a), lambda out, a=a: np.copyto(out, a)) for name, a in arrays.items()]
+
+
 def finite_difference(f, t, idx, h=1e-5):
     """Central difference of scalar-valued f with respect to t.data[idx]."""
     orig = t.data[idx]

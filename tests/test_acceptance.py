@@ -272,8 +272,9 @@ def test_criterion_6_cluster_attention_limits(rng):
             s, _ = grow_random_set(64, 64, float(rng.uniform(0.2, 1.0)), rng)
             d = int(rng.choice([8, 16, 32]))
             heads = max(d // 32, 1)
-            store = params.ParamStore()
-            params._block(store, int(rng.integers(10_000)), "blk", d, key_scale=True)
+            specs = []
+            params._block(specs, int(rng.integers(10_000)), "blk", d, key_scale=True)
+            store = params.ParamStore(specs)
             x = rng.standard_normal((s.n_valid, d))
             if trial % 2 == 0:
                 # limit: one cluster covering everything == global attention

@@ -279,8 +279,8 @@ def test_pnm_size_checked_before_the_payload(tmp_path, size):
 
 def test_pad_labels_uses_ignore():
     lab = np.ones((40, 50), dtype=np.int64)
-    padded = boundary.pad_labels(lab, 64, 64)
-    assert padded.shape == (64, 64)
+    img, padded = scenes.pad_to_grid(np.ones((40, 50, 3)), lab)
+    assert img.shape == (64, 64, 3) and padded.shape == (64, 64)
     assert np.all(padded[40:] == IGNORE) and np.all(padded[:, 50:] == IGNORE)
     # padding never creates boundary pixels
     assert boundary_map(padded).sum() == 0

@@ -13,9 +13,9 @@ from conftest import grow_random_set, mul, parent_of, split, with_children
 
 
 def make_block_store(d, seed=0, key_scale=True):
-    store = params.ParamStore()
-    params._block(store, seed, "blk", d, key_scale=key_scale)
-    return store
+    specs = []
+    params._block(specs, seed, "blk", d, key_scale=key_scale)
+    return params.ParamStore(specs)
 
 
 class TestClusterAssignment:

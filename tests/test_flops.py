@@ -95,8 +95,9 @@ class TestCounterExecutorAgreement:
         if n % size == 0:
             size = 7 if n % 7 else 9
         assert n % size and n > 2 * size
-        store = params.ParamStore()
-        params._block(store, 0, "blk", d, key_scale=True)
+        specs = []
+        params._block(specs, 0, "blk", d, key_scale=True)
+        store = params.ParamStore(specs)
         x = Tensor(rng.standard_normal((n, d)))
         with flops.meter() as m:
             clusterattn.cluster_attention_block(x, s, clusterattn.cluster(s, size), store, "blk", heads)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptok import boundary, flops, geometry
+from adaptok import boundary, flops, geometry, scenes
 from adaptok.errors import ContractError
 from adaptok.geometry import TokenKey, canonical_order, coarse_grid, finest_cover
 
@@ -39,7 +39,8 @@ class TestCoarseGrid:
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
             coarse_grid(100, 64)
-        assert geometry.padded_extent(100, 64) == (128, 64)
+        _, labels = scenes.pad_to_grid(np.zeros((100, 64, 3)), np.zeros((100, 64), dtype=np.int64))
+        assert labels.shape == (128, 64)
 
     def test_pixel_coverage_512(self):
         s = coarse_grid(512, 512)

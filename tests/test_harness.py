@@ -17,6 +17,8 @@ from adaptok.boundary import IGNORE, boundary_map
 from adaptok.config import load_config
 from adaptok.scenes import SceneSpec, generate_scene
 
+from conftest import array_specs
+
 
 class TestSceneGeneration:
     def test_zero_regions_uniform(self):
@@ -24,6 +26,11 @@ class TestSceneGeneration:
         sc = generate_scene(5, spec)
         assert len(np.unique(sc.labels)) == 1
         assert boundary_map(sc.labels).sum() == 0
+
+    def test_min_region_below_1_rejected(self):
+        # no flag sets it; a corpus descriptor can
+        with pytest.raises(ValueError, match="scene spec min_region must lie in"):
+            SceneSpec.from_json_dict({**SceneSpec().to_json_dict(), "min_region": 0})
 
     def test_centered_square_perimeter_band(self):
         lab = np.zeros((64, 64), dtype=int)
@@ -167,8 +174,8 @@ class TestConfig:
 
     def test_thresholds_default_match_protocol(self, nano_cfg):
         assert nano_cfg.thresholds == (0.005, 0.01, 0.02)
-        assert nano_cfg.rounds == 3
-        assert len(nano_cfg.thresholds) == nano_cfg.rounds
+        assert config.ROUNDS == 3
+        assert len(nano_cfg.thresholds) == config.ROUNDS
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -183,8 +190,7 @@ class TestConfig:
 
 class TestAdam:
     def test_converges_on_quadratic(self):
-        store = params.ParamStore()
-        store.add("w", np.array([5.0, -3.0]))
+        store = params.ParamStore(array_specs({"w": np.array([5.0, -3.0])}))
         opt = train.Adam(store, lr=0.1)
         for _ in range(200):
             opt.step(2 * store.flat)
@@ -203,10 +209,9 @@ class TestParamArena:
     def test_every_parameter_is_a_view_of_the_arena(self, nano_cfg, tmp_path):
         path = tmp_path / "params.bin"
         params.save_params(path, params.init_params(nano_cfg, seed=0), nano_cfg)
-        incremental = params.ParamStore()
-        incremental.add("w", np.array([5.0, -3.0]))
-        params._linear(incremental, 0, "fuse", 4, 2)
-        for store in (params.init_params(nano_cfg, seed=0), params.load_params(path, nano_cfg), incremental):
+        specs = array_specs({"w": np.array([5.0, -3.0])})
+        params._linear(specs, 0, "fuse", 4, 2)
+        for store in (params.init_params(nano_cfg, seed=0), params.load_params(path, nano_cfg), params.ParamStore(specs)):
             assert store.flat.size == sum(t.data.size for _, t in store.items())
             for name, t in store.items():
                 assert np.shares_memory(t.data, store.flat), name
@@ -216,14 +221,9 @@ class TestParamArena:
             store[name].data[(0,) * store[name].data.ndim] += 1.0
             assert np.flatnonzero(store.flat != before).tolist() == [store.flat.size - store[name].data.size]
 
-    def test_add_keeps_values_and_tensors(self):
-        store = params.ParamStore()
-        w = store.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = store.add("b", np.array([5.0]))
-        assert store["w"] is w and store["b"] is b
-        assert store.flat.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-        with pytest.raises(ValueError, match="duplicate"):
-            store.add("w", np.zeros(1))
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ValueError, match="duplicate parameter w"):
+            params.ParamStore(array_specs({"w": np.zeros(2)}) + [("w", (1,), None)])
 
 
 def _param_digest(store) -> str:
@@ -734,14 +734,44 @@ class TestCli:
         assert record["error"] == "ValueError" and record["message"] == f"count must be >= 1, got {count}"
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize("field, name", [("input_h", "height"), ("input_w", "width")])
+    def test_scene_extent_below_1_rejected(self, tmp_path, capsys, field, name):
+        path = tmp_path / "flat.json"
+        config.save_config(path, config.nano().with_overrides(**{field: 0}))
+        record = self.error_record(capsys, "gen", "--config", str(path), "--count", "1", "--out", str(tmp_path / "out"))
+        assert record["error"] == "ValueError" and f"scene spec {name} must" in record["message"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv, cause",
         [
             (("flops", "--policies", "adaptive,bogus"), "unknown policy 'bogus'"),
             (("ablate", "--steps", "1", "--variants", "baseline,bogus"), "unknown ablation 'bogus'"),
             (("ablate", "--steps", "1", "--variants", "baseline", "--eval-count", "0"), "held-out corpus is empty"),
+            (("gen", "--max-regions", "-1"), "max_regions must"),
+            (("gen", "--uniform-fraction", "3"), "uniform_fraction must"),
+            (("gen", "--uniform-fraction", "nan"), "uniform_fraction must"),
+            (("gen", "--noise", "-1"), "noise must"),
+            (("gen", "--noise", "nan"), "noise must"),
+            (("eval", "--noise", "nan"), "noise must"),
+            (("eval", "--noise", "inf"), "noise must"),
+            (("eval", "--overlays", "-1"), "n_overlays must"),
+            (("eval", "--dump-features", "-1"), "n_feature_dumps must"),
         ],
-        ids=["flops_policy", "ablate_variant", "ablate_eval_count_0"],
+        ids=[
+            "flops_policy",
+            "ablate_variant",
+            "ablate_eval_count_0",
+            "gen_max_regions_negative",
+            "gen_uniform_fraction_3",
+            "gen_uniform_fraction_nan",
+            "gen_noise_negative",
+            "gen_noise_nan",
+            "eval_noise_nan",
+            "eval_noise_inf",
+            "eval_overlays_negative",
+            "eval_dump_features_negative",
+        ],
     )
     def test_bad_argument_rejected_before_the_first_forward(self, tmp_path, capsys, monkeypatch, argv, cause):
         forwards = []

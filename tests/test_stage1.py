@@ -69,8 +69,9 @@ class TestCoarseEmbed:
 
     def test_tiny_dim_and_count(self):
         cfg = config.tiny(h=256, w=256)
-        store = params.ParamStore()
-        params.init_coarse_embed(store, cfg, seed=0)
+        specs = []
+        params.init_coarse_embed(specs, cfg, seed=0)
+        store = params.ParamStore(specs)
         assert store["s1.embed.w"].data.shape == (32 * 32 * 3, 512)
         assert store["s1.embed.pos"].data.shape == (64, 512)
 

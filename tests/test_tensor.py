@@ -596,8 +596,9 @@ class TestOffTapeMemory:
     def round_one(self):
         """A tiny Stage-2 round-1 block's inputs: the 5,440 tokens of a dense
         256x256 set, width 64 (hidden 256), and the block's parameters."""
-        store = params.ParamStore()
-        params._block(store, 0, "blk", 64, key_scale=True)
+        specs = []
+        params._block(specs, 0, "blk", 64, key_scale=True)
+        store = params.ParamStore(specs)
         rng = np.random.default_rng(0)
         tokens, _ = grow_random_set(256, 256, 1.0, rng)
         return tokens, store, Tensor(rng.standard_normal((tokens.n_valid, 64)))
