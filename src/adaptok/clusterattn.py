@@ -72,15 +72,11 @@ def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, size: int,
     return tensor.linear(attn, store[f"{prefix}.o.w"], store[f"{prefix}.o.b"], segments, plus=x)
 
 
-def _block(held: list, store, prefix, heads, size, key_levels, segments) -> Tensor:
-    """A pre-norm block on the input popped from `held`: the attention gets
-    it as its only reference, so off a tape nothing keeps it once the
-    attention has added it as the residual (a wrapper copies its argument
-    into `held` and deletes its own name for it)."""
-    x = _attention(held.pop(), store, prefix, heads, size, key_levels, segments)
-    # the layer-norm output is passed as the MLP's only reference, so off a
-    # tape the MLP frees it once its hidden rows exist (CPython 3.11 on hands
-    # a call's arguments to the callee; 3.10 holds them until it returns)
+def _mlp(x: Tensor, store: ParamStore, prefix: str, segments) -> Tensor:
+    """x plus the MLP branch. The layer-norm output is passed as the MLP's
+    only reference, so off a tape the MLP frees it once its hidden rows
+    exist (CPython 3.11 on hands a call's arguments to the callee; 3.10
+    holds them until it returns)."""
     return tensor.mlp(
         tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"]),
         store[f"{prefix}.mlp1.w"],
@@ -108,15 +104,13 @@ def cluster_attention_block(
             f"{x.data.shape[0]} feature rows, {token_set.n_valid} tokens and a cluster "
             f"assignment over {assignment.n_tokens} rows do not agree"
         )
-    held = [x]
-    del x
-    return _block(held, store, prefix, heads, assignment.cluster_size, token_set.row_levels(), token_set.segments)
+    x = _attention(x, store, prefix, heads, assignment.cluster_size, token_set.row_levels(), token_set.segments)
+    return _mlp(x, store, prefix, token_set.segments)
 
 
 def vit_block(x: Tensor, store: ParamStore, prefix: str, heads: int, segments=None) -> Tensor:
     """Plain pre-norm ViT block: full self-attention within each row
     segment (one per stacked sample; None is all rows of x)."""
     segments = (x.data.shape[0],) if segments is None else tuple(segments)
-    held = [x]
-    del x
-    return _block(held, store, prefix, heads, max(max(segments, default=0), 1), None, segments)
+    x = _attention(x, store, prefix, heads, max(max(segments, default=0), 1), None, segments)
+    return _mlp(x, store, prefix, segments)

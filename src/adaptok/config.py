@@ -42,10 +42,18 @@ class EncoderConfig:
         for nm in ("stage1_dims", "stage1_blocks", "stage2_dims", "stage2_blocks"):
             if len(getattr(self, nm)) != 4:
                 raise ValueError(f"{nm} must list 4 rounds")
+        for nm in ("stage1_blocks", "stage2_blocks"):
+            if min(getattr(self, nm)) < 0:
+                raise ValueError(f"{nm} must not be negative, got {getattr(self, nm)}")
+        if min(self.stage1_dims) < 1:
+            raise ValueError(f"stage1_dims must be at least 1, got {self.stage1_dims}")
+        if self.n_classes < 1:
+            raise ValueError(f"n_classes must be at least 1, got {self.n_classes}")
         if len(self.thresholds) != ROUNDS:
             raise ValueError(f"need {ROUNDS} thresholds")
-        if any(t <= 0 for t in self.thresholds):
-            raise ValueError("thresholds must be positive")
+        # NaN fails `t > 0`; inf passes and splits nothing
+        if not all(t > 0 for t in self.thresholds):
+            raise ValueError(f"thresholds must be positive, got {self.thresholds}")
         if len(self.ratio_schedule) != ROUNDS:
             raise ValueError(f"need {ROUNDS} ratios")
         if not all(0.0 <= r <= 1.0 for r in self.ratio_schedule):

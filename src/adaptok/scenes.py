@@ -28,12 +28,18 @@ class SceneSpec:
     noise: float = 0.002
 
     def __post_init__(self):
-        for name, low in (("height", 1), ("width", 1), ("max_regions", 0), ("min_region", 1), ("noise", 0.0)):
+        for name, low in (("height", 1), ("width", 1), ("n_classes", 1), ("max_regions", 0), ("min_region", 1), ("noise", 0.0)):
             value = getattr(self, name)
             if not low <= value < math.inf:
                 raise ValueError(f"scene spec {name} must lie in [{low}, inf), got {value!r}")
         if not 0.0 <= self.uniform_fraction <= 1.0:
             raise ValueError(f"scene spec uniform_fraction must lie in [0, 1], got {self.uniform_fraction!r}")
+        # a region draws its class from 1..n_classes-1
+        if self.n_classes < 2 and self.max_regions > 0 and self.uniform_fraction < 1:
+            raise ValueError(
+                f"scene spec n_classes must be at least 2 when regions can be drawn "
+                f"(max_regions > 0 and uniform_fraction < 1), got {self.n_classes}"
+            )
 
     def to_json_dict(self) -> dict:
         return asdict(self)

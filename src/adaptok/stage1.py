@@ -38,8 +38,8 @@ from .tensor import Tensor
 
 def select(scores, threshold: float) -> tuple[np.ndarray, int]:
     """Indices of scores strictly above the threshold, and their count."""
-    if threshold <= 0:
-        raise ValueError("selection threshold must be positive")
+    if not threshold > 0:  # NaN too
+        raise ValueError(f"selection threshold must be positive, got {threshold}")
     scores = np.asarray(scores, dtype=np.float64).ravel()
     flops.add_cost(comparisons=scores.size)
     idx = np.flatnonzero(scores > threshold)
@@ -250,7 +250,7 @@ class Stage1Run:
         with flops.section("stage1.pre"):
             heads = cfg.heads_for(cfg.stage1_dims[0])
             for i in range(cfg.stage1_blocks[0]):
-                self.feats = clusterattn.vit_block(self._take_feats(), store, f"s1.pre.{i}", heads, segments)
+                self.feats = clusterattn.vit_block(self.feats, store, f"s1.pre.{i}", heads, segments)
         self.snapshot("pre")
 
     # -- allocation round hooks ---------------------------------------------
@@ -339,7 +339,7 @@ class Stage1Run:
         return tensor.add(feat, tensor.gather_rows(store[f"s1.r{r}.slot_emb"], slot_idx))
 
     def attend_round(self, r: int):
-        cfg = self.cfg
+        cfg, store = self.cfg, self.store
         if cfg.stage1_blocks[r] == 0:
             return
         with flops.section(f"stage1.r{r}"):
@@ -347,17 +347,7 @@ class Stage1Run:
             assignment = clusterattn.cluster(tokens, cfg.cluster_size)
             heads = cfg.heads_for(cfg.stage1_dims[r])
             for i in range(cfg.stage1_blocks[r]):
-                self.feats = clusterattn.cluster_attention_block(
-                    self._take_feats(), tokens, assignment, self.store, f"s1.r{r}.blk{i}", heads
-                )
-
-    def _take_feats(self) -> Tensor:
-        """The features, handed to a block as its only reference: `feats` is
-        None until the block's output is stored, so off a tape the input is
-        freed once the block has added it as its residual (unless a lateral
-        snapshot keeps it)."""
-        feats, self.feats = self.feats, None
-        return feats
+                self.feats = clusterattn.cluster_attention_block(self.feats, tokens, assignment, store, f"s1.r{r}.blk{i}", heads)
 
     def snapshot(self, name: str):
         self.laterals[name] = Lateral(self.tokens, self.feats)

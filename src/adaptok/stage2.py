@@ -94,8 +94,8 @@ def _stage1_parts(s1out: Stage1Output | Stage1Batch | list) -> tuple[TokenBatch,
 def run_stage2(s1out: Stage1Output | Stage1Batch | list, store: ParamStore, cfg: EncoderConfig) -> Stage2Output:
     """The four refinement rounds over a Stage-1 result, or over the one
     popped from a one-element list (`_stage1_parts`): then off a tape its
-    features are freed once the first block's attention has read them, and
-    each lateral once fused."""
+    features are freed once round 1's first block has run, and each
+    lateral once fused."""
     tokens, feats, laterals = _stage1_parts(s1out)
     emitted: dict[int, EmittedMap] = {}
     for k in (1, 2, 3, 4):
@@ -106,21 +106,13 @@ def run_stage2(s1out: Stage1Output | Stage1Batch | list, store: ParamStore, cfg:
                 feats = lateral_fuse(feats, tokens, laterals.pop(_LATERAL_FOR_ROUND[k]), store, f"s2.r{k}.fuse")
             n_blocks = cfg.stage2_blocks[k - 1]
             heads = cfg.heads_for(d)
-            # each block pops its input from `held`, its only reference, so
-            # off a tape the input is freed once the block's attention has
-            # added it as the residual
-            held = [feats]
-            del feats
             if k <= 3:
                 assignment = clusterattn.cluster(tokens, cfg.cluster_size)
                 for i in range(n_blocks):
-                    held.append(
-                        clusterattn.cluster_attention_block(held.pop(), tokens, assignment, store, f"s2.r{k}.blk{i}", heads)
-                    )
+                    feats = clusterattn.cluster_attention_block(feats, tokens, assignment, store, f"s2.r{k}.blk{i}", heads)
             else:
                 for i in range(n_blocks):
-                    held.append(clusterattn.vit_block(held.pop(), store, f"s2.r{k}.blk{i}", heads, tokens.segments))
-            feats = held.pop()
+                    feats = clusterattn.vit_block(feats, store, f"s2.r{k}.blk{i}", heads, tokens.segments)
             tokens, feats, emitted[4 - k] = _emit(tokens, feats, 4 - k)
     return Stage2Output(emitted)
 
@@ -133,9 +125,7 @@ def run_stage1_only_refine(s1out: Stage1Output | Stage1Batch | list, store: Para
     with flops.section("stage1x"):
         assignment = clusterattn.cluster(tokens, cfg.cluster_size)
         heads = cfg.heads_for(cfg.stage1_dims[3])
-        held = [feats]
-        del feats
-        feats = clusterattn.cluster_attention_block(held.pop(), tokens, assignment, store, "s1x.blk", heads)
+        feats = clusterattn.cluster_attention_block(feats, tokens, assignment, store, "s1x.blk", heads)
         emitted: dict[int, EmittedMap] = {}
         for level in (3, 2, 1, 0):
             tokens, feats, emitted[level] = _emit(tokens, feats, level)

@@ -225,16 +225,18 @@ def train(
     boundary map and cell-majority labels once (`LabelTables`,
     `batch_size` scenes at a time); a step gathers its batch's rows. Aborts
     with a diagnostic, before any update, if the loss or a gradient stops
-    being finite. A `steps` or `batch_size` below 1, or an `lr` that is
-    negative or not finite, raises ValueError naming it."""
+    being finite. A `steps` or `batch_size` below 1, or an `lr` or
+    `allocator_weight` that is negative or not finite, raises ValueError
+    naming it."""
     if cfg.policy not in ("adaptive", "dense", "oracle_mix", "random_ratio"):
         raise ValueError(f"unsupported training policy {cfg.policy}")
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    if not (np.isfinite(lr) and lr >= 0):
-        raise ValueError(f"lr must be finite and non-negative, got {lr}")
+    for name, value in (("lr", lr), ("allocator_weight", allocator_weight)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
     if not len(corpus):
         raise ValueError("corpus is empty: training needs at least one scene")
     want = (cfg.input_h, cfg.input_w, cfg.channels)

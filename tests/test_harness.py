@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 import weakref
@@ -31,6 +32,23 @@ class TestSceneGeneration:
         # no flag sets it; a corpus descriptor can
         with pytest.raises(ValueError, match="scene spec min_region must lie in"):
             SceneSpec.from_json_dict({**SceneSpec().to_json_dict(), "min_region": 0})
+
+    @pytest.mark.parametrize(
+        "overrides, cause",
+        [
+            ({"n_classes": 0}, "n_classes must lie in [1, inf)"),
+            ({"n_classes": 1}, "n_classes must be at least 2 when regions can be drawn"),
+        ],
+        ids=["no_class", "one_class_with_regions"],
+    )
+    def test_too_few_classes_rejected(self, overrides, cause):
+        with pytest.raises(ValueError, match=re.escape(f"scene spec {cause}")):
+            SceneSpec(**overrides)
+
+    @pytest.mark.parametrize("overrides", [{"max_regions": 0}, {"uniform_fraction": 1.0}], ids=["no_regions", "all_uniform"])
+    def test_one_class_without_regions_is_background(self, overrides):
+        sc = generate_scene(5, SceneSpec(n_classes=1, **overrides))
+        assert not sc.labels.any()
 
     def test_centered_square_perimeter_band(self):
         lab = np.zeros((64, 64), dtype=int)
@@ -186,6 +204,32 @@ class TestConfig:
             config.nano().with_overrides(policy="always")
         with pytest.raises(ValueError):
             config.nano(h=50)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_classes", 0),
+            ("stage1_blocks", (1, -1, 1, 0)),
+            ("stage2_blocks", (1, 1, -2, 1)),
+            ("stage1_dims", (0, 0, 0, 0)),
+            ("thresholds", (math.nan, 0.01, 0.02)),
+            ("thresholds", (0.005, -0.01, 0.02)),
+        ],
+        ids=["n_classes_0", "stage1_blocks_negative", "stage2_blocks_negative", "stage1_dims_0", "thresholds_nan", "thresholds_negative"],
+    )
+    def test_bad_field_named(self, field, value):
+        overrides = {field: value}
+        if field == "stage1_dims":
+            overrides["stage2_dims"] = value
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            config.nano().with_overrides(**overrides)
+
+    def test_infinite_threshold_splits_nothing(self, scene_spec):
+        cfg = config.nano().with_overrides(thresholds=(math.inf, math.inf, math.inf))
+        sc = generate_scene(5, scene_spec)
+        fr = train.forward_full(sc.image, params.init_params(cfg, seed=0), cfg)
+        assert fr.s1out.trace.tokens_per_level(cfg.coarse_tokens)[1:] == [0, 0, 0]
 
 
 class TestAdam:
@@ -559,6 +603,21 @@ class TestEvaluate:
             assert cli.main(["flops", "--count", "6", "--policies", "adaptive"]) == 0
         assert len(refs) == 3 and refs[-1]() is None
 
+    def test_live_peak_over_128_scenes(self):
+        # 128 nano scenes under ground-truth allocation run as four stacked
+        # batches of 32, each freed before the next forward: 8.18 MB live
+        cfg = config.nano().with_overrides(policy="oracle_mix", oracle_rate=1.0)
+        store = params.init_params(cfg, seed=9)
+        corpus = scenes.generate_corpus(9, 128, SceneSpec(max_regions=8))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate.evaluate(cfg, store, corpus, seed=9)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9e6, peak / 1e6
+
     def test_segmentation_metrics_hand_case(self):
         conf = np.array([[3, 1], [0, 4]])
         m = evaluate.segmentation_metrics(conf)
@@ -690,8 +749,21 @@ class TestCli:
             (("--lr", "-1"), "lr"),
             (("--steps", "0"), "steps"),
             (("--steps", "-3"), "steps"),
+            (("--allocator-weight", "nan"), "allocator_weight"),
+            (("--allocator-weight", "inf"), "allocator_weight"),
+            (("--allocator-weight", "-5"), "allocator_weight"),
         ],
-        ids=["batch_0", "lr_nan", "lr_inf", "lr_negative", "steps_0", "steps_negative"],
+        ids=[
+            "batch_0",
+            "lr_nan",
+            "lr_inf",
+            "lr_negative",
+            "steps_0",
+            "steps_negative",
+            "allocator_weight_nan",
+            "allocator_weight_inf",
+            "allocator_weight_negative",
+        ],
     )
     def test_bad_training_argument_rejected_before_step_0(self, tmp_path, capsys, flags, name):
         # the flag under test comes last, so it overrides the valid default
@@ -743,6 +815,32 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("n_classes", 0), ("stage1_blocks", [1, 1, 1, -1]), ("stage2_blocks", [-1, 1, 2, 1]), ("stage1_dims", [0, 0, 0, 0])],
+        ids=["n_classes_0", "stage1_blocks_negative", "stage2_blocks_negative", "stage1_dims_0"],
+    )
+    def test_bad_config_field_rejected(self, tmp_path, capsys, field, value):
+        fields = {**config.nano().to_json_dict(), field: value}
+        if field == "stage1_dims":
+            fields["stage2_dims"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(fields))
+        record = self.error_record(capsys, "eval", "--config", str(path), "--count", "2", "--out", str(tmp_path / "out"))
+        assert record["error"] == "ValueError" and record["message"].startswith(f"{path}: {field} must")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_class_config(self, tmp_path, capsys):
+        # a region takes a class other than the background, so one class
+        # allows only uniform scenes
+        path = tmp_path / "one.json"
+        config.save_config(path, config.nano(classes=1))
+        record = self.error_record(capsys, "gen", "--config", str(path), "--count", "3", "--out", str(tmp_path / "bad"))
+        assert record["error"] == "ValueError" and "scene spec n_classes must be at least 2" in record["message"]
+        assert not (tmp_path / "bad").exists()
+        assert self.run("gen", "--config", str(path), "--count", "3", "--uniform-fraction", "1", "--out", str(tmp_path / "flat")) == 0
+        assert self.run("eval", "--config", str(path), "--corpus-dir", str(tmp_path / "flat"), "--out", str(tmp_path / "ev")) == 0
+
+    @pytest.mark.parametrize(
         "argv, cause",
         [
             (("flops", "--policies", "adaptive,bogus"), "unknown policy 'bogus'"),
@@ -757,6 +855,8 @@ class TestCli:
             (("eval", "--noise", "inf"), "noise must"),
             (("eval", "--overlays", "-1"), "n_overlays must"),
             (("eval", "--dump-features", "-1"), "n_feature_dumps must"),
+            (("eval", "--tau", "nan,0.01,0.02"), "thresholds must be positive"),
+            (("flops", "--tau", "0.005,0.01,-1"), "thresholds must be positive"),
         ],
         ids=[
             "flops_policy",
@@ -771,6 +871,8 @@ class TestCli:
             "eval_noise_inf",
             "eval_overlays_negative",
             "eval_dump_features_negative",
+            "eval_tau_nan",
+            "flops_tau_negative",
         ],
     )
     def test_bad_argument_rejected_before_the_first_forward(self, tmp_path, capsys, monkeypatch, argv, cause):

@@ -52,6 +52,11 @@ class TestSelect:
         with pytest.raises(ValueError):
             select([0.5], 0.0)
 
+    def test_nan_threshold_rejected_and_inf_selects_nothing(self):
+        with pytest.raises(ValueError, match="threshold must be positive, got nan"):
+            select([0.5], float("nan"))
+        assert select([0.5, 1.0], float("inf"))[1] == 0
+
 
 class TestCoarseEmbed:
     def test_every_forward_charges_the_coarse_sort(self, nano_cfg, nano_store, rng):
