@@ -24,10 +24,8 @@ _OFFSETS8 = _OFFSETS4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 def boundary_map(labels: np.ndarray, connectivity: int = 4) -> np.ndarray:
     """Binary (uint8) boundary map of an (H, W) label map, or of each map of
-    an (S, H, W) stack. Border pixels compare only against in-bounds
-    neighbors."""
-    if connectivity not in (4, 8):
-        raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    an (S, H, W) stack, under a config's `connectivity` (4 or 8). Border
+    pixels compare only against in-bounds neighbors."""
     lab = np.asarray(labels)
     if lab.ndim not in (2, 3):
         raise ValueError("label map must be 2-D, or a 3-D stack of maps")

@@ -12,7 +12,7 @@ from . import evaluate as evaluate_mod
 from . import flops as flops_mod
 from . import scenes as scenes_mod
 from . import train as train_mod
-from .config import EncoderConfig, load_config, save_config
+from .config import POLICIES, EncoderConfig, check, load_config, save_config
 from .params import init_params, load_params, save_params
 
 
@@ -43,17 +43,18 @@ def _load_cfg(args) -> EncoderConfig:
     overrides = {}
     if getattr(args, "policy", None):
         overrides["policy"] = args.policy
-    if getattr(args, "tau", None):
-        parts = tuple(float(x) for x in args.tau.split(","))
-        overrides["thresholds"] = parts
+    if getattr(args, "tau", None) is not None:
+        try:
+            overrides["thresholds"] = tuple(float(x) for x in args.tau.split(","))
+        except ValueError:
+            raise ValueError(f"thresholds must be comma-separated numbers, got {args.tau!r}") from None
     if getattr(args, "oracle_rate", None) is not None:
         overrides["oracle_rate"] = args.oracle_rate
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
 def cmd_gen(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"count must be >= 1, got {args.count}")
+    check("count", args.count, int, ("be >= 1", lambda v: v >= 1))
     cfg = _load_cfg(args)
     spec = _scene_spec(args, cfg)
     desc = scenes_mod.corpus_descriptor(args.corpus_seed, args.count, spec)
@@ -63,20 +64,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _train(args, cfg, store, corpus, log=print) -> list[dict]:
+    return train_mod.train(
+        cfg, store, corpus, steps=args.steps, lr=args.lr, batch_size=args.batch, seed=args.seed,
+        allocator_weight=args.allocator_weight, log=log,
+    )
+
+
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     corpus, desc = _corpus(args, cfg)
     store = init_params(cfg, args.seed)
-    history = train_mod.train(
-        cfg,
-        store,
-        corpus,
-        steps=args.steps,
-        lr=args.lr,
-        batch_size=args.batch,
-        seed=args.seed,
-        allocator_weight=args.allocator_weight,
-    )
+    history = _train(args, cfg, store, corpus)
     os.makedirs(args.out, exist_ok=True)
     save_params(os.path.join(args.out, "params.bin"), store, cfg)
     save_config(os.path.join(args.out, "config.json"), cfg)
@@ -161,17 +160,7 @@ def cmd_ablate(args) -> int:
     for name in names:
         vcfg = cfg.with_overrides(**_ABLATIONS[name])
         store = init_params(vcfg, args.seed)
-        train_mod.train(
-            vcfg,
-            store,
-            corpus,
-            steps=args.steps,
-            lr=args.lr,
-            batch_size=args.batch,
-            seed=args.seed,
-            allocator_weight=args.allocator_weight,
-            log=None,
-        )
+        _train(args, vcfg, store, corpus, log=None)
         # oracle/random selection applies to training only; inference always
         # uses predicted scores
         ecfg = vcfg if vcfg.policy in ("adaptive", "dense") else vcfg.with_overrides(policy="adaptive")
@@ -205,7 +194,7 @@ def _add_common(p, *, model=True, policy=True):
     if model:
         p.add_argument("--seed", type=int, default=0)
         if policy:
-            p.add_argument("--policy", choices=("adaptive", "dense", "random_ratio", "oracle_mix"))
+            p.add_argument("--policy", choices=POLICIES)
         p.add_argument("--tau", help="comma-separated thresholds, e.g. 0.005,0.01,0.02")
         p.add_argument("--oracle-rate", dest="oracle_rate", type=float)
     p.add_argument("--out", help="output directory")

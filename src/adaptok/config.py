@@ -3,14 +3,67 @@ the allocation-policy switches, with JSON round-tripping and digests."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+import operator
+import typing
+from dataclasses import dataclass, fields
 
 POLICIES = ("adaptive", "dense", "random_ratio", "oracle_mix")
 # fields of the allocation policy: none of them shapes a parameter
 POLICY_FIELDS = ("policy", "thresholds", "ratio_schedule", "oracle_rate", "policy_seed")
 ROUNDS = 3  # allocation rounds after the pre-allocation pass
+
+# a scalar kind's noun and the types of its values; a number is also not NaN
+_SCALARS = {bool: ("a bool", {bool}), int: ("an int", {int}), float: ("a number", {int, float}), str: ("a string", {str})}
+
+
+@functools.cache
+def _kind(annotation) -> tuple[str, set, int | None]:
+    """(noun, types, item count) of a scalar kind, whose count is None, or
+    of a `tuple` of n items of one scalar kind."""
+    if not (items := typing.get_args(annotation)):
+        return (*_SCALARS[annotation], None)
+    noun, types = _SCALARS[items[0]]
+    return f"{len(items)} {noun.split()[-1]}s", types, len(items)
+
+
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    return tuple((name, _kind(hint)) for name, hint in typing.get_type_hints(cls).items())
+
+
+def _check(name: str, value, kind, rule, prefix: str):
+    noun, types, n = kind
+    # `v == v` fails only for NaN
+    if n is None:
+        fits = type(value) in types and value == value
+        if fits and (rule is None or rule[1](value)):
+            return
+    else:
+        fits = type(value) is tuple and len(value) == n and types.issuperset(map(type, value)) and all(map(operator.eq, value, value))
+        if fits and (rule is None or all(map(rule[1], value))):
+            return
+    text = rule[0] if fits else f"be {noun}" if rule is None else f"{rule[0]} ({noun})"
+    raise ValueError(f"{prefix}{name} must {text}, got {value!r}")
+
+
+def check(name: str, value, annotation, rule: tuple[str, typing.Callable] | None = None):
+    """Raise ValueError "{name} must {text}, got {value!r}" unless `value`
+    is of the annotated kind and passes the test of `rule`, a (text, test)
+    pair, item by item for a tuple; when the kind fails, the text names it
+    too. A kind is exact: `int` (not a bool), `float` (an int or float, not
+    NaN), `bool`, `str`, or a `tuple` of n of one of them."""
+    _check(name, value, _kind(annotation), rule, "")
+
+
+def check_fields(obj, rules: dict, prefix: str = ""):
+    """`check` on every field of dataclass `obj`, against its annotation
+    (resolved once per class) and `rules[name]`, the message led by
+    `prefix`."""
+    for name, kind in _field_kinds(type(obj)):
+        _check(name, getattr(obj, name), kind, rules.get(name), prefix)
 
 
 @dataclass(frozen=True)
@@ -37,42 +90,14 @@ class EncoderConfig:
     no_residual: bool = False
 
     def __post_init__(self):
-        if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        for nm in ("stage1_dims", "stage1_blocks", "stage2_dims", "stage2_blocks"):
-            if len(getattr(self, nm)) != 4:
-                raise ValueError(f"{nm} must list 4 rounds")
-        for nm in ("stage1_blocks", "stage2_blocks"):
-            if min(getattr(self, nm)) < 0:
-                raise ValueError(f"{nm} must not be negative, got {getattr(self, nm)}")
-        if min(self.stage1_dims) < 1:
-            raise ValueError(f"stage1_dims must be at least 1, got {self.stage1_dims}")
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be at least 1, got {self.n_classes}")
-        if len(self.thresholds) != ROUNDS:
-            raise ValueError(f"need {ROUNDS} thresholds")
-        # NaN fails `t > 0`; inf passes and splits nothing
-        if not all(t > 0 for t in self.thresholds):
-            raise ValueError(f"thresholds must be positive, got {self.thresholds}")
-        if len(self.ratio_schedule) != ROUNDS:
-            raise ValueError(f"need {ROUNDS} ratios")
-        if not all(0.0 <= r <= 1.0 for r in self.ratio_schedule):
-            raise ValueError("ratios must lie in [0, 1]")
-        if not 0.0 <= self.oracle_rate <= 1.0:
-            raise ValueError("oracle rate must lie in [0, 1]")
-        if self.input_h % 32 or self.input_w % 32:
-            raise ValueError("configured input extent must be divisible by 32")
-        for a, b in zip(self.stage1_dims, self.stage1_dims[1:]):
-            if a != 2 * b:
-                raise ValueError("stage-1 dims must halve per round")
-        if tuple(self.stage2_dims) != tuple(reversed(self.stage1_dims)):
-            raise ValueError("stage-2 dims must mirror stage-1 dims")
-        if self.stage1_blocks[3] != 0:
-            raise ValueError("the final allocation round carries no attention blocks")
-        if self.cluster_size < 1:
-            raise ValueError("cluster_size must be >= 1")
-        if self.connectivity not in (4, 8):
-            raise ValueError("connectivity must be 4 or 8")
+        check_fields(self, _RULES)
+        d1 = self.stage1_dims
+        if any(a != 2 * b for a, b in zip(d1, d1[1:])):
+            raise ValueError(f"stage1_dims must halve per round, got {d1}")
+        if self.stage2_dims != d1[::-1]:
+            raise ValueError(f"stage2_dims must be the stage-1 dims reversed, {d1[::-1]}, got {self.stage2_dims}")
+        if self.stage1_blocks[3]:
+            raise ValueError(f"stage1_blocks must end in 0: the final allocation round has no blocks, got {self.stage1_blocks}")
 
     def scorer_hidden(self, round_index: int) -> int:
         """Allocator-MLP hidden width for allocation round 1..3."""
@@ -90,26 +115,13 @@ class EncoderConfig:
         return (self.input_h // 4) * (self.input_w // 4)
 
     def to_json_dict(self) -> dict:
-        # every field is a scalar or a flat sequence of scalars, so a shallow
-        # walk copies as much as `dataclasses.asdict` would
-        return {
-            f.name: list(v) if isinstance(v := getattr(self, f.name), (tuple, list)) else v for f in fields(self)
-        }
+        # every field is a scalar or a tuple of scalars, so a shallow walk
+        # copies as much as `dataclasses.asdict` would
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EncoderConfig":
-        kwargs = dict(d)
-        for nm in (
-            "stage1_dims",
-            "stage1_blocks",
-            "stage2_dims",
-            "stage2_blocks",
-            "thresholds",
-            "ratio_schedule",
-        ):
-            if nm in kwargs:
-                kwargs[nm] = tuple(kwargs[nm])
-        return cls(**kwargs)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
     def digest(self) -> str:
         return _digest(self.to_json_dict())
@@ -120,7 +132,20 @@ class EncoderConfig:
         return _digest({k: v for k, v in self.to_json_dict().items() if k not in POLICY_FIELDS})
 
     def with_overrides(self, **kw) -> "EncoderConfig":
-        return replace(self, **kw)
+        return EncoderConfig(**{**vars(self), **kw})
+
+
+# `EncoderConfig`'s field rules beyond their kinds; a tuple's hold item by item
+_RULES = {
+    **dict.fromkeys(("input_h", "input_w"), ("be a positive multiple of 32", lambda v: v >= 32 and v % 32 == 0)),
+    **dict.fromkeys(("n_classes", "stage1_dims", "cluster_size"), ("be at least 1", lambda v: v >= 1)),
+    **dict.fromkeys(("stage1_blocks", "stage2_blocks"), ("not be negative", lambda v: v >= 0)),
+    **dict.fromkeys(("ratio_schedule", "oracle_rate"), ("lie in [0, 1]", lambda v: 0 <= v <= 1)),
+    "thresholds": ("be positive", lambda v: v > 0),  # inf passes and splits nothing
+    "connectivity": ("be 4 or 8", lambda v: v in (4, 8)),
+    "channels": ("be 3", lambda v: v == 3),  # every reader makes RGB
+    "policy": (f"be one of {', '.join(POLICIES)}", lambda v: v in POLICIES),
+}
 
 
 def _digest(fields: dict) -> str:
@@ -130,15 +155,8 @@ def _digest(fields: dict) -> str:
 
 def _preset(name, h, w, d1, b1, b2, cluster, classes=6):
     return EncoderConfig(
-        name=name,
-        input_h=h,
-        input_w=w,
-        n_classes=classes,
-        stage1_dims=d1,
-        stage1_blocks=b1,
-        stage2_dims=tuple(reversed(d1)),
-        stage2_blocks=b2,
-        cluster_size=cluster,
+        name=name, input_h=h, input_w=w, n_classes=classes, stage1_dims=d1, stage1_blocks=b1,
+        stage2_dims=d1[::-1], stage2_blocks=b2, cluster_size=cluster,
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import boundary, flops, pnm, train
 from .boundary import IGNORE
-from .config import EncoderConfig
+from .config import EncoderConfig, check
 from .export import save_emitted_maps
 from .params import ParamStore
 from .stage1 import AllocationTrace
@@ -103,8 +103,7 @@ def evaluate(
     if not len(scenes):
         raise ValueError("corpus is empty: evaluation needs at least one scene")
     for name, count in (("n_overlays", n_overlays), ("n_feature_dumps", n_feature_dumps)):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
+        check(name, count, int, ("be >= 0", lambda v: v >= 0))
     conf = np.zeros((cfg.n_classes, cfg.n_classes), dtype=np.int64)
     totals, levels, scored, overlay_files = [], [], [], []
     if out_dir:

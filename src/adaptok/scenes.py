@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import pnm
 from .boundary import IGNORE
+from .config import check_fields
 from .geometry import COARSE_SIDE
 from .params import rng_for
 
@@ -28,12 +30,7 @@ class SceneSpec:
     noise: float = 0.002
 
     def __post_init__(self):
-        for name, low in (("height", 1), ("width", 1), ("n_classes", 1), ("max_regions", 0), ("min_region", 1), ("noise", 0.0)):
-            value = getattr(self, name)
-            if not low <= value < math.inf:
-                raise ValueError(f"scene spec {name} must lie in [{low}, inf), got {value!r}")
-        if not 0.0 <= self.uniform_fraction <= 1.0:
-            raise ValueError(f"scene spec uniform_fraction must lie in [0, 1], got {self.uniform_fraction!r}")
+        check_fields(self, _SPEC_RULES, prefix="scene spec ")
         # a region draws its class from 1..n_classes-1
         if self.n_classes < 2 and self.max_regions > 0 and self.uniform_fraction < 1:
             raise ValueError(
@@ -47,6 +44,14 @@ class SceneSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SceneSpec":
         return cls(**d)
+
+
+_SPEC_RULES = {
+    **dict.fromkeys(("height", "width", "n_classes", "min_region"), ("lie in [1, inf)", lambda v: v >= 1)),
+    "max_regions": ("lie in [0, inf)", lambda v: v >= 0),
+    "uniform_fraction": ("lie in [0, 1]", lambda v: 0 <= v <= 1),
+    "noise": ("lie in [0, inf)", lambda v: 0 <= v < math.inf),
+}
 
 
 @dataclass
@@ -126,8 +131,6 @@ def corpus_from_descriptor(desc: dict) -> list[SyntheticScene]:
 
 def save_corpus(out_dir, scenes: list[SyntheticScene], desc: dict | None = None):
     """Materialize image/label pairs (PPM + 16-bit PGM) plus the descriptor."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     for i, sc in enumerate(scenes):
         pnm.write_ppm8(os.path.join(out_dir, f"scene_{i:05d}.ppm"), sc.image)
@@ -158,8 +161,6 @@ def load_corpus_dir(path, shape: tuple[int, int]) -> list[SyntheticScene]:
     grid, which must come to `shape`, the config's (H, W); a pair that
     does not raises ValueError naming its file, as does a directory with no
     .ppm image."""
-    import os
-
     scenes = []
     names = sorted(n for n in os.listdir(path) if n.endswith(".ppm"))
     if not names:

@@ -48,10 +48,9 @@ def select(scores, threshold: float) -> tuple[np.ndarray, int]:
 
 def oracle_mix_gate(rate: float, seed: int, draw: int) -> bool:
     """Seed-deterministic choice, per draw, between oracle and predicted
-    scores for selection. A uniform variate in [0, 1) always passes at rate
-    1 and never at rate 0, so those rates build no generator."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("oracle rate must lie in [0, 1]")
+    scores for selection, at a config's `oracle_rate`. A uniform variate in
+    [0, 1) always passes at rate 1 and never at rate 0, so those rates build
+    no generator."""
     if rate in (0.0, 1.0):
         return rate == 1.0
     return bool(rng_for(seed, "oracle_gate", draw).random() < rate)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import boundary, stage1, stage2, tensor
 from .boundary import IGNORE
-from .config import EncoderConfig
+from .config import EncoderConfig, check
 from .params import ParamStore, rng_for
 from .stage1 import Stage1Batch, Stage1Output
 from .stage2 import Stage2Output
@@ -228,15 +228,10 @@ def train(
     being finite. A `steps` or `batch_size` below 1, or an `lr` or
     `allocator_weight` that is negative or not finite, raises ValueError
     naming it."""
-    if cfg.policy not in ("adaptive", "dense", "oracle_mix", "random_ratio"):
-        raise ValueError(f"unsupported training policy {cfg.policy}")
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    for name, value in (("steps", steps), ("batch_size", batch_size)):
+        check(name, value, int, ("be at least 1", lambda v: v >= 1))
     for name, value in (("lr", lr), ("allocator_weight", allocator_weight)):
-        if not (np.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        check(name, value, float, ("be finite and non-negative", lambda v: 0 <= v < np.inf))
     if not len(corpus):
         raise ValueError("corpus is empty: training needs at least one scene")
     want = (cfg.input_h, cfg.input_w, cfg.channels)

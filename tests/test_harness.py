@@ -21,6 +21,15 @@ from adaptok.scenes import SceneSpec, generate_scene
 from conftest import array_specs
 
 
+def _edge_values(default):
+    """Edge values for a field; a tuple field takes each as every item, and
+    a list one item short."""
+    values = [0, -1, math.nan, math.inf, 2.5, "64", True, None]
+    if isinstance(default, tuple):
+        return [[v] * len(default) for v in values] + [list(default[:-1])]
+    return values
+
+
 class TestSceneGeneration:
     def test_zero_regions_uniform(self):
         spec = SceneSpec(max_regions=0, uniform_fraction=0.0)
@@ -224,6 +233,33 @@ class TestConfig:
             overrides["stage2_dims"] = value
         with pytest.raises(ValueError, match=f"^{field} must"):
             config.nano().with_overrides(**overrides)
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            pytest.param(cls, f.name, v, id=f"{cls.__name__}-{f.name}-{v!r}")
+            for cls in (config.EncoderConfig, SceneSpec)
+            for f in dataclasses.fields(cls)
+            for v in _edge_values(getattr(config.nano() if cls is config.EncoderConfig else SceneSpec(), f.name))
+        ],
+    )
+    def test_every_field_runs_or_names_itself(self, cls, field, value):
+        # through the JSON path, so a tuple field's value arrives as a list
+        cfg, spec = config.nano(), SceneSpec()
+        try:
+            if cls is SceneSpec:
+                spec = SceneSpec.from_json_dict({**spec.to_json_dict(), field: value})
+            else:
+                cfg = config.EncoderConfig.from_json_dict({**cfg.to_json_dict(), field: value})
+        except ValueError as exc:
+            message = str(exc)
+            prefix = "scene spec " if cls is SceneSpec else ""
+            assert message.startswith(f"{prefix}{field} must"), message
+            others = [f.name for f in dataclasses.fields(cls) if f.name != field]
+            assert not any(re.search(rf"\b{o}\b", message) for o in others), message
+            return
+        manifest = evaluate.evaluate(cfg, params.init_params(cfg, seed=0), [generate_scene(5, spec)], seed=0)
+        assert manifest["dataset"]["count"] == 1
 
     def test_infinite_threshold_splits_nothing(self, scene_spec):
         cfg = config.nano().with_overrides(thresholds=(math.inf, math.inf, math.inf))
@@ -808,11 +844,15 @@ class TestCli:
 
     @pytest.mark.parametrize("field, name", [("input_h", "height"), ("input_w", "width")])
     def test_scene_extent_below_1_rejected(self, tmp_path, capsys, field, name):
+        # the config names its own field before a scene spec is built
         path = tmp_path / "flat.json"
-        config.save_config(path, config.nano().with_overrides(**{field: 0}))
-        record = self.error_record(capsys, "gen", "--config", str(path), "--count", "1", "--out", str(tmp_path / "out"))
-        assert record["error"] == "ValueError" and f"scene spec {name} must" in record["message"]
-        assert not (tmp_path / "out").exists()
+        for value in (0, -32):
+            path.write_text(json.dumps({**config.nano().to_json_dict(), field: value}))
+            for command in ("gen", "eval"):
+                record = self.error_record(capsys, command, "--config", str(path), "--count", "1", "--out", str(tmp_path / "out"))
+                assert record["error"] == "ValueError"
+                assert record["message"] == f"{path}: {field} must be a positive multiple of 32, got {value}"
+                assert f"scene spec {name}" not in record["message"] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -843,7 +883,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, cause",
         [
-            (("flops", "--policies", "adaptive,bogus"), "unknown policy 'bogus'"),
+            (("flops", "--policies", "adaptive,bogus"), "policy must be one of adaptive, dense, random_ratio, oracle_mix, got 'bogus'"),
             (("ablate", "--steps", "1", "--variants", "baseline,bogus"), "unknown ablation 'bogus'"),
             (("ablate", "--steps", "1", "--variants", "baseline", "--eval-count", "0"), "held-out corpus is empty"),
             (("gen", "--max-regions", "-1"), "max_regions must"),
@@ -857,6 +897,8 @@ class TestCli:
             (("eval", "--dump-features", "-1"), "n_feature_dumps must"),
             (("eval", "--tau", "nan,0.01,0.02"), "thresholds must be positive"),
             (("flops", "--tau", "0.005,0.01,-1"), "thresholds must be positive"),
+            (("eval", "--tau", ""), "thresholds must be comma-separated numbers, got ''"),
+            (("eval", "--tau", "0.1,abc,0.2"), "thresholds must be comma-separated numbers, got '0.1,abc,0.2'"),
         ],
         ids=[
             "flops_policy",
@@ -873,6 +915,8 @@ class TestCli:
             "eval_dump_features_negative",
             "eval_tau_nan",
             "flops_tau_negative",
+            "eval_tau_empty",
+            "eval_tau_not_a_number",
         ],
     )
     def test_bad_argument_rejected_before_the_first_forward(self, tmp_path, capsys, monkeypatch, argv, cause):
