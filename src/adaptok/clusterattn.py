@@ -74,9 +74,7 @@ def _attention(x: Tensor, store: ParamStore, prefix: str, heads: int, size: int,
 
 def _mlp(x: Tensor, store: ParamStore, prefix: str, segments) -> Tensor:
     """x plus the MLP branch. The layer-norm output is passed as the MLP's
-    only reference, so off a tape the MLP frees it once its hidden rows
-    exist (CPython 3.11 on hands a call's arguments to the callee; 3.10
-    holds them until it returns)."""
+    only reference, so it dies as the MLP returns."""
     return tensor.mlp(
         tensor.layer_norm(x, store[f"{prefix}.ln2.g"], store[f"{prefix}.ln2.b"]),
         store[f"{prefix}.mlp1.w"],

@@ -8,7 +8,7 @@ import hashlib
 import json
 import operator
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 POLICIES = ("adaptive", "dense", "random_ratio", "oracle_mix")
 # fields of the allocation policy: none of them shapes a parameter
@@ -115,9 +115,14 @@ class EncoderConfig:
         return (self.input_h // 4) * (self.input_w // 4)
 
     def to_json_dict(self) -> dict:
-        # every field is a scalar or a tuple of scalars, so a shallow walk
-        # copies as much as `dataclasses.asdict` would
-        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v for f in fields(self)}
+        """Every field as JSON, a number as a float: equal configs share a digest."""
+        d = {}
+        for name, (_, types, n) in _field_kinds(type(self)):
+            v = getattr(self, name)
+            if float in types:
+                v = float(v) if n is None else map(float, v)
+            d[name] = v if n is None else list(v)
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EncoderConfig":

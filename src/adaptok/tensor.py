@@ -212,26 +212,28 @@ def _bounds(segments, n: int) -> list[int]:
     return bounds
 
 
-def _segment_matmul(xd: np.ndarray, wd: np.ndarray, segments) -> np.ndarray:
-    """xd @ wd, one GEMM per row segment, so each segment's rows get the
-    result they would get alone (BLAS rounds a row differently when the
-    row count changes). When every non-empty segment has one length L,
-    they run as one `np.matmul` over a (G, L, k) reshape view, which makes
-    the 2-D product's BLAS call once per stacked matrix; otherwise each
-    segment is its own 2-D product. A single segment skips the grouping: it
-    costs a few microseconds a call, and a batch of one makes every call."""
+def _segment_matmul(xd: np.ndarray, wd: np.ndarray, segments, out: np.ndarray | None = None) -> np.ndarray:
+    """xd @ wd into `out` (a fresh array when None), one GEMM per row
+    segment, so each segment's rows get the result they would get alone
+    (BLAS rounds a row differently when the row count changes). When every
+    non-empty segment has one length L, they run as one `np.matmul` over a
+    (G, L, k) reshape view, which makes the 2-D product's BLAS call once per
+    stacked matrix; otherwise each segment is its own 2-D product. A single
+    segment skips the grouping: it costs a few microseconds a call, and a
+    batch of one makes every call. Returns `out`."""
     bounds = _bounds(segments, xd.shape[0])
+    out = np.empty((xd.shape[0], wd.shape[1])) if out is None else out
     if len(bounds) == 2:
-        return xd @ wd
+        return np.matmul(xd, wd, out=out)
     sizes = {hi - lo for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo}
     if len(sizes) == 1:
         (size,) = sizes
-        return np.matmul(xd.reshape(-1, size, xd.shape[1]), wd).reshape(xd.shape[0], -1)
-    y = np.empty((xd.shape[0], wd.shape[1]))
+        np.matmul(xd.reshape(-1, size, xd.shape[1]), wd, out=out.reshape(-1, size, out.shape[1]))
+        return out
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            y[lo:hi] = xd[lo:hi] @ wd
-    return y
+            np.matmul(xd[lo:hi], wd, out=out[lo:hi])
+    return out
 
 
 def _linear_shapes(shape, w, b):
@@ -281,35 +283,41 @@ def linear(x, w, b, segments=None, plus=None) -> Tensor:
     return out
 
 
-MLP_PIECE = 1 << 18  # hidden values per piece of an off-tape MLP (2 MiB)
+MLP_PIECE = 1 << 18  # hidden values per piece of an MLP (2 MiB)
 
 
-def _mlp_pieces(bounds, hid: int):
-    """Row ranges [lo, hi) an off-tape MLP runs one at a time, or None when
-    every segment's hidden rows fit in MLP_PIECE values (the call then runs
-    whole). Each segment splits from its start into the fewest near-equal
-    pieces that fit, never under 16 rows: from 16 rows on, BLAS rounds a
-    GEMM row as it does in the whole segment's product, so the pieces keep
-    its bits. A segment that fits stays one piece."""
-    sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if max(sizes, default=0) * hid <= MLP_PIECE:
-        return None
-    pieces = []
-    for lo, size in zip(bounds, sizes):
+def _mlp_pieces(bounds, hid: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The row pieces (lo, hi, segments) an MLP runs one at a time. A
+    segment whose hidden rows exceed MLP_PIECE values splits from its start
+    into the fewest near-equal parts that fit, never under 16 rows; every
+    other segment is one part. Consecutive parts then pack into a piece
+    while its hidden rows fit, each part one of the piece's segments. A
+    segment's parts depend on its own length alone, so its rows get the
+    same bits solo as in any batch."""
+    parts = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        size = hi - lo
         count = max(1, min(-(-size * hid // MLP_PIECE), size // 16))
-        pieces += [(lo + size * j // count, lo + size * (j + 1) // count) for j in range(count) if size]
+        parts += [size * (j + 1) // count - size * j // count for j in range(count)]
+    pieces, lo = [], bounds[0]
+    for size in parts:
+        if pieces and (lo + size - pieces[-1][0]) * hid <= MLP_PIECE:
+            start, _, segments = pieces.pop()
+            pieces.append((start, lo + size, segments + (size,)))
+        else:
+            pieces.append((lo, lo + size, (size,)))
+        lo += size
     return pieces
 
 
 def mlp(x, w1, b1, w2, b2, segments=None, plus=None) -> Tensor:
     """linear -> GELU -> linear over row segments, then `plus` added last:
     the bits, gradients and FLOP charges of `add(plus, linear(gelu(linear(x,
-    w1, b1)), w2, b2))` in one node. Off a tape the GELU runs in place in
-    the hidden buffer, the only hidden-size array the call makes, and a
-    segment too long for one `MLP_PIECE` runs piece by piece through a
-    piece-sized one (`_mlp_pieces`); on a tape the pre-activation, its tanh
-    values and the activation are kept whole for the vjp, as the separate
-    nodes keep them."""
+    w1, b1)), w2, b2))` in one node (a segment split into parts gets its
+    parts' GEMM bits). On a tape and off it, it runs the pieces of
+    `_mlp_pieces` one at a time: off a tape through one piece-sized hidden
+    buffer, GELU in place; on a tape into whole pre-activation, tanh and
+    activation arrays, for the vjp."""
     x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
     _linear_shapes(x.data.shape, w1, b1)
     (m, k), hid, n = x.data.shape, w1.data.shape[1], w2.data.shape[-1]
@@ -322,33 +330,22 @@ def mlp(x, w1, b1, w2, b2, segments=None, plus=None) -> Tensor:
     )
     xd, w1d, w2d = x.data, w1.data, w2.data
     taped = _taped(parents)
-    pieces = None if taped else _mlp_pieces(_bounds(segments, m), hid)
-    if pieces is None:
-        u = _segment_matmul(xd, w1d, segments)
-        u += b1.data
-        if taped:
-            t, h = np.empty(u.shape), np.empty(u.shape)
-            _gelu_into(u, h, t)
-        else:
-            # nothing reads x again: an x passed as its only reference (a
-            # layer norm's output) is freed before the output is made
-            del x, xd, parents
-            t, h = None, _gelu_into(u, u)
-        y = _segment_matmul(h, w2d, segments)
+    pieces = _mlp_pieces(_bounds(segments, m), hid)
+    y = np.empty((m, n))
+    if taped:
+        u, t, h = (np.empty((m, hid)) for _ in range(3))
     else:
-        # one piece-sized hidden buffer; each piece lands in its output rows
-        y = np.empty((m, n))
-        buf = np.empty((max(hi - lo for lo, hi in pieces), hid))
-        for lo, hi in pieces:
-            h = np.matmul(xd[lo:hi], w1d, out=buf[: hi - lo])
-            h += b1.data
-            np.matmul(_gelu_into(h, h), w2d, out=y[lo:hi])
+        u = h = np.empty((max((hi - lo for lo, hi, _ in pieces), default=0), hid))
+        t = None
+    for lo, hi, rows in pieces:
+        at = slice(lo, hi) if taped else slice(hi - lo)
+        up = _segment_matmul(xd[lo:hi], w1d, rows, out=u[at])
+        up += b1.data
+        _segment_matmul(_gelu_into(up, h[at], t[at] if taped else None), w2d, rows, out=y[lo:hi])
     y += b2.data
     if plus is not None:
         y += plus.data
     out = Tensor(y)
-    if not taped:
-        return out
 
     def vjp(g):
         gw2 = h.T @ g if w2.requires_grad else None

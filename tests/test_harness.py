@@ -193,6 +193,18 @@ class TestConfig:
         assert back == nano_cfg
         assert back.digest() == nano_cfg.digest()
 
+    def test_equal_configs_share_a_digest(self, tmp_path):
+        # an int given for a number field is written as a float: an override,
+        # a JSON config and the CLI's --tau each give the one digest
+        nano = config.nano()
+        assert nano.with_overrides(oracle_rate=1).digest() == nano.with_overrides(oracle_rate=1.0).digest()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**nano.to_json_dict(), "thresholds": [1, 1, 1]}))
+        from_json = load_config(str(path))
+        from_tau = cli._load_cfg(cli.build_parser().parse_args(["eval", "--tau", "1,1,1"]))
+        assert from_json == from_tau and from_json.digest() == from_tau.digest()
+        assert json.dumps(from_json.to_json_dict()["thresholds"]) == "[1.0, 1.0, 1.0]"
+
     def test_presets_valid(self):
         for name in ("nano", "tiny", "small", "base"):
             cfg = load_config(name)
