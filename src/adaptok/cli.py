@@ -9,7 +9,6 @@ import os
 import sys
 
 from . import evaluate as evaluate_mod
-from . import flops as flops_mod
 from . import scenes as scenes_mod
 from . import train as train_mod
 from .config import POLICIES, EncoderConfig, check, load_config, save_config
@@ -112,18 +111,12 @@ def cmd_flops(args) -> int:
     cfg = _load_cfg(args)
     pcfgs = [cfg.with_overrides(policy=policy) for policy in args.policies.split(",")]
     corpus, _ = _corpus(args, cfg)
-    if not corpus:
-        raise ValueError("corpus is empty: the FLOPs comparison needs at least one scene")
     store = load_params(args.params, cfg) if args.params else init_params(cfg, args.seed)
     rows = []
     for pcfg in pcfgs:
-        per_scene = []
-        for _, batch, reports in evaluate_mod.metered_batches(pcfg, store, corpus):
-            del batch  # freed before the next batch's forward
-            per_scene += [rep.total().flops for rep in reports]
-        mean, std = flops_mod.corpus_stats(per_scene)
-        rows.append({"policy": pcfg.policy, "flops_mean": mean, "flops_std": std})
-        print(f"{pcfg.policy:>14}: {mean:.3e} ± {std:.3e} FLOPs/sample")
+        m = evaluate_mod.evaluate(pcfg, store, corpus, seed=args.seed)["metrics"]
+        rows.append({"policy": pcfg.policy, "flops_mean": m["flops_mean"], "flops_std": m["flops_std"]})
+        print(f"{pcfg.policy:>14}: {m['flops_mean']:.3e} ± {m['flops_std']:.3e} FLOPs/sample")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "flops.json"), "w") as f:

@@ -56,36 +56,6 @@ def segmentation_metrics(conf: np.ndarray) -> dict:
 BATCH_PIXELS = 32 * 64 * 64
 
 
-def metered_batches(cfg: EncoderConfig, store: ParamStore, scenes):
-    """Run `scenes` under the FLOPs meter in stacked batches of as many as
-    fit in `BATCH_PIXELS` (at least one), scene i keyed `(i, 0)`, so no
-    output depends on the batch size. Yields each batch's first scene
-    index, its `BatchForward` and its scenes' `count_forward` reports, and
-    keeps no batch past its yield, so a consumer that drops it frees it
-    before the next forward; raises RuntimeError when a section's metered
-    counts differ from the sum of the batch's reports."""
-    size = max(1, BATCH_PIXELS // (cfg.input_h * cfg.input_w))
-    for lo in range(0, len(scenes), size):
-        part = scenes[lo : lo + size]
-        with flops.meter() as metered:
-            batch = train.forward_batch(
-                [sc.image for sc in part], [sc.labels for sc in part], store, cfg, keys=[(lo + i, 0) for i in range(len(part))]
-            )
-        reports = [flops.count_forward(cfg, trace) for trace in batch.s1.traces]
-        analytic = flops.FlopsReport()
-        for rep in reports:
-            for name, counts in rep.sections.items():
-                analytic.add(counts, name)
-        for name in sorted(set(metered.sections) | set(analytic.sections)):
-            want, got = analytic.sections.get(name, flops.Counts()), metered.sections.get(name, flops.Counts())
-            if want != got:
-                raise RuntimeError(
-                    f"scenes {lo}-{lo + len(part) - 1}, section {name}: analytic count {want} disagrees with metered {got}"
-                )
-        yield lo, batch, reports
-        del batch
-
-
 def evaluate(
     cfg: EncoderConfig,
     store: ParamStore,
@@ -97,9 +67,12 @@ def evaluate(
     n_overlays: int = 0,
     n_feature_dumps: int = 0,
 ) -> dict:
-    """Run the model over `scenes` (`metered_batches`); returns (and
+    """Run the model over `scenes` under the FLOPs meter, in stacked batches
+    of as many as fit in `BATCH_PIXELS` (at least one), scene i keyed
+    `(i, 0)`, so no output depends on the batch size; returns (and
     optionally writes) the manifest. Two calls with identical inputs produce
-    identical bytes."""
+    identical bytes. Raises RuntimeError when a section's metered counts
+    differ from the sum of the batch's `count_forward` reports."""
     if not len(scenes):
         raise ValueError("corpus is empty: evaluation needs at least one scene")
     for name, count in (("n_overlays", n_overlays), ("n_feature_dumps", n_feature_dumps)):
@@ -108,8 +81,25 @@ def evaluate(
     totals, levels, scored, overlay_files = [], [], [], []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for lo, batch, reports in metered_batches(cfg, store, scenes):
-        totals += [rep.total() for rep in reports]
+    size = max(1, BATCH_PIXELS // (cfg.input_h * cfg.input_w))
+    for lo in range(0, len(scenes), size):
+        part = scenes[lo : lo + size]
+        with flops.meter() as metered:
+            batch = train.forward_batch(
+                [sc.image for sc in part], [sc.labels for sc in part], store, cfg, keys=[(lo + i, 0) for i in range(len(part))]
+            )
+        analytic = flops.FlopsReport()
+        for trace in batch.s1.traces:
+            rep = flops.count_forward(cfg, trace)
+            totals.append(rep.total())
+            for name, counts in rep.sections.items():
+                analytic.add(counts, name)
+        for name in sorted(set(metered.sections) | set(analytic.sections)):
+            want, got = analytic.sections.get(name, flops.Counts()), metered.sections.get(name, flops.Counts())
+            if want != got:
+                raise RuntimeError(
+                    f"scenes {lo}-{lo + len(part) - 1}, section {name}: analytic count {want} disagrees with metered {got}"
+                )
         levels.append(batch.s1.tokens.level_counts())
         _confusion_update(conf, batch.logits.data.argmax(axis=1), batch.labels.cells.reshape(-1))
         for i, trace in enumerate(batch.s1.traces, start=lo):

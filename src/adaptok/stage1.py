@@ -201,7 +201,8 @@ def allocator_mse(s1: Stage1Output | Stage1Batch, samples=None) -> tuple[Tensor,
 
 class Stage1Run:
     """Lockstep round state for a batch on one stacked feature matrix;
-    `run_stage1_batch` drives the hooks. Row-wise ops run once per batch
+    `run_stage1_batch` drives the hooks, each round's inside its one
+    `stage1.r{r}` FLOPs section. Row-wise ops run once per batch
     and the tokens are one `TokenBatch`; the per-sample round records
     follow batch order."""
 
@@ -255,9 +256,8 @@ class Stage1Run:
     # -- allocation round hooks ---------------------------------------------
 
     def enter_round(self, r: int):
-        with flops.section(f"stage1.r{r}"):
-            store = self.store
-            self.feats = tensor.linear(self.feats, store[f"s1.r{r}.proj.w"], store[f"s1.r{r}.proj.b"], self.tokens.segments)
+        store = self.store
+        self.feats = tensor.linear(self.feats, store[f"s1.r{r}.proj.w"], store[f"s1.r{r}.proj.b"], self.tokens.segments)
 
     def score_round(self, r: int) -> list[np.ndarray]:
         """Scores of every sample's frontier, in frontier order."""
@@ -265,11 +265,10 @@ class Stage1Run:
         counts = [len(rows) for rows in tokens.frontiers]
         if not len(tokens.frontier_rows):
             return [np.zeros(0) for _ in counts]
-        with flops.section(f"stage1.r{r}"):
-            store = self.store
-            g = tensor.gather_rows(self.feats, tokens.frontier_rows)
-            w = [store[f"s1.r{r}.{nm}"] for nm in ("score1.w", "score1.b", "score2.w", "score2.b")]
-            s = tensor.sigmoid(tensor.mlp(g, *w, counts))
+        store = self.store
+        g = tensor.gather_rows(self.feats, tokens.frontier_rows)
+        w = [store[f"s1.r{r}.{nm}"] for nm in ("score1.w", "score1.b", "score2.w", "score2.b")]
+        s = tensor.sigmoid(tensor.mlp(g, *w, counts))
         self.score_tensors[r - 1] = s
         return [a.copy() for a in geometry.segment_views(s.data[:, 0], counts)]
 
@@ -313,10 +312,9 @@ class Stage1Run:
         if not len(parent_rows):
             self.tokens = tokens.without_frontier()
             return
-        with flops.section(f"stage1.r{r}"):
-            merged = tensor.concat([self.feats, self._child_features(r, parent_rows, counts)], axis=0)
-            self.tokens, perm = tokens.grow(parent_rows)
-            self.feats = tensor.gather_rows(merged, perm)
+        merged = tensor.concat([self.feats, self._child_features(r, parent_rows, counts)], axis=0)
+        self.tokens, perm = tokens.grow(parent_rows)
+        self.feats = tensor.gather_rows(merged, perm)
 
     def _child_features(self, r: int, parent_rows: np.ndarray, counts) -> Tensor:
         """Features of the children of the tokens at `parent_rows`, in
@@ -341,12 +339,11 @@ class Stage1Run:
         cfg, store = self.cfg, self.store
         if cfg.stage1_blocks[r] == 0:
             return
-        with flops.section(f"stage1.r{r}"):
-            tokens = self.tokens
-            assignment = clusterattn.cluster(tokens, cfg.cluster_size)
-            heads = cfg.heads_for(cfg.stage1_dims[r])
-            for i in range(cfg.stage1_blocks[r]):
-                self.feats = clusterattn.cluster_attention_block(self.feats, tokens, assignment, store, f"s1.r{r}.blk{i}", heads)
+        tokens = self.tokens
+        assignment = clusterattn.cluster(tokens, cfg.cluster_size)
+        heads = cfg.heads_for(cfg.stage1_dims[r])
+        for i in range(cfg.stage1_blocks[r]):
+            self.feats = clusterattn.cluster_attention_block(self.feats, tokens, assignment, store, f"s1.r{r}.blk{i}", heads)
 
     def snapshot(self, name: str):
         self.laterals[name] = Lateral(self.tokens, self.feats)
@@ -374,8 +371,6 @@ def choose_selection(
         k = int(np.floor(cfg.ratio_schedule[r - 1] * n + 0.5))
         return (np.sort(ratio_rng.choice(n, size=k, replace=False)) if k else np.zeros(0, np.intp)), "random"
     if use_oracle:
-        if targets is None:
-            raise ValueError("oracle_mix selection needs a label map")
         return select(targets, cfg.thresholds[r - 1])[0], "oracle"
     return select(scores, cfg.thresholds[r - 1])[0], "predicted"
 
@@ -407,10 +402,10 @@ def run_stage1_batch(images, store: ParamStore, cfg: EncoderConfig, labels_list=
             raise ValueError(f"policy=oracle_mix selected the oracle for sample {i} but its labels are missing")
     run.begin()
     for r in range(1, ROUNDS + 1):
-        run.enter_round(r)
-        scores = run.score_round(r)
-        targets = run.targets_round()
         with flops.section(f"stage1.r{r}"):
+            run.enter_round(r)
+            scores = run.score_round(r)
+            targets = run.targets_round()
             picks = [
                 choose_selection(
                     cfg, r, len(rows), scores[i], targets[i], use_oracle[i],
@@ -419,8 +414,8 @@ def run_stage1_batch(images, store: ParamStore, cfg: EncoderConfig, labels_list=
                 )
                 for i, rows in enumerate(run.tokens.frontiers)
             ]
-        run.allocate_round(r, picks, scores, targets)
-        run.attend_round(r)
+            run.allocate_round(r, picks, scores, targets)
+            run.attend_round(r)
         if r < ROUNDS:
             run.snapshot(f"alloc{r}")
     return run.output()

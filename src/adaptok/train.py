@@ -160,9 +160,7 @@ class Adam:
         m = b1*m + (1-b1)*g
         v = b2*v + ((1-b2)*g)*g
         p -= lr*(m/b1t) / (sqrt(v/b2t) + eps)
-    in that order of operations."""
-
-    CHUNK = 1 << 15  # elements per pass: six float64 chunks fit in L2
+    in that order of operations; a pass covers `tensor.CHUNK` elements."""
 
     def __init__(self, store: ParamStore, lr: float = 3e-3, betas=(0.9, 0.999), eps: float = 1e-8):
         self.store = store
@@ -172,7 +170,7 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(store.flat)
         self.v = np.zeros_like(store.flat)
-        self._scratch = np.empty((2, min(self.CHUNK, store.flat.size)))
+        self._scratch = np.empty((2, min(tensor.CHUNK, store.flat.size)))
 
     def step(self, grad: np.ndarray):
         """One update from `grad`, the gradient in the arena's layout (the
@@ -184,8 +182,8 @@ class Adam:
         b1t = 1.0 - b1**self.t
         b2t = 1.0 - b2**self.t
         p_all = self.store.flat
-        for lo in range(0, p_all.size, self.CHUNK):
-            hi = min(lo + self.CHUNK, p_all.size)
+        for lo in range(0, p_all.size, tensor.CHUNK):
+            hi = min(lo + tensor.CHUNK, p_all.size)
             g, m, v, p = grad[lo:hi], self.m[lo:hi], self.v[lo:hi], p_all[lo:hi]
             a, b = self._scratch[:, : hi - lo]
             np.multiply(m, b1, out=m)

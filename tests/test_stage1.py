@@ -523,6 +523,14 @@ class TestParamContainer:
                 load_params(path, other)
         for other in (nano_cfg.with_overrides(policy="dense"), nano_cfg.with_overrides(thresholds=(0.01, 0.02, 0.04))):
             load_params(path, other)
+        # a container keyed to the full config digest (magic, version, then the
+        # digest) loads under that config alone
+        blob = path.read_bytes()
+        path.write_bytes(blob[:12] + bytes.fromhex(nano_cfg.digest()) + blob[44:])
+        back = load_params(path, nano_cfg)
+        assert all(np.array_equal(back[name].data, t.data) for name, t in nano_store.items())
+        with pytest.raises(ValueError, match="different config"):
+            load_params(path, nano_cfg.with_overrides(policy="dense"))
 
     def test_truncated_container_rejected(self, tmp_path, nano_cfg, nano_store):
         path = tmp_path / "params.bin"
